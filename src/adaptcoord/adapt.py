@@ -50,12 +50,10 @@ from .errors import (
 from .newton import (
     Face,
     FaceKind,
+    HullAnalysis,
     distance,
-    face_weight,
+    hull_analysis,
     newton_polyhedron,
-    principal_face,
-    principal_face_weight,
-    principal_part,
 )
 from .quasihomog import analyze
 
@@ -75,6 +73,9 @@ class PrincipalRootWitness:
 
 @dataclass(frozen=True, slots=True)
 class AdaptednessReport:
+    """The verdict on f.  `face`, `weight` and `witness` are taken in the
+    axis-normalized orientation; `hull` is the Newton data of f as given."""
+
     adapted: bool
     condition_a: bool
     condition_b: bool
@@ -84,6 +85,7 @@ class AdaptednessReport:
     distance: Fraction
     face: Face
     weight: Weight
+    hull: HullAnalysis
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,21 +115,15 @@ class AdaptStatus(Enum):
 
 @dataclass(frozen=True, slots=True)
 class AdaptResult:
+    """`input_check` is check_adapted(f) on the input as given."""
+
     jet: RootJet
     axis_swapped: bool
     height: Fraction
     final_poly: BiPoly
     steps: tuple[AdaptStep, ...]
     status: AdaptStatus
-
-
-def _require_input(f: BiPoly) -> None:
-    if f.is_zero:
-        raise NotFiniteType("the zero polynomial has no finite-type analysis")
-    if f.origin_order < 2:
-        raise NonvanishingGradient(
-            "input must vanish to order >= 2 at the origin"
-        )
+    input_check: AdaptednessReport
 
 
 def check_adapted(f: BiPoly) -> AdaptednessReport:
@@ -136,24 +132,22 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
     Axes are normalized internally so k1 <= k2; when that requires a swap
     the report says so and the witness refers to the swapped orientation.
     """
-    _require_input(f)
-    np_ = newton_polyhedron(f)
-    d = distance(np_)
-    face = principal_face(np_)
-    swapped = False
-    if face.kind is FaceKind.VERTICAL_HALFLINE:
-        swapped = True
-    elif face.is_compact_edge:
-        w = face_weight(face)
-        if w.k1 > w.k2:
-            swapped = True
-    g = swap_axes(f) if swapped else f
+    if f.is_zero:
+        raise NotFiniteType("the zero polynomial has no finite-type analysis")
+    if f.origin_order < 2:
+        raise NonvanishingGradient("input must vanish to order >= 2 at the origin")
+    hull = hull_analysis(newton_polyhedron(f))
+    d = hull.distance
+    swapped = hull.face.kind is FaceKind.VERTICAL_HALFLINE or (
+        hull.face.is_compact_edge and hull.weight.k1 > hull.weight.k2
+    )
+    g, oriented = f, hull
     if swapped:
-        np_ = newton_polyhedron(g)
-        face = principal_face(np_)
-        if distance(np_) != d:
+        g = swap_axes(f)
+        oriented = hull_analysis(newton_polyhedron(g))
+        if oriented.distance != d:
             raise InternalInvariantViolation("distance changed under axis swap")
-    weight = principal_face_weight(face, d)
+    face, weight = oriented.face, oriented.weight
     if not face.is_compact_edge:
         # vertex faces carry the symmetric weight (ratio 1, condition (b)
         # vacuously true); half-line faces have k1 = 0 (ratio infinite)
@@ -168,10 +162,11 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
             distance=d,
             face=face,
             weight=weight,
+            hull=hull,
         )
     ratio = weight.ratio
     condition_b = ratio.denominator == 1
-    data = analyze(principal_part(g))
+    data = analyze(oriented.principal_part(g))
     max_real = data.max_real_multiplicity
     condition_c = Fraction(max_real) > d
     witness = None
@@ -197,7 +192,16 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
         distance=d,
         face=face,
         weight=weight,
+        hull=hull,
     )
+
+
+def _shear_by_witness(
+    g: BiPoly, witness: PrincipalRootWitness
+) -> tuple[ShearChange, BiPoly]:
+    """Shear g, already in its normalized orientation, by the witness root."""
+    shear = ShearChange(ShearAxis.X2, witness.coefficient, witness.exponent)
+    return shear, apply_shear(g, shear)
 
 
 def shear_step(f: BiPoly) -> tuple[ShearChange, BiPoly]:
@@ -212,10 +216,7 @@ def shear_step(f: BiPoly) -> tuple[ShearChange, BiPoly]:
         raise AlreadyAdapted("coordinates are already adapted")
     assert report.witness is not None
     g = swap_axes(f) if report.axis_swapped else f
-    shear = ShearChange(
-        ShearAxis.X2, report.witness.coefficient, report.witness.exponent
-    )
-    g_next = apply_shear(g, shear)
+    shear, g_next = _shear_by_witness(g, report.witness)
     if distance(newton_polyhedron(g_next)) <= report.distance:
         raise InternalInvariantViolation("shear failed to increase the distance")
     return shear, g_next
@@ -303,36 +304,35 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    _require_input(f)
     report = check_adapted(f)
-    if report.adapted:
-        return AdaptResult(
-            jet=RootJet((), truncated=False),
-            axis_swapped=False,
-            height=report.distance,
-            final_poly=f,
-            steps=(),
-            status=AdaptStatus.TERMINATED,
-        )
-    swapped = report.axis_swapped
+    # an input adapted as given is returned as given, even when its
+    # verdict was read in swapped axes
+    swapped = report.axis_swapped and not report.adapted
     start = swap_axes(f) if swapped else f
     g = start
+    rep = report
     jet: list[tuple[Fraction, int]] = []
     steps: list[AdaptStep] = []
-    for k in range(max_steps + 1):
-        rep = check_adapted(g)
-        if rep.adapted:
+    while not rep.adapted:
+        if len(steps) == max_steps:
+            certified = _certify_nonterminating(
+                start, jet, steps, STABILIZATION_WINDOW
+            )
+            if certified is None:
+                raise IterationCapExceeded(
+                    f"no adapted system within {max_steps} shears and no "
+                    "non-termination certificate; retry with a larger max_steps"
+                )
             return AdaptResult(
-                jet=RootJet(tuple(jet), truncated=False),
+                jet=RootJet(tuple(jet), truncated=True),
                 axis_swapped=swapped,
-                height=rep.distance,
+                height=Fraction(certified),
                 final_poly=g,
                 steps=tuple(steps),
-                status=AdaptStatus.TERMINATED,
+                status=AdaptStatus.NONTERMINATING_CERTIFIED,
+                input_check=report,
             )
-        if k == max_steps:
-            break
-        if rep.axis_swapped:
+        if steps and rep.axis_swapped:
             raise InternalInvariantViolation(
                 "axis orientation flipped after the first shear"
             )
@@ -346,20 +346,16 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
             raise InternalInvariantViolation("root multiplicity increased along the jet")
         steps.append(AdaptStep(w.multiplicity, w.exponent, rep.distance))
         jet.append((w.coefficient, w.exponent))
-        g = apply_shear(g, ShearChange(ShearAxis.X2, w.coefficient, w.exponent))
-    certified = _certify_nonterminating(start, jet, steps, STABILIZATION_WINDOW)
-    if certified is None:
-        raise IterationCapExceeded(
-            f"no adapted system within {max_steps} shears and no "
-            "non-termination certificate; retry with a larger max_steps"
-        )
+        _, g = _shear_by_witness(g, w)
+        rep = check_adapted(g)
     return AdaptResult(
-        jet=RootJet(tuple(jet), truncated=True),
+        jet=RootJet(tuple(jet), truncated=False),
         axis_swapped=swapped,
-        height=Fraction(certified),
+        height=rep.distance,
         final_poly=g,
         steps=tuple(steps),
-        status=AdaptStatus.NONTERMINATING_CERTIFIED,
+        status=AdaptStatus.TERMINATED,
+        input_check=report,
     )
 
 

@@ -22,7 +22,7 @@ from .errors import (
     InternalInvariantViolation,
     ZeroPolynomial,
 )
-from .unipoly import UniPoly, divmod_poly, poly_gcd
+from .unipoly import UniPoly, divmod_poly, integer_scale, poly_gcd
 
 Term = tuple[int, int]
 
@@ -84,9 +84,6 @@ class BiPoly:
 
     def terms(self) -> dict[Term, Fraction]:
         return dict(self._terms)
-
-    def items_sorted(self) -> list[tuple[Term, Fraction]]:
-        return sorted(self._terms.items())
 
     def coeff(self, j: int, k: int) -> Fraction:
         return self._terms.get((j, k), Fraction(0))
@@ -281,10 +278,6 @@ class Weight:
             raise ValueError("weight (0, 0) is not allowed")
 
     @property
-    def both_positive(self) -> bool:
-        return self.k1 > 0 and self.k2 > 0
-
-    @property
     def reduced(self) -> tuple[int, int, int]:
         """(q, p, m) with k1 = q/m, k2 = p/m, gcd(q, p, m) = 1."""
         m = self.k1.denominator
@@ -446,26 +439,6 @@ def _view_scale_down(v: View, d: UniPoly) -> View:
     return _view_strip(out)
 
 
-def _integer_normalize(v: View) -> View:
-    """Make all coefficients coprime integers, top term positive."""
-    den_lcm = 1
-    num_gcd = 0
-    for row in v:
-        for c in row.coeffs:
-            if c == 0:
-                continue
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    for row in v:
-        for c in row.coeffs:
-            if c == 0:
-                continue
-            num_gcd = int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    scale = Fraction(den_lcm, num_gcd)
-    if v[-1].leading < 0:
-        scale = -scale
-    return [row.scale(scale) for row in v]
-
-
 def _view_primitive(v: View) -> View:
     v = _view_strip(list(v))
     if _view_is_zero(v):
@@ -473,7 +446,8 @@ def _view_primitive(v: View) -> View:
     content = _view_content(v)
     if content.degree > 0:
         v = _view_scale_down(v, content)
-    return _integer_normalize(v)
+    scale = integer_scale((c for row in v for c in row.coeffs), v[-1].leading)
+    return [row.scale(scale) for row in v]
 
 
 def _pseudo_rem(u: View, v: View) -> View:

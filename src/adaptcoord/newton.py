@@ -118,38 +118,85 @@ def edge_weight(a: Term, b: Term) -> Weight:
     return face_weight(Face(FaceKind.COMPACT_EDGE, (a, b)))
 
 
-def distance(np_: NewtonPolyhedron) -> Fraction:
-    """Coordinate of the boundary crossing with the diagonal t1 = t2.
+@dataclass(frozen=True, slots=True)
+class HullAnalysis:
+    """The Newton data of one polynomial, from one pass over its polyhedron:
+    the distance, the principal face, and the weight of every compact edge
+    in the order of `polyhedron.edges`."""
+
+    polyhedron: NewtonPolyhedron
+    distance: Fraction
+    face: Face
+    edge_weights: tuple[Weight, ...]
+
+    @property
+    def weight(self) -> Weight:
+        """principal_face_weight of the principal face."""
+        if self.face.is_compact_edge:
+            # edge i runs from vertex i to vertex i + 1
+            i = self.polyhedron.vertices.index(self.face.points[0])
+            return self.edge_weights[i]
+        return principal_face_weight(self.face, self.distance)
+
+    def principal_part(self, f: BiPoly) -> BiPoly:
+        """Terms of f on the principal face; f must be the polynomial whose
+        polyhedron was analysed."""
+        face = self.face
+        if face.kind is FaceKind.VERTEX:
+            (j, k) = face.points[0]
+            return BiPoly.monomial(j, k, f.coeff(j, k))
+        if face.kind is FaceKind.COMPACT_EDGE:
+            return weighted_part(f, self.weight, 1)
+        if face.kind is FaceKind.HORIZONTAL_HALFLINE:
+            k0 = face.points[0][1]
+            return BiPoly({(j, k): c for (j, k), c in f.terms().items() if k == k0})
+        j0 = face.points[0][0]
+        return BiPoly({(j, k): c for (j, k), c in f.terms().items() if j == j0})
+
+
+def hull_analysis(np_: NewtonPolyhedron) -> HullAnalysis:
+    """Distance, principal face and weights of np_, each edge weight
+    computed once.
 
     The polyhedron is the intersection of the half-planes t1 >= A_first,
-    t2 >= B_last, and one half-plane per compact edge, so the crossing
-    coordinate is the largest of the per-face thresholds.
+    t2 >= B_last, and one half-plane per compact edge, so the diagonal
+    crossing coordinate d is the largest of the per-face thresholds.  The
+    principal face is the smallest face containing (d, d).
     """
-    a_first = Fraction(np_.first[0])
-    b_last = Fraction(np_.last[1])
-    best = max(a_first, b_last)
-    for a, b in np_.edges:
-        w = edge_weight(a, b)
-        best = max(best, 1 / (w.k1 + w.k2))
-    return best
+    weights = tuple(edge_weight(a, b) for a, b in np_.edges)
+    d = max(
+        Fraction(np_.first[0]),
+        Fraction(np_.last[1]),
+        *(1 / (w.k1 + w.k2) for w in weights),
+    )
+    return HullAnalysis(np_, d, _principal_face(np_, weights, d), weights)
+
+
+def _principal_face(
+    np_: NewtonPolyhedron, weights: tuple[Weight, ...], d: Fraction
+) -> Face:
+    """The smallest face containing (d, d)."""
+    for v in np_.vertices:
+        if v == (d, d):
+            return Face(FaceKind.VERTEX, (v,))
+    for (a, b), w in zip(np_.edges, weights):
+        if w.k1 * d + w.k2 * d == 1 and a[0] < d < b[0]:
+            return Face(FaceKind.COMPACT_EDGE, (a, b))
+    if d == np_.last[1] and d > np_.last[0]:
+        return Face(FaceKind.HORIZONTAL_HALFLINE, (np_.last,))
+    if d == np_.first[0] and d > np_.first[1]:
+        return Face(FaceKind.VERTICAL_HALFLINE, (np_.first,))
+    raise InternalInvariantViolation(f"diagonal point {(d, d)} matched no face")
+
+
+def distance(np_: NewtonPolyhedron) -> Fraction:
+    """Coordinate of the boundary crossing with the diagonal t1 = t2."""
+    return hull_analysis(np_).distance
 
 
 def principal_face(np_: NewtonPolyhedron) -> Face:
     """Smallest boundary face containing the diagonal crossing point."""
-    d = distance(np_)
-    point = (d, d)
-    for v in np_.vertices:
-        if Fraction(v[0]) == d and Fraction(v[1]) == d:
-            return Face(FaceKind.VERTEX, (v,))
-    for a, b in np_.edges:
-        w = edge_weight(a, b)
-        if w.k1 * d + w.k2 * d == 1 and Fraction(a[0]) < d < Fraction(b[0]):
-            return Face(FaceKind.COMPACT_EDGE, (a, b))
-    if d == Fraction(np_.last[1]) and d > Fraction(np_.last[0]):
-        return Face(FaceKind.HORIZONTAL_HALFLINE, (np_.last,))
-    if d == Fraction(np_.first[0]) and d > Fraction(np_.first[1]):
-        return Face(FaceKind.VERTICAL_HALFLINE, (np_.first,))
-    raise InternalInvariantViolation(f"diagonal point {point} matched no face")
+    return hull_analysis(np_).face
 
 
 def principal_face_weight(face: Face, d: Fraction) -> Weight:
@@ -170,15 +217,4 @@ def principal_face_weight(face: Face, d: Fraction) -> Weight:
 
 def principal_part(f: BiPoly) -> BiPoly:
     """Terms of f lying on the principal face of its polyhedron."""
-    np_ = newton_polyhedron(f)
-    face = principal_face(np_)
-    if face.kind is FaceKind.VERTEX:
-        (j, k) = face.points[0]
-        return BiPoly.monomial(j, k, f.coeff(j, k))
-    if face.kind is FaceKind.COMPACT_EDGE:
-        return weighted_part(f, face_weight(face), 1)
-    if face.kind is FaceKind.HORIZONTAL_HALFLINE:
-        k0 = face.points[0][1]
-        return BiPoly({(j, k): c for (j, k), c in f.terms().items() if k == k0})
-    j0 = face.points[0][0]
-    return BiPoly({(j, k): c for (j, k), c in f.terms().items() if j == j0})
+    return hull_analysis(newton_polyhedron(f)).principal_part(f)

@@ -38,6 +38,7 @@ from .errors import (
     WrongHomogeneity,
     ZeroPolynomial,
 )
+from .newton import edge_weight
 from .unipoly import (
     UniPoly,
     count_real_roots,
@@ -68,14 +69,11 @@ def detect_weight(P: BiPoly) -> Weight | WeightDetection:
     if len(pts) == 1:
         return WeightDetection.MONOMIAL
     (j1, k1), (j2, k2) = pts[0], pts[-1]
-    det = Fraction(j1 * k2 - j2 * k1)
-    if det == 0:
+    if j1 * k2 == j2 * k1:
         return WeightDetection.NOT_QUASI_HOMOGENEOUS
-    w1 = (k2 - k1) / det
-    w2 = (j1 - j2) / det
-    if w1 <= 0 or w2 <= 0:
+    w = edge_weight(pts[0], pts[-1])
+    if w.k1 <= 0 or w.k2 <= 0:
         return WeightDetection.NOT_QUASI_HOMOGENEOUS
-    w = Weight(w1, w2)
     for t in pts:
         if w.degree_of(t) != 1:
             return WeightDetection.NOT_QUASI_HOMOGENEOUS
@@ -115,10 +113,6 @@ class QuasiHomogData:
         return max((r.multiplicity for r in self.real_roots), default=0)
 
 
-def _axis_orders(P: BiPoly) -> tuple[int, int]:
-    return P.min_x1, P.min_x2
-
-
 def _require_order_two(P: BiPoly) -> None:
     if P.is_zero:
         raise ZeroPolynomial("zero polynomial")
@@ -141,7 +135,14 @@ def root_structure(P: BiPoly) -> tuple[Weight, int, int, int, int, int, UniPoly]
         raise MonomialInput("root structure needs at least two terms")
     if w is WeightDetection.NOT_QUASI_HOMOGENEOUS:
         raise NotQuasiHomogeneous("support is not on one positively-weighted line")
-    nu1, nu2 = _axis_orders(P)
+    return _root_structure(P, w)
+
+
+def _root_structure(
+    P: BiPoly, w: Weight
+) -> tuple[Weight, int, int, int, int, int, UniPoly]:
+    """root_structure(P) for P already known to have the weight w."""
+    nu1, nu2 = P.min_x1, P.min_x2
     q, p, _ = w.reduced
     coeffs: dict[int, Fraction] = {}
     n: int | None = None
@@ -198,7 +199,7 @@ def analyze(P: BiPoly) -> QuasiHomogData:
         raise NotQuasiHomogeneous("support is not on one positively-weighted line")
     if w.k1 > w.k2:
         raise AxesNotNormalized("expected k1 <= k2; swap the axes first")
-    w, nu1, nu2, q, p, n, u = root_structure(P)
+    w, nu1, nu2, q, p, n, u = _root_structure(P, w)
     real_roots, distinct = _real_root_descriptors(u)
     d_h = Fraction(nu1 * q + nu2 * p + p * q * n, q + p)
     if d_h != 1 / (w.k1 + w.k2):
@@ -270,7 +271,7 @@ def predict_shear_vertices(P: BiPoly, b: Fraction | int) -> tuple[Term, Term]:
     q, p, _ = w.reduced
     if q != 1:
         raise WrongHomogeneity(f"weight ratio {p}/{q} is not an integer")
-    _, nu1, nu2, q, p, n, u = root_structure(P)
+    _, nu1, nu2, q, p, n, u = _root_structure(P, w)
     m = p
     mult = 0
     if u.evaluate(b) == 0:

@@ -17,8 +17,7 @@ from fractions import Fraction
 from .adapt import AdaptResult, adapt, check_adapted
 from .bipoly import BiPoly
 from .clusters import distance_from_clusters, top_clusters, vertices_from_clusters
-from .errors import DegenerateInX2
-from .newton import distance, edge_weight, newton_polyhedron, principal_face
+from .errors import DegenerateInX2, ZeroPolynomial
 
 IntPair = tuple[int, int]
 FracPair = tuple[Fraction, Fraction]
@@ -171,11 +170,20 @@ def build_report(
     carries status "skipped" with no height.  IterationCapExceeded from
     the iteration propagates to the caller.
     """
-    np_ = newton_polyhedron(f)
-    verts = tuple(np_.vertices)
-    d = distance(np_)
-    face = principal_face(np_)
-    rep = check_adapted(f)
+    # the zero polynomial fails on its polyhedron, before any verdict
+    if f.is_zero:
+        raise ZeroPolynomial("zero polynomial has no Newton polyhedron")
+    result: AdaptResult | None = None
+    if run_adapt:
+        if max_steps is None:
+            result = adapt(f)
+        else:
+            result = adapt(f, max_steps=max_steps)
+        rep = result.input_check
+    else:
+        rep = check_adapted(f)
+    hull = rep.hull
+    verts = tuple(hull.polyhedron.vertices)
     witness = None
     if rep.witness is not None:
         witness = (
@@ -183,24 +191,16 @@ def build_report(
             rep.witness.exponent,
             rep.witness.multiplicity,
         )
-    result: AdaptResult | None = None
-    if run_adapt:
-        if max_steps is None:
-            result = adapt(f)
-        else:
-            result = adapt(f, max_steps=max_steps)
-    vmatch, dmatch = _cluster_check(f, verts, d)
+    vmatch, dmatch = _cluster_check(f, verts, hull.distance)
     return AnalysisReport(
         source=str(f) if source is None else source,
         support=tuple(sorted(f.support)),
         vertices=verts,
-        distance=d,
-        face_kind=face.kind.value,
-        face_points=tuple(face.points),
+        distance=hull.distance,
+        face_kind=hull.face.kind.value,
+        face_points=tuple(hull.face.points),
         principal_weight=(rep.weight.k1, rep.weight.k2),
-        edge_weights=tuple(
-            (w.k1, w.k2) for w in (edge_weight(a, b) for a, b in np_.edges)
-        ),
+        edge_weights=tuple((w.k1, w.k2) for w in hull.edge_weights),
         adapted_input=rep.adapted,
         condition_a=rep.condition_a,
         condition_b=rep.condition_b,

@@ -13,13 +13,7 @@ import math
 from fractions import Fraction
 
 from .bipoly import BiPoly
-from .newton import (
-    FaceKind,
-    NewtonPolyhedron,
-    distance,
-    newton_polyhedron,
-    principal_face,
-)
+from .newton import FaceKind, hull_analysis, newton_polyhedron
 
 UNIT = 40
 PAD = 46
@@ -32,9 +26,9 @@ def _fmt(v: float | Fraction) -> str:
 class _Panel:
     def __init__(self, f: BiPoly, offset_x: int, label: str):
         self.f = f
-        self.hull: NewtonPolyhedron = newton_polyhedron(f)
-        self.d = distance(self.hull)
-        self.face = principal_face(self.hull)
+        self.hull = hull_analysis(newton_polyhedron(f))
+        self.d = self.hull.distance
+        self.face = self.hull.face
         support_max = max(max(j for j, _ in f.support), max(k for _, k in f.support))
         self.extent = max(support_max, math.ceil(self.d)) + 1
         self.offset_x = offset_x
@@ -48,7 +42,7 @@ class _Panel:
         return _fmt(PAD + (self.extent - float(t2)) * UNIT)
 
     def _staircase_points(self) -> list[tuple[float, float]]:
-        verts = self.hull.vertices
+        verts = self.hull.polyhedron.vertices
         pts = [(float(verts[0][0]), float(self.extent))]
         pts.extend((float(j), float(k)) for j, k in verts)
         pts.append((float(self.extent), float(verts[-1][1])))
@@ -115,7 +109,7 @@ class _Panel:
             out.append(
                 f'<circle cx="{self.x(j)}" cy="{self.y(k)}" r="3.5" fill="#20639b"/>'
             )
-        for j, k in self.hull.vertices:
+        for j, k in self.hull.polyhedron.vertices:
             out.append(
                 f'<circle cx="{self.x(j)}" cy="{self.y(k)}" r="4.5" fill="#ffffff" '
                 'stroke="#20639b" stroke-width="2"/>'

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NotSquarefree, ZeroPolynomial
@@ -145,12 +145,6 @@ class UniPoly:
             return UniPoly.zero()
         return UniPoly(tuple(a * c for a in self.coeffs))
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by y**k."""
-        if self.is_zero:
-            return self
-        return UniPoly((Fraction(0),) * k + self.coeffs)
-
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise ValueError("negative power")
@@ -234,20 +228,20 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
+def integer_scale(coeffs: Iterable[Fraction], leading: Fraction) -> Fraction:
+    """The factor that turns coeffs into coprime integers and the
+    coefficient `leading` among them positive; coeffs must not all be 0."""
+    coeffs = tuple(coeffs)
+    den = lcm(*(c.denominator for c in coeffs))
+    scale = Fraction(den, gcd(*(c.numerator * (den // c.denominator) for c in coeffs)))
+    return -scale if leading < 0 else scale
+
+
 def integer_primitive(p: UniPoly) -> UniPoly:
     """Scale to coprime integer coefficients with positive leading term."""
     if p.is_zero:
         return p
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.coeffs:
-        num_gcd = int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    scale = Fraction(den_lcm, num_gcd)
-    if p.leading < 0:
-        scale = -scale
-    return p.scale(scale)
+    return p.scale(integer_scale(p.coeffs, p.leading))
 
 
 @dataclass(frozen=True, slots=True)

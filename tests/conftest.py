@@ -2,37 +2,17 @@
 
 from __future__ import annotations
 
-import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from adaptcoord import BiPoly
 
-CORPUS_SEED = 20260822
-
-
-def random_corpus(n: int, seed: int = CORPUS_SEED) -> list[BiPoly]:
-    """Seeded random polynomials: 2..8 terms, total degree of each term
-    in [2, 10], integer coefficients in [-5, 5], positive x2-degree,
-    vanishing to order >= 2 at the origin."""
-    rng = random.Random(seed)
-    out: list[BiPoly] = []
-    while len(out) < n:
-        terms: dict[tuple[int, int], int] = {}
-        for _ in range(rng.randint(2, 8)):
-            j = rng.randint(0, 10)
-            k = rng.randint(0, 10 - j)
-            if j + k < 2:
-                continue
-            c = rng.randint(-5, 5)
-            if c:
-                terms[(j, k)] = terms.get((j, k), 0) + c
-        f = BiPoly(terms)
-        if f.is_zero or f.x2_degree < 1 or f.origin_order < 2:
-            continue
-        out.append(f)
-    return out
+# the seeded corpus is the height survey's, so the two cannot drift apart
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from height_survey import CORPUS_SEED, random_corpus  # noqa: E402, F401
 
 
 coefficients = st.fractions(

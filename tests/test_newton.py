@@ -26,6 +26,7 @@ from adaptcoord import (
     distance,
     edge_weight,
     face_weight,
+    hull_analysis,
     newton_polyhedron,
     parse,
     principal_face,
@@ -246,3 +247,14 @@ def test_principal_part_support_lies_on_face(support):
         assert {k for _, k in pp.support} == {face.points[0][1]}
     else:
         assert {j for j, _ in pp.support} == {face.points[0][0]}
+
+
+@given(supports)
+@settings(max_examples=100)
+def test_hull_analysis_weights_match_the_face_conventions(support):
+    np_ = build_polyhedron(support)
+    hull = hull_analysis(np_)
+    assert hull.polyhedron == np_
+    assert hull.edge_weights == tuple(edge_weight(a, b) for a, b in np_.edges)
+    if hull.distance > 0:
+        assert hull.weight == principal_face_weight(hull.face, hull.distance)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -131,3 +132,35 @@ def test_round_trip_randomized(f):
         rep = build_report(f, run_adapt=False)
     assert report_from_dict(rep.to_dict()) == rep
     assert report_from_dict(json.loads(rep.to_json())) == rep
+
+
+def _count_calls(monkeypatch, module: str, name: str) -> list:
+    """Count calls of adaptcoord.<module>.<name> through every module-level
+    binding of it in the package, the way the benchmark's tracer does."""
+    original = getattr(sys.modules[f"adaptcoord.{module}"], name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "adaptcoord" or key.startswith("adaptcoord."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "expr, max_steps, max_hulls",
+    [("(x2 - x1^2)^2 + x1^5", None, 4), ("(x2*(1 + x1) - x1^2)^2", 8, None)],
+)
+def test_report_analyses_each_polynomial_once(monkeypatch, expr, max_steps, max_hulls):
+    checks = _count_calls(monkeypatch, "adapt", "check_adapted")
+    hulls = _count_calls(monkeypatch, "newton", "build_polyhedron")
+    rep = build_report(parse(expr), max_steps=max_steps)
+    # one verdict on the input, one on each polynomial a shear produced
+    assert len(checks) == 1 + len(rep.steps)
+    if max_hulls is not None:
+        assert len(hulls) <= max_hulls
