@@ -126,6 +126,13 @@ class AdaptResult:
     input_check: AdaptednessReport
 
 
+def _needs_swap(hull: HullAnalysis) -> bool:
+    """Whether the axes must be swapped to make k1 <= k2."""
+    return hull.face.kind is FaceKind.VERTICAL_HALFLINE or (
+        hull.face.is_compact_edge and hull.weight.k1 > hull.weight.k2
+    )
+
+
 def check_adapted(f: BiPoly) -> AdaptednessReport:
     """Decide adaptedness of the current coordinates.
 
@@ -138,15 +145,15 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
         raise NonvanishingGradient("input must vanish to order >= 2 at the origin")
     hull = hull_analysis(newton_polyhedron(f))
     d = hull.distance
-    swapped = hull.face.kind is FaceKind.VERTICAL_HALFLINE or (
-        hull.face.is_compact_edge and hull.weight.k1 > hull.weight.k2
-    )
+    swapped = _needs_swap(hull)
     g, oriented = f, hull
     if swapped:
         g = swap_axes(f)
         oriented = hull_analysis(newton_polyhedron(g))
         if oriented.distance != d:
             raise InternalInvariantViolation("distance changed under axis swap")
+        if _needs_swap(oriented):
+            raise InternalInvariantViolation("axis orientation flipped after a swap")
     face, weight = oriented.face, oriented.weight
     if not face.is_compact_edge:
         # vertex faces carry the symmetric weight (ratio 1, condition (b)
@@ -196,14 +203,6 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
     )
 
 
-def _shear_by_witness(
-    g: BiPoly, witness: PrincipalRootWitness
-) -> tuple[ShearChange, BiPoly]:
-    """Shear g, already in its normalized orientation, by the witness root."""
-    shear = ShearChange(ShearAxis.X2, witness.coefficient, witness.exponent)
-    return shear, apply_shear(g, shear)
-
-
 def shear_step(f: BiPoly) -> tuple[ShearChange, BiPoly]:
     """One distance-raising shear by the principal root of f's principal part.
 
@@ -216,7 +215,9 @@ def shear_step(f: BiPoly) -> tuple[ShearChange, BiPoly]:
         raise AlreadyAdapted("coordinates are already adapted")
     assert report.witness is not None
     g = swap_axes(f) if report.axis_swapped else f
-    shear, g_next = _shear_by_witness(g, report.witness)
+    w = report.witness
+    shear = ShearChange(ShearAxis.X2, w.coefficient, w.exponent)
+    g_next = apply_shear(g, shear)
     if distance(newton_polyhedron(g_next)) <= report.distance:
         raise InternalInvariantViolation("shear failed to increase the distance")
     return shear, g_next
@@ -346,7 +347,7 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
             raise InternalInvariantViolation("root multiplicity increased along the jet")
         steps.append(AdaptStep(w.multiplicity, w.exponent, rep.distance))
         jet.append((w.coefficient, w.exponent))
-        _, g = _shear_by_witness(g, w)
+        g = apply_shear(g, ShearChange(ShearAxis.X2, w.coefficient, w.exponent))
         rep = check_adapted(g)
     return AdaptResult(
         jet=RootJet(tuple(jet), truncated=False),

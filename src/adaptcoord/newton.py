@@ -164,12 +164,16 @@ def hull_analysis(np_: NewtonPolyhedron) -> HullAnalysis:
     principal face is the smallest face containing (d, d).
     """
     weights = tuple(edge_weight(a, b) for a, b in np_.edges)
-    d = max(
+    d = _distance(np_, weights)
+    return HullAnalysis(np_, d, _principal_face(np_, weights, d), weights)
+
+
+def _distance(np_: NewtonPolyhedron, weights: tuple[Weight, ...]) -> Fraction:
+    return max(
         Fraction(np_.first[0]),
         Fraction(np_.last[1]),
         *(1 / (w.k1 + w.k2) for w in weights),
     )
-    return HullAnalysis(np_, d, _principal_face(np_, weights, d), weights)
 
 
 def _principal_face(
@@ -191,7 +195,7 @@ def _principal_face(
 
 def distance(np_: NewtonPolyhedron) -> Fraction:
     """Coordinate of the boundary crossing with the diagonal t1 = t2."""
-    return hull_analysis(np_).distance
+    return _distance(np_, tuple(edge_weight(a, b) for a, b in np_.edges))
 
 
 def principal_face(np_: NewtonPolyhedron) -> Face:

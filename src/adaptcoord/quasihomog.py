@@ -38,7 +38,6 @@ from .errors import (
     WrongHomogeneity,
     ZeroPolynomial,
 )
-from .newton import edge_weight
 from .unipoly import (
     UniPoly,
     count_real_roots,
@@ -69,11 +68,14 @@ def detect_weight(P: BiPoly) -> Weight | WeightDetection:
     if len(pts) == 1:
         return WeightDetection.MONOMIAL
     (j1, k1), (j2, k2) = pts[0], pts[-1]
-    if j1 * k2 == j2 * k1:
+    det = Fraction(j1 * k2 - j2 * k1)
+    if det == 0:
         return WeightDetection.NOT_QUASI_HOMOGENEOUS
-    w = edge_weight(pts[0], pts[-1])
-    if w.k1 <= 0 or w.k2 <= 0:
+    w1 = (k2 - k1) / det
+    w2 = (j1 - j2) / det
+    if w1 <= 0 or w2 <= 0:
         return WeightDetection.NOT_QUASI_HOMOGENEOUS
+    w = Weight(w1, w2)
     for t in pts:
         if w.degree_of(t) != 1:
             return WeightDetection.NOT_QUASI_HOMOGENEOUS

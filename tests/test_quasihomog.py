@@ -87,6 +87,11 @@ def test_detect_weight_examples():
         detect_weight(parse("x2^2 + x1*x2^2"))
         is WeightDetection.NOT_QUASI_HOMOGENEOUS
     )
+    # support line of positive slope: the weight (1/2, -1/2) is not positive
+    assert (
+        detect_weight(parse("x1^2 + x1^3*x2"))
+        is WeightDetection.NOT_QUASI_HOMOGENEOUS
+    )
     with pytest.raises(ZeroPolynomial):
         detect_weight(BiPoly.zero())
 
@@ -141,6 +146,8 @@ def test_analyze_rejects_monomial_and_mixed_support():
         analyze(parse("x1^2*x2^2"))
     with pytest.raises(NotQuasiHomogeneous):
         analyze(parse("x2^2 + x1^3 + x1^5"))
+    with pytest.raises(NotQuasiHomogeneous):
+        analyze(parse("x1^2 + x1^3*x2"))
 
 
 def test_analyze_irrational_roots_keep_isolating_intervals():
