@@ -55,7 +55,7 @@ from .newton import (
     hull_analysis,
     newton_polyhedron,
 )
-from .quasihomog import analyze
+from .quasihomog import verdict_roots
 
 DEFAULT_MAX_STEPS = 64
 STABILIZATION_WINDOW = 3
@@ -173,16 +173,16 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
         )
     ratio = weight.ratio
     condition_b = ratio.denominator == 1
-    data = analyze(oriented.principal_part(g))
-    max_real = data.max_real_multiplicity
+    roots = verdict_roots(oriented.principal_part(g), weight)
+    max_real = roots.max_real_multiplicity
     condition_c = Fraction(max_real) > d
     witness = None
     if condition_b and condition_c:
-        if data.principal_root is None:
+        if roots.principal_root is None:
             raise InternalInvariantViolation(
                 "conditions met but no principal root extracted"
             )
-        b, m = data.principal_root
+        b, m = roots.principal_root
         if m != int(ratio):
             raise InternalInvariantViolation("witness exponent disagrees with weight")
         witness = PrincipalRootWitness(

@@ -22,17 +22,9 @@ from .errors import (
     InternalInvariantViolation,
     ZeroPolynomial,
 )
-from .unipoly import UniPoly, divmod_poly, integer_scale, poly_gcd
+from .unipoly import UniPoly, _frac, divmod_poly, integer_scale, poly_gcd
 
 Term = tuple[int, int]
-
-
-def _frac(x: Fraction | int) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class BiPoly:
@@ -248,13 +240,6 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self._terms!r})"
-
-
-def support(f: BiPoly) -> frozenset[Term]:
-    """Exponent pairs with nonzero coefficient; zero input is an error."""
-    if f.is_zero:
-        raise ZeroPolynomial("zero polynomial has no support")
-    return f.support
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,9 +8,10 @@ Writing k1 = q/m, k2 = p/m in lowest terms, P factors as
 
 over the complex numbers.  Everything this module reports is derived
 exactly from that factorization: the lambda_l are the roots of a single
-univariate polynomial read off the support line, so real-root counting
-(Sturm) and rational-root extraction give the full multiplicity data
-without ever leaving the rationals.
+univariate polynomial read off the support line, so its squarefree
+decomposition, real-root counting (Sturm) and rational roots found by
+Sturm isolation give the full multiplicity data without ever leaving the
+rationals, in time polynomial in the coefficient size.
 
 Key quantities:
 
@@ -41,9 +42,8 @@ from .errors import (
 from .unipoly import (
     UniPoly,
     count_real_roots,
-    divmod_poly,
-    isolate_real_roots,
-    split_rational_roots,
+    exact_real_roots,
+    rational_roots,
     squarefree_decompose,
 )
 
@@ -165,24 +165,52 @@ def _root_structure(
     return w, nu1, nu2, q, p, n, u
 
 
-def _real_root_descriptors(u: UniPoly) -> tuple[tuple[RealRootDescriptor, ...], int]:
-    """Descriptors for the real roots of u, plus the distinct complex count."""
-    dec = squarefree_decompose(u)
-    descriptors: list[RealRootDescriptor] = []
-    distinct = 0
-    for factor, mult in dec.factors:
-        distinct += factor.degree
-        rats, cofactor = split_rational_roots(factor)
-        for value, m in rats:
-            if m != 1:
-                raise InternalInvariantViolation("squarefree factor with repeated root")
-            descriptors.append(RealRootDescriptor(multiplicity=mult, value=value))
-        if cofactor.degree > 0:
-            for lo, hi in isolate_real_roots(cofactor):
-                descriptors.append(RealRootDescriptor(
-                    multiplicity=mult, factor=cofactor, interval=(lo, hi)
-                ))
-    return tuple(descriptors), distinct
+@dataclass(frozen=True, slots=True)
+class VerdictRoots:
+    """The squarefree decomposition of the root polynomial u of P, with the
+    two values the adaptedness verdict reads off it."""
+
+    nu1: int
+    nu2: int
+    n: int
+    d_h: Fraction
+    factors: tuple[tuple[UniPoly, int], ...]
+    max_real_multiplicity: int
+    principal_root: tuple[Fraction, int] | None
+
+
+def verdict_roots(P: BiPoly, w: Weight) -> VerdictRoots:
+    """Largest real root multiplicity and principal root of P, which has the
+    weight w with k1 <= k2.
+
+    A real root of multiplicity above d_h can only exist when q = 1, and is
+    then unique and rational: d_h >= n/2, so its squarefree factor has
+    degree * multiplicity <= n < 2 * multiplicity and is linear.
+    """
+    _, nu1, nu2, q, p, n, u = _root_structure(P, w)
+    d_h = Fraction(nu1 * q + nu2 * p + p * q * n, q + p)
+    if d_h != 1 / (w.k1 + w.k2):
+        raise InternalInvariantViolation("two homogeneous-distance formulas disagree")
+    factors = squarefree_decompose(u).factors
+    max_real = 0
+    principal: tuple[Fraction, int] | None = None
+    for factor, mult in factors:
+        real = count_real_roots(factor)
+        if not real:
+            continue
+        max_real = mult  # factors come in increasing multiplicity
+        if mult <= d_h:
+            continue
+        if principal is not None or real > 1:
+            raise InternalInvariantViolation("more than one root above the threshold")
+        if q != 1:
+            raise InternalInvariantViolation("root above threshold despite q >= 2")
+        if factor.degree != 1:
+            raise InternalInvariantViolation(
+                "principal root must be rational for rational input"
+            )
+        principal = (-factor.coeffs[0], p)
+    return VerdictRoots(nu1, nu2, n, d_h, factors, max_real, principal)
 
 
 def analyze(P: BiPoly) -> QuasiHomogData:
@@ -190,8 +218,7 @@ def analyze(P: BiPoly) -> QuasiHomogData:
 
     The input must vanish to order >= 2 at the origin and must not be a
     monomial.  The principal root is populated exactly when q = 1 and one
-    real root has multiplicity exceeding d_h; such a root is rational, and
-    failing to recover it through rational-root extraction would be a bug.
+    real root has multiplicity exceeding d_h; such a root is rational.
     """
     _require_order_two(P)
     w = detect_weight(P)
@@ -201,35 +228,24 @@ def analyze(P: BiPoly) -> QuasiHomogData:
         raise NotQuasiHomogeneous("support is not on one positively-weighted line")
     if w.k1 > w.k2:
         raise AxesNotNormalized("expected k1 <= k2; swap the axes first")
-    w, nu1, nu2, q, p, n, u = _root_structure(P, w)
-    real_roots, distinct = _real_root_descriptors(u)
-    d_h = Fraction(nu1 * q + nu2 * p + p * q * n, q + p)
-    if d_h != 1 / (w.k1 + w.k2):
-        raise InternalInvariantViolation("two homogeneous-distance formulas disagree")
-    m_order = max(nu1, nu2, max((r.multiplicity for r in real_roots), default=0))
-    principal: tuple[Fraction, int] | None = None
-    over = [r for r in real_roots if r.multiplicity > d_h]
-    if len(over) > 1:
-        raise InternalInvariantViolation("more than one root above the threshold")
-    if over and q == 1:
-        root = over[0]
-        if root.value is None:
-            raise InternalInvariantViolation(
-                "principal root must be rational for rational input"
-            )
-        principal = (root.value, p)
-    elif over and q != 1:
-        raise InternalInvariantViolation("root above threshold despite q >= 2")
+    roots = verdict_roots(P, w)
+    real_roots = tuple(
+        RealRootDescriptor(mult, value=value)
+        if value is not None
+        else RealRootDescriptor(mult, factor=factor, interval=(lo, hi))
+        for factor, mult in roots.factors
+        for lo, hi, value in exact_real_roots(factor)
+    )
     return QuasiHomogData(
         weight=w,
-        nu1=nu1,
-        nu2=nu2,
-        n=n,
-        distinct_count=distinct,
+        nu1=roots.nu1,
+        nu2=roots.nu2,
+        n=roots.n,
+        distinct_count=sum(factor.degree for factor, _ in roots.factors),
         real_roots=real_roots,
-        d_h=d_h,
-        m_order=m_order,
-        principal_root=principal,
+        d_h=roots.d_h,
+        m_order=max(roots.nu1, roots.nu2, roots.max_real_multiplicity),
+        principal_root=roots.principal_root,
     )
 
 
@@ -274,27 +290,8 @@ def predict_shear_vertices(P: BiPoly, b: Fraction | int) -> tuple[Term, Term]:
     if q != 1:
         raise WrongHomogeneity(f"weight ratio {p}/{q} is not an integer")
     _, nu1, nu2, q, p, n, u = _root_structure(P, w)
-    m = p
-    mult = 0
-    if u.evaluate(b) == 0:
-        lin = UniPoly.from_coeffs([-b, 1])
-        rest = u
-        while True:
-            quot, rem = divmod_poly(rest, lin)
-            if not rem.is_zero:
-                break
-            rest = quot
-            mult += 1
+    mult = dict(rational_roots(u)).get(b, 0)
     first = (nu1, nu2 + n)
-    last = (nu1 + m * (nu2 + n - mult), mult)
+    last = (nu1 + p * (nu2 + n - mult), mult)
     return first, last
 
-
-def count_real_root_classes(u: UniPoly) -> dict[int, int]:
-    """Multiplicity -> number of distinct real roots in that class."""
-    out: dict[int, int] = {}
-    for factor, mult in squarefree_decompose(u).factors:
-        r = count_real_roots(factor)
-        if r:
-            out[mult] = out.get(mult, 0) + r
-    return out

@@ -3,15 +3,17 @@
 Coefficients are stdlib Fractions stored dense, lowest degree first, with
 no trailing zeros.  Everything in this module is exact: squarefree
 decomposition (Yun), real-root counting (Sturm chains on half-open
-intervals), root isolation by bisection, and rational-root extraction.
-No floating point anywhere.
+intervals), root isolation by bisection, and rational roots read off
+isolating intervals refined below 1/leading coefficient, so root finding
+costs time polynomial in the coefficient size.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NotSquarefree, ZeroPolynomial
@@ -359,10 +361,13 @@ def root_bound(p: UniPoly) -> Fraction:
     return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
 
 
-def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots(
+    p: UniPoly, width: Fraction | None = None
+) -> list[tuple[Fraction, Fraction]]:
     """Disjoint half-open intervals (lo, hi], one real root of p in each.
 
-    p must be squarefree.  Intervals are returned in increasing order.
+    p must be squarefree.  Intervals are returned in increasing order, each
+    narrower than `width` when one is given.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of zero")
@@ -383,7 +388,7 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
         lo, hi, k = stack.pop()
         if k == 0:
             continue
-        if k == 1:
+        if k == 1 and (width is None or hi - lo < width):
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
@@ -394,57 +399,45 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def exact_real_roots(
+    p: UniPoly,
+) -> list[tuple[Fraction, Fraction, Fraction | None]]:
+    """Isolating intervals (lo, hi] of squarefree p's real roots, each with
+    the root itself when it is rational and None otherwise.
+
+    A rational root of the integer polynomial an*y^n + ... is z/an for an
+    integer z, so an interval narrower than 1/an holds at most one
+    candidate, floor(an*hi)/an, which is tested exactly.
+    """
+    prim = integer_primitive(p)
+    an = prim.leading.numerator
+    out: list[tuple[Fraction, Fraction, Fraction | None]] = []
+    for lo, hi in isolate_real_roots(prim, Fraction(1, an)):
+        r = Fraction(floor(an * hi), an)
+        out.append((lo, hi, r if r > lo and prim.evaluate(r) == 0 else None))
+    return out
 
 
 def split_rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     """All rational roots with multiplicities, plus the deflated cofactor.
 
     p == cofactor * prod((y - r)**m) exactly; the cofactor has no rational
-    roots.  Roots are sorted increasing.
+    roots.  Roots are sorted increasing; each root's multiplicity is that of
+    its squarefree factor.
     """
     if p.is_zero:
         raise ZeroPolynomial("zero polynomial has every root")
+    dec = squarefree_decompose(p)
     roots: list[tuple[Fraction, int]] = []
-    rest = p
-    k = rest.trailing_order
-    if k > 0:
-        roots.append((Fraction(0), k))
-        rest = UniPoly.from_coeffs(rest.coeffs[k:])
-    if rest.degree == 0:
-        return roots, rest
-    prim = integer_primitive(rest)
-    a0 = prim.trailing.numerator
-    an = prim.leading.numerator
-    candidates: set[Fraction] = set()
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    for r in sorted(candidates):
-        if rest.evaluate(r) != 0:
-            continue
-        mult = 0
-        lin = UniPoly.from_coeffs([-r, 1])
-        while True:
-            q, rem = divmod_poly(rest, lin)
-            if not rem.is_zero:
-                break
-            rest = q
-            mult += 1
-        roots.append((r, mult))
+    cofactor = UniPoly.constant(dec.constant)
+    for factor, mult in dec.factors:
+        for _, _, r in exact_real_roots(factor):
+            if r is not None:
+                roots.append((r, mult))
+                factor = exact_div(factor, UniPoly.from_coeffs([-r, 1]))
+        cofactor = cofactor * factor**mult
     roots.sort()
-    return roots, rest
+    return roots, cofactor
 
 
 def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:

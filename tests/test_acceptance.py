@@ -2,12 +2,14 @@
 
 Every criterion runs inside a stopwatch; the line reports the verdict and
 the elapsed time, and the test fails if the work fails or the stated time
-budget is exceeded.
+budget is exceeded.  The timed regression tests at the end pin inputs
+whose root finding once took time exponential in the coefficient size.
 """
 
 from __future__ import annotations
 
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from adaptcoord import (
     analyze,
     apply_shear,
     build_polyhedron,
+    build_report,
     check_adapted,
     distance,
     distance_from_clusters,
@@ -310,3 +313,51 @@ def test_criterion_8_invariance_suite(capsys, corpus):
             assert all(a >= b for a, b in zip(mults, mults[1:])), f
 
     run_criterion(capsys, "8 invariance suite", 10.0, body)
+
+
+# a Morse function (h = 1) with a 29-digit prime coefficient
+MORSE_29 = "x2^2 + 100000000000000000000000000057*x1^2"
+
+
+def run_timed(capsys, label: str, limit: float, body) -> None:
+    """run_criterion, interrupted at ten times the limit so a hang fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{label} still running after {10 * limit:g}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10 * limit)
+    try:
+        run_criterion(capsys, label, limit, body)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_timed_report_on_29_digit_morse_input(capsys):
+    def body():
+        rep = build_report(parse(MORSE_29))
+        assert rep.height == 1
+        assert rep.status == "terminated"
+
+    run_timed(capsys, "report on 29-digit Morse input", 1.0, body)
+
+
+def test_timed_report_on_jet_with_growing_denominators(capsys):
+    # the jet's coefficients (2/3)(-1/3)^(m-2) grow by a factor 3 per step
+    def body():
+        rep = build_report(parse("(x2*(3 + x1) - 2*x1^2)^2"))
+        assert rep.height == 2
+        assert rep.status == "nonterminating-certified"
+
+    run_timed(capsys, "report on a 3^m jet", 1.0, body)
+
+
+def test_timed_depth_two_clusters_on_29_digit_input(capsys):
+    def body():
+        level = top_clusters(parse(MORSE_29.replace("+", "-")), depth=2)
+        assert [(c.exponent, c.count, c.unresolved) for c in level.clusters] == [
+            (1, 2, 2)
+        ]
+
+    run_timed(capsys, "depth-2 clusters on 29-digit input", 1.0, body)

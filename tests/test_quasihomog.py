@@ -40,7 +40,6 @@ from adaptcoord.errors import (
     WrongHomogeneity,
     ZeroPolynomial,
 )
-from adaptcoord.quasihomog import count_real_root_classes
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 nonzero_rationals = rationals.filter(lambda r: r != 0)
@@ -169,6 +168,8 @@ def test_circle_vanishing_order_examples():
     assert circle_vanishing_order(parse("x2^2 - x1^2")) == 1
     assert circle_vanishing_order(parse("x1^3*x2^2")) == 3  # axis vanishing
     assert circle_vanishing_order(parse("(x2^2 - x1^3)^2")) == 2
+    # a double complex pair outranks no real root
+    assert circle_vanishing_order(parse("(x2^2 + x1^2)^2*(x2 - x1)")) == 1
 
 
 def test_quasihomogeneous_height_examples():
@@ -218,9 +219,3 @@ def test_predict_shear_vertices_against_expansion(data, pick):
     hull = build_polyhedron(g.support)
     assert hull.first == first
     assert hull.last == last
-
-
-def test_count_real_root_classes():
-    u = UniPoly.from_roots([1, 1, -2]) * UniPoly.from_coeffs([1, 0, 1])
-    assert count_real_root_classes(u) == {2: 1, 1: 1}
-    assert count_real_root_classes(UniPoly.from_coeffs([1, 0, 1])) == {}

@@ -189,3 +189,6 @@ def test_rational_roots_with_fractional_root():
     assert rational_roots(p) == []
     q = UniPoly.from_coeffs([-1, 2]) ** 2  # (2y - 1)^2
     assert rational_roots(q) == [(Fraction(1, 2), 2)]
+    big = Fraction(10**30 + 57, 7)  # 30-digit numerator
+    r = UniPoly.from_coeffs([-(10**30 + 57), 7]) ** 2 * UniPoly.from_coeffs([-2, 0, 1])
+    assert rational_roots(r) == [(big, 2)]
