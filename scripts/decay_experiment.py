@@ -16,8 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 
 from adaptcoord import adapt, fit_decay, parse
 
@@ -31,27 +29,16 @@ DEFAULT_CASES = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    expressions: tuple[str, ...]
-    lambda_min: float = 10.0
-    lambda_max: float = 1.0e4
-    points: int = 7
-    radius: float = 0.5
-    max_steps: int = 64
-    emit_json: bool = False
-
-
-def run_case(src: str, cfg: SweepConfig) -> dict:
+def run_case(src: str, args: argparse.Namespace) -> dict:
     f = parse(src)
     t0 = time.perf_counter()
-    res = adapt(f, max_steps=cfg.max_steps)
+    res = adapt(f, max_steps=args.max_steps)
     est = fit_decay(
         f,
-        cfg.lambda_min,
-        cfg.lambda_max,
-        points=cfg.points,
-        radius=cfg.radius,
+        args.lambda_min,
+        args.lambda_max,
+        points=args.points,
+        radius=args.radius,
     )
     elapsed = time.perf_counter() - t0
     exact = 1 / res.height
@@ -79,17 +66,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--max-steps", type=int, default=64)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args(argv)
-    cfg = SweepConfig(
-        expressions=tuple(args.expressions),
-        lambda_min=args.lambda_min,
-        lambda_max=args.lambda_max,
-        points=args.points,
-        radius=args.radius,
-        max_steps=args.max_steps,
-        emit_json=args.json,
-    )
-    rows = [run_case(src, cfg) for src in cfg.expressions]
-    if cfg.emit_json:
+    rows = [run_case(src, args) for src in args.expressions]
+    if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0
     header = (

@@ -17,22 +17,12 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from random import Random
 
 from adaptcoord import BiPoly, IterationCapExceeded, adapt, check_adapted
 
 # the corpus of the test suite: tests/conftest.py draws it from here
 CORPUS_SEED = 20260822
-
-
-@dataclass(frozen=True)
-class SurveyConfig:
-    count: int = 500
-    seed: int = CORPUS_SEED
-    max_steps: int = 64
-    emit_json: bool = False
-    show_nonadapted: bool = False
 
 
 def random_corpus(n: int, seed: int = CORPUS_SEED) -> list[BiPoly]:
@@ -58,9 +48,9 @@ def random_corpus(n: int, seed: int = CORPUS_SEED) -> list[BiPoly]:
     return out
 
 
-def survey_one(f: BiPoly, cfg: SurveyConfig) -> dict:
+def survey_one(f: BiPoly, max_steps: int) -> dict:
     try:
-        res = adapt(f, max_steps=cfg.max_steps)
+        res = adapt(f, max_steps=max_steps)
         rep = res.input_check
         outcome = {
             "height": str(res.height),
@@ -94,18 +84,11 @@ def main(argv: list[str] | None = None) -> int:
         help="list every polynomial that needed a coordinate change",
     )
     args = ap.parse_args(argv)
-    cfg = SurveyConfig(
-        count=args.count,
-        seed=args.seed,
-        max_steps=args.max_steps,
-        emit_json=args.json,
-        show_nonadapted=args.show_nonadapted,
-    )
     t0 = time.perf_counter()
-    corpus = random_corpus(cfg.count, cfg.seed)
-    rows = [survey_one(f, cfg) for f in corpus]
+    corpus = random_corpus(args.count, args.seed)
+    rows = [survey_one(f, args.max_steps) for f in corpus]
     elapsed = time.perf_counter() - t0
-    if cfg.emit_json:
+    if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0
 
@@ -121,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         r["jet_length"] for r in rows if r["jet_length"] is not None
     )
 
-    print(f"corpus: {len(rows)} polynomials (seed {cfg.seed})")
+    print(f"corpus: {len(rows)} polynomials (seed {args.seed})")
     print(f"analysis wall time: {elapsed:.2f}s")
     print()
     print("principal face kinds:")
@@ -150,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         print("most common heights:")
         for h, n in top:
             print(f"  {h:>8} {n:5}")
-    if cfg.show_nonadapted:
+    if args.show_nonadapted:
         print()
         print("polynomials that needed a coordinate change:")
         for r in rows:

@@ -55,7 +55,7 @@ from .newton import (
     hull_analysis,
     newton_polyhedron,
 )
-from .quasihomog import verdict_roots
+from .quasihomog import edge_root_polynomial, verdict_roots
 
 DEFAULT_MAX_STEPS = 64
 STABILIZATION_WINDOW = 3
@@ -173,7 +173,7 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
         )
     ratio = weight.ratio
     condition_b = ratio.denominator == 1
-    roots = verdict_roots(oriented.principal_part(g), weight)
+    roots = verdict_roots(weight, edge_root_polynomial(g, *face.points))
     max_real = roots.max_real_multiplicity
     condition_c = Fraction(max_real) > d
     witness = None

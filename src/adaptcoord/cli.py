@@ -7,8 +7,9 @@ Subcommands:
   predict-shear  extreme vertices after shearing a weighted-homogeneous
                  polynomial, without expanding the shear
 
-Exit codes: 0 success, 2 expression or usage errors, 3 precondition
-violations, 4 iteration cap exceeded.  ADAPTCOORD_MAX_STEPS overrides the
+Exit codes: 0 success, 2 expression or usage errors (an --svg path that
+cannot be written is one), 3 precondition violations (--max-steps below 1
+is one), 4 iteration cap exceeded.  ADAPTCOORD_MAX_STEPS overrides the
 default shear cap when --max-steps is not given.
 """
 
@@ -124,8 +125,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         second = None
         if rep.adapted_poly is not None and (rep.jet or rep.adapt_axis_swapped):
             second = parse(rep.adapted_poly)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(f, second))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(render_svg(f, second))
+        except OSError as e:
+            raise _UsageError(f"cannot write {args.svg}: {e.strerror}")
     if args.json:
         print(rep.to_json())
     else:
@@ -135,7 +139,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_decay(args: argparse.Namespace) -> int:
     f = parse(args.expr)
-    h = adapt(f, max_steps=_resolved_max_steps(args.max_steps) or DEFAULT_MAX_STEPS).height
+    max_steps = _resolved_max_steps(args.max_steps)
+    h = adapt(f, max_steps=DEFAULT_MAX_STEPS if max_steps is None else max_steps).height
     est = fit_decay(
         f,
         args.lambda_min,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bipoly import BiPoly, ShearAxis, ShearChange, apply_shear
+from .bipoly import BiPoly, ShearAxis, ShearChange, Term, apply_shear
 from .errors import (
     DegenerateInX2,
     InternalInvariantViolation,
@@ -32,7 +32,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .newton import build_polyhedron
-from .quasihomog import root_structure
+from .quasihomog import edge_root_polynomial
 from .unipoly import split_rational_roots
 
 
@@ -89,7 +89,7 @@ def _validate(cl: ClusterLevel) -> None:
 
 def _refine_edge(
     f: BiPoly,
-    edge_part: BiPoly,
+    edge: tuple[Term, Term],
     exponent: Fraction,
     count: int,
     depth: int,
@@ -102,9 +102,7 @@ def _refine_edge(
         # extension x1^(1/q), outside rational-shear reach
         return (), count
     a = int(exponent)
-    _, _, _, q, _, _, u = root_structure(edge_part)
-    if q != 1:
-        raise InternalInvariantViolation("integer inverse slope with q > 1")
+    *_, u = edge_root_polynomial(f, *edge)
     rational, _ = split_rational_roots(u)
     refinements: list[Refinement] = []
     resolved = 0
@@ -148,22 +146,15 @@ def top_clusters(
     nu1 = verts[0][0]
     nu2 = verts[-1][1]
     clusters: list[Cluster] = []
-    for (j0, k0), (j1, k1) in hull.edges:
+    for edge in hull.edges:
+        (j0, k0), (j1, k1) = edge
         exponent = Fraction(j1 - j0, k0 - k1)
         count = k0 - k1
         refinements: tuple[Refinement, ...] = ()
         unresolved = 0
         if depth >= 2:
-            line_level = j1 + exponent * k1
-            edge_part = BiPoly(
-                {
-                    (j, k): c
-                    for (j, k), c in f.terms().items()
-                    if j + exponent * k == line_level
-                }
-            )
             refinements, unresolved = _refine_edge(
-                f, edge_part, exponent, count, depth, require_complete
+                f, edge, exponent, count, depth, require_complete
             )
             if unresolved and require_complete:
                 raise RequiresAlgebraicExtension(

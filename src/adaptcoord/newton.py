@@ -138,21 +138,6 @@ class HullAnalysis:
             return self.edge_weights[i]
         return principal_face_weight(self.face, self.distance)
 
-    def principal_part(self, f: BiPoly) -> BiPoly:
-        """Terms of f on the principal face; f must be the polynomial whose
-        polyhedron was analysed."""
-        face = self.face
-        if face.kind is FaceKind.VERTEX:
-            (j, k) = face.points[0]
-            return BiPoly.monomial(j, k, f.coeff(j, k))
-        if face.kind is FaceKind.COMPACT_EDGE:
-            return weighted_part(f, self.weight, 1)
-        if face.kind is FaceKind.HORIZONTAL_HALFLINE:
-            k0 = face.points[0][1]
-            return BiPoly({(j, k): c for (j, k), c in f.terms().items() if k == k0})
-        j0 = face.points[0][0]
-        return BiPoly({(j, k): c for (j, k), c in f.terms().items() if j == j0})
-
 
 def hull_analysis(np_: NewtonPolyhedron) -> HullAnalysis:
     """Distance, principal face and weights of np_, each edge weight
@@ -221,4 +206,15 @@ def principal_face_weight(face: Face, d: Fraction) -> Weight:
 
 def principal_part(f: BiPoly) -> BiPoly:
     """Terms of f lying on the principal face of its polyhedron."""
-    return hull_analysis(newton_polyhedron(f)).principal_part(f)
+    hull = hull_analysis(newton_polyhedron(f))
+    face = hull.face
+    if face.kind is FaceKind.VERTEX:
+        (j, k) = face.points[0]
+        return BiPoly.monomial(j, k, f.coeff(j, k))
+    if face.kind is FaceKind.COMPACT_EDGE:
+        return weighted_part(f, hull.weight, 1)
+    if face.kind is FaceKind.HORIZONTAL_HALFLINE:
+        k0 = face.points[0][1]
+        return BiPoly({(j, k): c for (j, k), c in f.terms().items() if k == k0})
+    j0 = face.points[0][0]
+    return BiPoly({(j, k): c for (j, k), c in f.terms().items() if j == j0})

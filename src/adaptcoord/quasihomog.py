@@ -6,12 +6,15 @@ Writing k1 = q/m, k2 = p/m in lowest terms, P factors as
 
     P = c * x1^nu1 * x2^nu2 * prod_l (x2^q - lambda_l * x1^p)^{n_l}
 
-over the complex numbers.  Everything this module reports is derived
-exactly from that factorization: the lambda_l are the roots of a single
-univariate polynomial read off the support line, so its squarefree
-decomposition, real-root counting (Sturm) and rational roots found by
-Sturm isolation give the full multiplicity data without ever leaving the
-rationals, in time polynomial in the coefficient size.
+over the complex numbers.  The same holds for the terms of any f on a
+compact edge of its Newton polygon.  Everything this module reports is
+derived exactly from that factorization: the lambda_l are the roots of a
+single univariate polynomial u, which edge_root_polynomial reads straight
+off the edge's lattice points (the one path from an edge to u, used by the
+adaptedness verdict, the cluster refinement and analyze alike).  Its
+squarefree decomposition, real-root counting (Sturm) and rational roots
+found by Sturm isolation give the full multiplicity data without ever
+leaving the rationals, in time polynomial in the coefficient size.
 
 Key quantities:
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .bipoly import BiPoly, Term, Weight
 from .errors import (
@@ -96,23 +100,77 @@ class RealRootDescriptor:
     interval: tuple[Fraction, Fraction] | None = None
 
 
+Edge = tuple[int, int, int, int, int, UniPoly]
+
+
+def edge_root_polynomial(f: BiPoly, a: Term, b: Term) -> Edge:
+    """(nu1, nu2, q, p, n, u) for the compact edge of f from a to b.
+
+    With a = (j0, k0) left of b = (j1, k1), the lattice points of the edge
+    are (j0 + p*(n - i), k1 + q*i) for i = 0..n, where n = gcd(j1 - j0,
+    k0 - k1) and the edge has slope -q/p; u collects f's coefficients at
+    them, so the terms of f on the edge are x1^j0 * x2^k1 * x1^(p*n) *
+    u(x2^q / x1^p) and u(y) = c * prod (y - lambda_l)^{n_l}.
+    """
+    (j0, k0), (j1, k1) = a, b
+    n = gcd(j1 - j0, k0 - k1)
+    p, q = (j1 - j0) // n, (k0 - k1) // n
+    u = UniPoly.from_coeffs(
+        f.coeff(j0 + p * (n - i), k1 + q * i) for i in range(n + 1)
+    )
+    if u.degree != n or u.trailing_order != 0:
+        raise InternalInvariantViolation("root polynomial lost an extreme term")
+    return j0, k1, q, p, n, u
+
+
+def root_structure(P: BiPoly) -> tuple[Weight, int, int, int, int, int, UniPoly]:
+    """(weight, nu1, nu2, q, p, n, u) with u the root polynomial.
+
+    P's support is the edge between its two extreme points, read by
+    edge_root_polynomial.  Requires at least two support points (use the
+    monomial conventions upstream otherwise).
+    """
+    w = detect_weight(P)
+    if w is WeightDetection.MONOMIAL:
+        raise MonomialInput("root structure needs at least two terms")
+    if w is WeightDetection.NOT_QUASI_HOMOGENEOUS:
+        raise NotQuasiHomogeneous("support is not on one positively-weighted line")
+    return (w, *edge_root_polynomial(P, min(P.support), max(P.support)))
+
+
 @dataclass(frozen=True, slots=True)
 class QuasiHomogData:
-    """Exact factorization data of a quasi-homogeneous polynomial."""
+    """Exact factorization data of a quasi-homogeneous polynomial: the
+    squarefree decomposition of its root polynomial u, with the two values
+    the adaptedness verdict reads off it."""
 
     weight: Weight
     nu1: int
     nu2: int
     n: int
-    distinct_count: int
-    real_roots: tuple[RealRootDescriptor, ...]
     d_h: Fraction
-    m_order: int
+    factors: tuple[tuple[UniPoly, int], ...]
+    max_real_multiplicity: int
     principal_root: tuple[Fraction, int] | None
 
     @property
-    def max_real_multiplicity(self) -> int:
-        return max((r.multiplicity for r in self.real_roots), default=0)
+    def distinct_count(self) -> int:
+        return sum(factor.degree for factor, _ in self.factors)
+
+    @property
+    def m_order(self) -> int:
+        return max(self.nu1, self.nu2, self.max_real_multiplicity)
+
+    @property
+    def real_roots(self) -> tuple[RealRootDescriptor, ...]:
+        """Every real root of u, isolated afresh on each access."""
+        return tuple(
+            RealRootDescriptor(mult, value=value)
+            if value is not None
+            else RealRootDescriptor(mult, factor=factor, interval=(lo, hi))
+            for factor, mult in self.factors
+            for lo, hi, value in exact_real_roots(factor)
+        )
 
 
 def _require_order_two(P: BiPoly) -> None:
@@ -124,70 +182,15 @@ def _require_order_two(P: BiPoly) -> None:
         )
 
 
-def root_structure(P: BiPoly) -> tuple[Weight, int, int, int, int, int, UniPoly]:
-    """(weight, nu1, nu2, q, p, n, u) with u the root polynomial.
-
-    After pulling out x1^nu1 * x2^nu2 the remaining support runs along the
-    line from (p*n, 0) to (0, q*n); u collects the coefficients along it,
-    so u(y) = c * prod (y - lambda_l)^{n_l}.  Requires at least two support
-    points (use the monomial conventions upstream otherwise).
-    """
-    w = detect_weight(P)
-    if w is WeightDetection.MONOMIAL:
-        raise MonomialInput("root structure needs at least two terms")
-    if w is WeightDetection.NOT_QUASI_HOMOGENEOUS:
-        raise NotQuasiHomogeneous("support is not on one positively-weighted line")
-    return _root_structure(P, w)
-
-
-def _root_structure(
-    P: BiPoly, w: Weight
-) -> tuple[Weight, int, int, int, int, int, UniPoly]:
-    """root_structure(P) for P already known to have the weight w."""
-    nu1, nu2 = P.min_x1, P.min_x2
-    q, p, _ = w.reduced
-    coeffs: dict[int, Fraction] = {}
-    n: int | None = None
-    for (j, k), c in P.terms().items():
-        jj, kk = j - nu1, k - nu2
-        if jj % p or kk % q:
-            raise InternalInvariantViolation("support not on the root lattice")
-        i = kk // q
-        if n is None:
-            n = i + jj // p
-        elif i + jj // p != n:
-            raise InternalInvariantViolation("support line miscounted")
-        coeffs[i] = c
-    assert n is not None
-    u = UniPoly.from_coeffs([coeffs.get(i, Fraction(0)) for i in range(n + 1)])
-    if u.degree != n or u.trailing_order != 0:
-        raise InternalInvariantViolation("root polynomial lost an extreme term")
-    return w, nu1, nu2, q, p, n, u
-
-
-@dataclass(frozen=True, slots=True)
-class VerdictRoots:
-    """The squarefree decomposition of the root polynomial u of P, with the
-    two values the adaptedness verdict reads off it."""
-
-    nu1: int
-    nu2: int
-    n: int
-    d_h: Fraction
-    factors: tuple[tuple[UniPoly, int], ...]
-    max_real_multiplicity: int
-    principal_root: tuple[Fraction, int] | None
-
-
-def verdict_roots(P: BiPoly, w: Weight) -> VerdictRoots:
-    """Largest real root multiplicity and principal root of P, which has the
-    weight w with k1 <= k2.
+def verdict_roots(w: Weight, edge: Edge) -> QuasiHomogData:
+    """Factorization data of the edge (from edge_root_polynomial) whose
+    weight is w, with k1 <= k2.
 
     A real root of multiplicity above d_h can only exist when q = 1, and is
     then unique and rational: d_h >= n/2, so its squarefree factor has
     degree * multiplicity <= n < 2 * multiplicity and is linear.
     """
-    _, nu1, nu2, q, p, n, u = _root_structure(P, w)
+    nu1, nu2, q, p, n, u = edge
     d_h = Fraction(nu1 * q + nu2 * p + p * q * n, q + p)
     if d_h != 1 / (w.k1 + w.k2):
         raise InternalInvariantViolation("two homogeneous-distance formulas disagree")
@@ -210,7 +213,7 @@ def verdict_roots(P: BiPoly, w: Weight) -> VerdictRoots:
                 "principal root must be rational for rational input"
             )
         principal = (-factor.coeffs[0], p)
-    return VerdictRoots(nu1, nu2, n, d_h, factors, max_real, principal)
+    return QuasiHomogData(w, nu1, nu2, n, d_h, factors, max_real, principal)
 
 
 def analyze(P: BiPoly) -> QuasiHomogData:
@@ -221,32 +224,10 @@ def analyze(P: BiPoly) -> QuasiHomogData:
     real root has multiplicity exceeding d_h; such a root is rational.
     """
     _require_order_two(P)
-    w = detect_weight(P)
-    if w is WeightDetection.MONOMIAL:
-        raise MonomialInput("analysis is for non-monomial input")
-    if w is WeightDetection.NOT_QUASI_HOMOGENEOUS:
-        raise NotQuasiHomogeneous("support is not on one positively-weighted line")
+    w, *edge = root_structure(P)
     if w.k1 > w.k2:
         raise AxesNotNormalized("expected k1 <= k2; swap the axes first")
-    roots = verdict_roots(P, w)
-    real_roots = tuple(
-        RealRootDescriptor(mult, value=value)
-        if value is not None
-        else RealRootDescriptor(mult, factor=factor, interval=(lo, hi))
-        for factor, mult in roots.factors
-        for lo, hi, value in exact_real_roots(factor)
-    )
-    return QuasiHomogData(
-        weight=w,
-        nu1=roots.nu1,
-        nu2=roots.nu2,
-        n=roots.n,
-        distinct_count=sum(factor.degree for factor, _ in roots.factors),
-        real_roots=real_roots,
-        d_h=roots.d_h,
-        m_order=max(roots.nu1, roots.nu2, roots.max_real_multiplicity),
-        principal_root=roots.principal_root,
-    )
+    return verdict_roots(w, tuple(edge))
 
 
 def circle_vanishing_order(P: BiPoly) -> int:
@@ -289,7 +270,7 @@ def predict_shear_vertices(P: BiPoly, b: Fraction | int) -> tuple[Term, Term]:
     q, p, _ = w.reduced
     if q != 1:
         raise WrongHomogeneity(f"weight ratio {p}/{q} is not an integer")
-    _, nu1, nu2, q, p, n, u = _root_structure(P, w)
+    nu1, nu2, _, _, n, u = edge_root_polynomial(P, min(P.support), max(P.support))
     mult = dict(rational_roots(u)).get(b, 0)
     first = (nu1, nu2 + n)
     last = (nu1 + p * (nu2 + n - mult), mult)

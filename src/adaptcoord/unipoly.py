@@ -312,6 +312,14 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
     return chain
 
 
+def _squarefree_sturm_chain(p: UniPoly) -> list[UniPoly]:
+    """Sturm chain of p, whose last entry is gcd(p, p') up to a constant."""
+    chain = sturm_chain(p)
+    if chain[-1].degree > 0:
+        raise NotSquarefree("input has a repeated root")
+    return chain
+
+
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
@@ -343,13 +351,11 @@ def count_real_roots(
         raise ZeroPolynomial("root counting needs a nonzero polynomial")
     if p.degree == 0:
         return 0
-    if poly_gcd(p, p.derivative()).degree > 0:
-        raise NotSquarefree("input has a repeated root")
+    chain = _squarefree_sturm_chain(p)
     lo_f = None if lo is None else _frac(lo)
     hi_f = None if hi is None else _frac(hi)
     if lo_f is not None and hi_f is not None and lo_f >= hi_f:
         raise ValueError("empty interval: need lo < hi")
-    chain = sturm_chain(p)
     return _variations(chain, lo_f, False) - _variations(chain, hi_f, True)
 
 
@@ -373,9 +379,7 @@ def isolate_real_roots(
         raise ZeroPolynomial("cannot isolate roots of zero")
     if p.degree == 0:
         return []
-    if poly_gcd(p, p.derivative()).degree > 0:
-        raise NotSquarefree("input has a repeated root")
-    chain = sturm_chain(p)
+    chain = _squarefree_sturm_chain(p)
 
     def var(x: Fraction) -> int:
         return _variations(chain, x, True)

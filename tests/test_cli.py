@@ -201,3 +201,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "height:          6/5" in proc.stdout
+
+
+def test_unwritable_svg_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.svg"
+    code, out, err = run(
+        capsys, "analyze", "(x2 - x1^2)^2 + x1^5", "--svg", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(target) in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_max_steps_below_one_is_a_precondition_error(capsys, steps):
+    decay = ["decay", "x2^2 - x1^3", "--lambda-min", "10", "--lambda-max", "1e3"]
+    for argv in ([*decay, "--points", "5"], ["analyze", "x2^2 - x1^3"]):
+        code, out, err = run(capsys, *argv, "--max-steps", steps)
+        assert code == 3, argv
+        assert out == ""
+        assert "max_steps must be at least 1" in err

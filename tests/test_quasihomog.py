@@ -27,10 +27,14 @@ from adaptcoord import (
     build_polyhedron,
     circle_vanishing_order,
     detect_weight,
+    edge_root_polynomial,
+    edge_weight,
+    newton_polyhedron,
     parse,
     predict_shear_vertices,
     quasihomogeneous_height,
     root_structure,
+    weighted_part,
 )
 from adaptcoord.errors import (
     AxesNotNormalized,
@@ -40,6 +44,8 @@ from adaptcoord.errors import (
     WrongHomogeneity,
     ZeroPolynomial,
 )
+
+from conftest import random_corpus
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 nonzero_rationals = rationals.filter(lambda r: r != 0)
@@ -108,6 +114,19 @@ def test_root_structure_fractional_ratio():
     _, nu1, nu2, q, p, n, u = root_structure(parse("x2^2 - x1^3"))
     assert (nu1, nu2, q, p, n) == (0, 0, 2, 3, 1)
     assert u == UniPoly.from_coeffs([-1, 1])
+
+
+def test_edge_reader_matches_weighted_part_on_corpus():
+    edges = 0
+    for f in random_corpus(500):
+        for a, b in newton_polyhedron(f).edges:
+            nu1, nu2, q, p, n, u = edge_root_polynomial(f, a, b)
+            read = BiPoly(
+                {(nu1 + p * (n - i), nu2 + q * i): c for i, c in enumerate(u.coeffs)}
+            )
+            assert read == weighted_part(f, edge_weight(a, b), 1), (f, a, b)
+            edges += 1
+    assert edges > 500
 
 
 @given(factored_inputs())

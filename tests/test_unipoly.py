@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptcoord import UniPoly
-from adaptcoord.errors import ZeroPolynomial
+from adaptcoord.errors import NotSquarefree, ZeroPolynomial
 from adaptcoord.unipoly import (
     count_real_roots,
     divmod_poly,
@@ -140,6 +140,16 @@ def test_count_real_roots_on_intervals():
     assert count_real_roots(p, Fraction(0), Fraction(5)) == 2  # 0 excluded
     assert count_real_roots(p, None, Fraction(0)) == 1
     assert count_real_roots(UniPoly.from_coeffs([1, 0, 1])) == 0
+
+
+def test_sturm_queries_reject_repeated_roots():
+    p = UniPoly.from_roots([1, 1, -2])  # (y - 1)^2 * (y + 2)
+    with pytest.raises(NotSquarefree):
+        count_real_roots(p)
+    with pytest.raises(NotSquarefree):
+        count_real_roots(p, Fraction(0), Fraction(5))
+    with pytest.raises(NotSquarefree):
+        isolate_real_roots(p)
 
 
 @given(small_roots)
