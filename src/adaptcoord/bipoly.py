@@ -2,11 +2,14 @@
 used throughout the package: shears x2 -> x2 + b*x1^m (and the mirrored
 x1-shear), axis swaps, and axis scalings.
 
-A BiPoly is a sparse map (j, k) -> coefficient of x1^j * x2^k.  The
-squarefree decomposition with respect to x2 works over the rational
-function field in x1, normalizing every factor to coprime integer
-coefficients; it exists to expose repeated x2-roots, so the
-implementation favours clarity over asymptotic speed.
+A BiPoly is a sparse map (j, k) -> Fraction coefficient of x1^j * x2^k.
+The two kernels of the shear iteration work on integer numerators over
+one common denominator and build Fractions only for their output.  A
+shear is a Taylor shift of each weighted diagonal of the support, done
+with integer adds and multiplies.  The squarefree decomposition with
+respect to x2 is Yun's algorithm over Z[x1][x2], with gcds taken by
+evaluating x1 at a large integer; it normalizes every factor to coprime
+integer coefficients.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -22,7 +25,7 @@ from .errors import (
     InternalInvariantViolation,
     ZeroPolynomial,
 )
-from .unipoly import UniPoly, _frac, divmod_poly, integer_scale, poly_gcd
+from .unipoly import UniPoly, _frac, yun
 
 Term = tuple[int, int]
 
@@ -42,6 +45,13 @@ class BiPoly:
                 if c != 0:
                     data[(int(j), int(k))] = c
         object.__setattr__(self, "_terms", data)
+
+    @classmethod
+    def _of(cls, data: dict[Term, Fraction]) -> "BiPoly":
+        """Wrap a dict of nonzero Fraction coefficients, unchecked."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", data)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
@@ -204,15 +214,6 @@ class BiPoly:
                 out.append(UniPoly.zero())
         return out
 
-    @staticmethod
-    def from_x2_coefficients(rows: Iterable[UniPoly]) -> "BiPoly":
-        terms: dict[Term, Fraction] = {}
-        for k, row in enumerate(rows):
-            for j, c in enumerate(row.coeffs):
-                if c != 0:
-                    terms[(j, k)] = c
-        return BiPoly(terms)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -329,22 +330,46 @@ def weighted_part(f: BiPoly, w: Weight, degree: Fraction | int) -> BiPoly:
 
 
 def apply_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
-    """Substitute x2 -> x2 + b*x1^m (axis X2) or x1 -> x1 + b*x2^m (X1)."""
-    b, m = shear.coefficient, shear.exponent
+    """Substitute x2 -> x2 + b*x1^m (axis X2) or x1 -> x1 + b*x2^m (X1).
+
+    For an x2-shear, the terms with j + m*k = s form x1^s * P(x2/x1^m),
+    and the shear maps them to x1^s * P(x2/x1^m + b): a Taylor shift of
+    the univariate P, whose output terms keep the diagonal s, so
+    diagonals never mix.  With f = N/den over integers N, b = bn/bd and
+    K = deg P, bd^K * P(t + b) = R(bd*t) for R(u) = sum N_k bd^(K-k)
+    (u + bn)^k, which Horner's scheme shifts with integer adds and
+    multiplies only (von zur Gathen & Gerhard 1997).  An x1-shear is the
+    same with the roles of j and k swapped.
+    """
+    terms = f._terms
+    if not terms:
+        return f
+    m = shear.exponent
+    bn, bd = shear.coefficient.numerator, shear.coefficient.denominator
+    den = lcm(*(c.denominator for c in terms.values()))
+    x2_axis = shear.axis is ShearAxis.X2
+    diagonals: dict[int, dict[int, int]] = {}
+    for (j, k), c in terms.items():
+        if not x2_axis:
+            j, k = k, j
+        diagonals.setdefault(j + m * k, {})[k] = c.numerator * (den // c.denominator)
+    bd_powers = [1]
+    for _ in range(max(max(d) for d in diagonals.values())):
+        bd_powers.append(bd_powers[-1] * bd)
     out: dict[Term, Fraction] = {}
-    if shear.axis is ShearAxis.X2:
-        for (j, k), c in f.terms().items():
-            for i in range(k + 1):
-                key = (j + m * (k - i), i)
-                val = c * comb(k, i) * b ** (k - i)
-                out[key] = out.get(key, Fraction(0)) + val
-    else:
-        for (j, k), c in f.terms().items():
-            for i in range(j + 1):
-                key = (i, k + m * (j - i))
-                val = c * comb(j, i) * b ** (j - i)
-                out[key] = out.get(key, Fraction(0)) + val
-    return BiPoly(out)
+    for s, diagonal in diagonals.items():
+        top = max(diagonal)
+        r = [diagonal.get(k, 0) * bd_powers[top - k] for k in range(top + 1)]
+        for i in range(top):
+            for k in range(top - 1, i - 1, -1):
+                r[k] += bn * r[k + 1]
+        # the coefficient of t^i is r[i] * bd^i / (den * bd^K), K = top
+        for i, c in enumerate(r):
+            if c:
+                key = (s - m * i, i) if x2_axis else (i, s - m * i)
+                d = den * bd_powers[top - i]
+                out[key] = Fraction(c) if d == 1 else Fraction(c, d)
+    return BiPoly._of(out)
 
 
 def apply_jet(f: BiPoly, jet: Iterable[tuple[Fraction, int]]) -> BiPoly:
@@ -370,124 +395,213 @@ def scale_axes(f: BiPoly, c1: Fraction | int, c2: Fraction | int) -> BiPoly:
 
 # --- squarefree structure with respect to x2 -------------------------------
 #
-# Polynomials in x2 with coefficients in Q[x1], kept as dense lists (the
-# "view").  gcds use a primitive pseudo-remainder sequence; exact division
-# falls back on coefficient-wise exact division in Q[x1].
+# A polynomial in x2 over Z[x1] is kept as a list of rows, entry k the
+# x1-polynomial that multiplies x2^k, each row a list of integers, lowest
+# degree first, no trailing zeros ([] is zero); the top row is nonzero.
+# gcds are heuristic gcds (Char, Geddes & Gonnet 1989) at both levels:
+# x1 is set to a large integer xi, the gcd of the images is read back in
+# symmetric base xi, and the candidate is kept only when it divides both
+# inputs exactly.  Every factor met is primitive, so by Gauss's lemma
+# every exact division in the decomposition stays in Z[x1].
 
-View = list[UniPoly]
+Row = list[int]
 
 
-def _view_strip(v: View) -> View:
-    while v and v[-1].is_zero:
+def _z_mul(a: Row, b: Row) -> Row:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _z_sub(a: Row, b: Row) -> Row:
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _z_quo(a: Row, b: Row) -> Row | None:
+    """The quotient a / b in Z[x1], or None when b does not divide a."""
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                return None
+            quot[i - db] = q
+            for j, y in enumerate(b):
+                rem[i - db + j] -= q * y
+    return None if any(rem[:db]) else quot
+
+
+def _z_eval(a: Row, x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _z_adic(h: int, xi: int) -> Row:
+    """The digits of h in symmetric base xi, lowest first."""
+    out: Row = []
+    while h:
+        c = h % xi
+        if c > xi // 2:
+            c -= xi
+        out.append(c)
+        h = (h - c) // xi
+    return out
+
+
+def _z_primitive(a: Row) -> Row:
+    """a over the gcd of its coefficients, leading coefficient positive."""
+    g = int_gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _z_gcd(a: Row, b: Row) -> Row:
+    """Primitive gcd in Z[x] of nonzero a and b, leading coefficient
+    positive.
+
+    Every root of a and b is below xi/2 in size (Cauchy's bound), so a
+    factor Q of a of positive degree has |Q(xi)| > xi/2.  The integer
+    gcd of a(xi) and b(xi) is read back in symmetric base xi, with digits
+    of size at most xi/2, and the primitive part P of that candidate is
+    kept when it divides a and b.  Then P divides the gcd G, and G = P*Q
+    with deg Q > 0 is impossible: Q(xi) would divide the candidate's
+    content.  The integer gcd is k*G(xi), with k dividing the resultant
+    of the cofactors, so P is G once xi > 2*|k*G|; xi grows until then.
+    """
+    xi = 2 * max(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        g = _z_primitive(_z_adic(int_gcd(_z_eval(a, xi), _z_eval(b, xi)), xi))
+        if _z_quo(a, g) is not None and _z_quo(b, g) is not None:
+            return g
+        xi *= xi
+
+
+def _rows_strip(v: list[Row]) -> list[Row]:
+    while v and not v[-1]:
         v.pop()
     return v
 
 
-def _view_is_zero(v: View) -> bool:
-    return not v
+def _rows_primitive(v: list[Row]) -> list[Row]:
+    """v over its content in Z[x1], the top row's leading coefficient
+    positive: coprime integer coefficients, no x1-factor in common."""
+    rows = sorted((row for row in v if row), key=len)
+    g = rows[0] if len(rows[0]) == 1 else _z_primitive(rows[0])
+    for row in rows[1:]:
+        if len(g) == 1:
+            break
+        g = _z_gcd(g, row)
+    if len(g) > 1:
+        v = [_z_quo(row, g) if row else row for row in v]
+    c = int_gcd(*(x for row in v for x in row))
+    if v[-1][-1] < 0:
+        c = -c
+    return v if c == 1 else [[x // c for x in row] for row in v]
 
 
-def _view_deriv(v: View) -> View:
-    return _view_strip([row.scale(k) for k, row in enumerate(v)][1:])
+def _rows_sub(u: list[Row], v: list[Row]) -> list[Row]:
+    size = max(len(u), len(v))
+    u = u + [[]] * (size - len(u))
+    v = v + [[]] * (size - len(v))
+    return _rows_strip([_z_sub(a, b) for a, b in zip(u, v)])
 
 
-def _view_sub(u: View, v: View) -> View:
-    out = []
-    for i in range(max(len(u), len(v))):
-        a = u[i] if i < len(u) else UniPoly.zero()
-        b = v[i] if i < len(v) else UniPoly.zero()
-        out.append(a - b)
-    return _view_strip(out)
+def _rows_deriv(v: list[Row]) -> list[Row]:
+    return [[k * x for x in row] for k, row in enumerate(v)][1:]
 
 
-def _view_content(v: View) -> UniPoly:
-    g = UniPoly.zero()
-    for row in v:
-        if row.is_zero:
-            continue
-        g = row.monic() if g.is_zero else poly_gcd(g, row)
-        if g.degree == 0:
-            return UniPoly.one()
-    return g if not g.is_zero else UniPoly.zero()
-
-
-def _view_scale_down(v: View, d: UniPoly) -> View:
-    out = []
-    for row in v:
-        if row.is_zero:
-            out.append(row)
-        else:
-            q, r = divmod_poly(row, d)
-            if not r.is_zero:
-                raise InternalInvariantViolation("content division not exact")
-            out.append(q)
-    return _view_strip(out)
-
-
-def _view_primitive(v: View) -> View:
-    v = _view_strip(list(v))
-    if _view_is_zero(v):
-        return v
-    content = _view_content(v)
-    if content.degree > 0:
-        v = _view_scale_down(v, content)
-    scale = integer_scale((c for row in v for c in row.coeffs), v[-1].leading)
-    return [row.scale(scale) for row in v]
-
-
-def _pseudo_rem(u: View, v: View) -> View:
-    """lc(v)^t * u reduced mod v; exact over Q[x1]."""
-    r = list(u)
-    dv = len(v) - 1
-    lead_v = v[-1]
-    while not _view_is_zero(_view_strip(r)) and len(r) - 1 >= dv:
-        lead_r = r[-1]
-        r = [row * lead_v for row in r]
-        offset = len(r) - 1 - dv
-        for i, row in enumerate(v):
-            r[offset + i] = r[offset + i] - lead_r * row
-        r = _view_strip(r)
-    return r
-
-
-def _view_gcd(u: View, v: View) -> View:
-    """Primitive gcd in x2 over the fraction field of Q[x1]."""
-    u = _view_primitive(u)
-    v = _view_primitive(v)
-    if _view_is_zero(u):
-        return v
-    if _view_is_zero(v):
-        return u
-    if len(u) < len(v):
-        u, v = v, u
-    while not _view_is_zero(v):
-        if len(v) == 1:
-            return [UniPoly.one()]
-        r = _pseudo_rem(u, v)
-        u, v = v, _view_primitive(r)
-    return _view_primitive(u)
-
-
-def _view_exact_div(num: View, den: View) -> View:
-    """Exact division in x2; each leading step divides exactly in Q(x1)."""
-    if _view_is_zero(den):
-        raise ZeroPolynomial("division by zero polynomial")
+def _rows_quo(num: list[Row], den: list[Row]) -> list[Row] | None:
+    """The quotient num / den in x2 over Z[x1], or None when den does not
+    divide num."""
     rem = list(num)
     dd = len(den) - 1
     lead = den[-1]
-    quot: View = [UniPoly.zero()] * max(len(rem) - dd, 0)
-    while not _view_is_zero(_view_strip(rem)):
-        dr = len(rem) - 1
-        if dr < dd:
-            raise InternalInvariantViolation("x2-division expected to be exact")
-        q, r = divmod_poly(rem[-1], lead)
-        if not r.is_zero:
-            raise InternalInvariantViolation("x2-division leading step not exact")
-        quot[dr - dd] = q
-        for i, row in enumerate(den):
-            rem[dr - dd + i] = rem[dr - dd + i] - q * row
-        rem = _view_strip(rem)
-    return _view_strip(quot)
+    quot: list[Row] = [[] for _ in range(max(len(rem) - dd, 0))]
+    while len(rem) > dd:
+        q = _z_quo(rem.pop(), lead)
+        if q is None:
+            return None
+        off = len(rem) - dd
+        quot[off] = q
+        for i in range(dd):
+            rem[off + i] = _z_sub(rem[off + i], _z_mul(q, den[i]))
+        _rows_strip(rem)
+    return None if rem else quot
+
+
+def _rows_exact_quo(num: list[Row], den: list[Row]) -> list[Row]:
+    q = _rows_quo(num, den)
+    if q is None:
+        raise InternalInvariantViolation("x2-division expected to be exact")
+    return q
+
+
+def _rows_gcd(u: list[Row], v: list[Row]) -> list[Row]:
+    """Primitive gcd in x2 over Z[x1] of nonzero u and any v.
+
+    Every root of lc(u) and lc(v) is below xi in size, so the gcd G keeps
+    its degree at x1 = xi, and G(xi, x2) divides the gcd h of u(xi, x2)
+    and v(xi, x2).  A primitive candidate that divides u and v divides G,
+    so it is G when it has the degree of h.  Scaled to the leading
+    coefficient l(xi), l = gcd(lc u, lc v), h is the image of
+    (l/lc G)*G unless xi is one of the finitely many roots of the
+    resultant of the cofactors, and read back in base xi it is that
+    polynomial once xi is large; xi grows until the candidate divides.
+    """
+    if not v:
+        return _rows_primitive(u)
+    if len(u) == 1 or len(v) == 1:
+        return [[1]]
+    lead = _z_gcd(u[-1], v[-1])
+    lead = [int_gcd(int_gcd(*u[-1]), int_gcd(*v[-1])) * c for c in lead]
+    xi = 2 * max(abs(c) for w in (u, v) for row in w for c in row) + 2
+    while True:
+        h = _z_gcd([_z_eval(row, xi) for row in u], [_z_eval(row, xi) for row in v])
+        if len(h) == 1:
+            return [[1]]
+        scale, r = divmod(_z_eval(lead, xi), h[-1])
+        if not r:
+            g = _rows_primitive([_z_adic(scale * c, xi) for c in h])
+            if _rows_quo(u, g) is not None and _rows_quo(v, g) is not None:
+                return g
+        xi *= xi
+
+
+def _rows_of(f: BiPoly) -> list[Row]:
+    """The rows of f times a common denominator of its coefficients."""
+    den = lcm(*(c.denominator for c in f._terms.values()))
+    rows: list[Row] = [[] for _ in range(f.x2_degree + 1)]
+    for (j, k), c in f._terms.items():
+        row = rows[k]
+        if len(row) <= j:
+            row.extend([0] * (j + 1 - len(row)))
+        row[j] = c.numerator * (den // c.denominator)
+    return rows
+
+
+def _rows_to_bipoly(v: list[Row]) -> BiPoly:
+    return BiPoly._of({
+        (j, k): Fraction(c) for k, row in enumerate(v) for j, c in enumerate(row) if c
+    })
 
 
 def squarefree_part_x2(f: BiPoly) -> tuple[BiPoly, tuple[tuple[BiPoly, int], ...]]:
@@ -503,23 +617,16 @@ def squarefree_part_x2(f: BiPoly) -> tuple[BiPoly, tuple[tuple[BiPoly, int], ...
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     if f.x2_degree < 1:
         raise DegenerateInX2("input does not involve x2")
-    p = _view_primitive(f.x2_coefficients())
-    dp = _view_deriv(p)
-    a = _view_gcd(p, dp)
-    b = _view_exact_div(p, a)
-    c = _view_exact_div(dp, a)
-    d = _view_sub(c, _view_deriv(b))
-    factors: list[tuple[BiPoly, int]] = []
-    i = 1
-    while len(b) - 1 > 0:
-        g = _view_gcd(b, d)
-        if len(g) - 1 > 0:
-            factors.append((BiPoly.from_x2_coefficients(g), i))
-        b = _view_exact_div(b, g)
-        c = _view_exact_div(d, g)
-        d = _view_sub(c, _view_deriv(b))
-        i += 1
+    found = yun(
+        _rows_primitive(_rows_of(f)),
+        gcd=_rows_gcd,
+        div=_rows_exact_quo,
+        deriv=_rows_deriv,
+        sub=_rows_sub,
+        degree=lambda v: len(v) - 1,
+    )
+    factors = tuple((_rows_to_bipoly(g), i) for g, i in found)
     squarefree = BiPoly.constant(1)
     for g_poly, _ in factors:
         squarefree = squarefree * g_poly
-    return squarefree, tuple(factors)
+    return squarefree, factors

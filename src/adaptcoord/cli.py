@@ -8,9 +8,11 @@ Subcommands:
                  polynomial, without expanding the shear
 
 Exit codes: 0 success, 2 expression or usage errors (an --svg path that
-cannot be written is one), 3 precondition violations (--max-steps below 1
-is one), 4 iteration cap exceeded.  ADAPTCOORD_MAX_STEPS overrides the
-default shear cap when --max-steps is not given.
+cannot be written is one, an ADAPTCOORD_MAX_STEPS that is not an integer
+another), 3 precondition violations (a step cap below 1, from --max-steps
+or ADAPTCOORD_MAX_STEPS, is one), 4 iteration cap exceeded.
+ADAPTCOORD_MAX_STEPS overrides the default shear cap when --max-steps is
+not given.
 """
 
 from __future__ import annotations
@@ -44,12 +46,9 @@ def _resolved_max_steps(flag_value: int | None) -> int | None:
     if raw is None or raw == "":
         return None
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise _UsageError(f"{ENV_MAX_STEPS} must be an integer, got {raw!r}")
-    if value < 1:
-        raise _UsageError(f"{ENV_MAX_STEPS} must be positive, got {raw!r}")
-    return value
 
 
 class _UsageError(Exception):

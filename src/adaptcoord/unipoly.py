@@ -261,32 +261,45 @@ class SquarefreeDecomposition:
         return p
 
 
+def yun(p, *, gcd, div, deriv, sub, degree) -> list:
+    """Yun's algorithm for p in one variable over a field, in any
+    representation: the callables give the gcd, exact division,
+    derivative, difference and degree.  Returns [(factor, multiplicity)]
+    over the factors of positive degree, multiplicities increasing; the
+    product of factor**multiplicity is p up to a unit.  Any associate
+    gcd works, since the derivative commutes with unit scalings.
+    """
+    dp = deriv(p)
+    a = gcd(p, dp)
+    b = div(p, a)
+    d = sub(div(dp, a), deriv(b))
+    factors = []
+    i = 1
+    while degree(b) > 0:
+        g = gcd(b, d)
+        if degree(g) > 0:
+            factors.append((g, i))
+        b = div(b, g)
+        d = sub(div(d, g), deriv(b))
+        i += 1
+    return factors
+
+
 def squarefree_decompose(p: UniPoly) -> SquarefreeDecomposition:
     """Yun's algorithm over the rationals."""
     if p.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     if p.degree == 0:
         return SquarefreeDecomposition(p.coeffs[0], ())
-    constant = p.leading
-    p = p.monic()
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = exact_div(p, a)
-    c = exact_div(dp, a)
-    d = c - b.derivative()
-    factors: list[tuple[UniPoly, int]] = []
-    i = 1
-    while b.degree > 0:
-        g = poly_gcd(b, d)
-        if g.is_zero:
-            g = UniPoly.one()
-        if g.degree > 0:
-            factors.append((g, i))
-        b = exact_div(b, g)
-        c = exact_div(d, g)
-        d = c - b.derivative()
-        i += 1
-    return SquarefreeDecomposition(constant, tuple(factors))
+    factors = yun(
+        p.monic(),
+        gcd=poly_gcd,
+        div=exact_div,
+        deriv=UniPoly.derivative,
+        sub=UniPoly.__sub__,
+        degree=lambda q: q.degree,
+    )
+    return SquarefreeDecomposition(p.leading, tuple(factors))
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:

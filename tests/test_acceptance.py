@@ -3,7 +3,9 @@
 Every criterion runs inside a stopwatch; the line reports the verdict and
 the elapsed time, and the test fails if the work fails or the stated time
 budget is exceeded.  The timed regression tests at the end pin inputs
-whose root finding once took time exponential in the coefficient size.
+whose root finding once took time exponential in the coefficient size,
+and sheared inputs whose squarefree decomposition over Q[x1] once
+stalled on coefficient growth.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from adaptcoord import (
     principal_part,
     quasihomogeneous_height,
     scale_axes,
+    squarefree_part_x2,
     swap_axes,
     top_clusters,
     vertices_from_clusters,
@@ -361,3 +364,52 @@ def test_timed_depth_two_clusters_on_29_digit_input(capsys):
         ]
 
     run_timed(capsys, "depth-2 clusters on 29-digit input", 1.0, body)
+
+
+def _sheared_by(expr: str, *shears: tuple[ShearAxis, int, int]) -> BiPoly:
+    f = parse(expr)
+    for axis, b, m in shears:
+        f = apply_shear(f, ShearChange(axis, Fraction(b), m))
+    return f
+
+
+def test_timed_squarefree_part_of_355_term_input(capsys):
+    f = _sheared_by(
+        "(x2 - x1^2)^3*(3*x2^2 + x1^3)",
+        (ShearAxis.X2, 1, 1), (ShearAxis.X1, 1, 2), (ShearAxis.X2, -1, 3),
+    )
+    assert len(f.terms()) == 355
+
+    def body():
+        _, factors = squarefree_part_x2(f)
+        assert [(F.x2_degree, j) for F, j in factors] == [(6, 1), (4, 3)]
+
+    run_timed(capsys, "squarefree part of a 355-term input", 1.0, body)
+
+
+def test_timed_squarefree_part_of_274_term_input(capsys):
+    f = _sheared_by(
+        "(x2 - x1^2)^2*(x2^3 + x1^5 + x1*x2)",
+        (ShearAxis.X1, 1, 2), (ShearAxis.X2, 1, 3),
+    )
+    assert len(f.terms()) == 274
+
+    def body():
+        _, factors = squarefree_part_x2(f)
+        assert [(F.x2_degree, j) for F, j in factors] == [(10, 1), (4, 2)]
+
+    run_timed(capsys, "squarefree part of a 274-term input", 1.0, body)
+
+
+def test_timed_certified_report_on_sheared_cube(capsys):
+    f = _sheared_by(
+        "(x2*(1 + x1) - x1^2)^3*(x2 + x1)",
+        (ShearAxis.X1, 1, 2), (ShearAxis.X2, 1, 3),
+    )
+
+    def body():
+        rep = build_report(f)
+        assert rep.height == 3
+        assert rep.status == "nonterminating-certified"
+
+    run_timed(capsys, "certified report on a sheared cube", 2.0, body)

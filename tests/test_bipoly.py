@@ -4,9 +4,11 @@ shears, and the x2-squarefree split."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adaptcoord import (
@@ -24,10 +26,12 @@ from adaptcoord import (
     weighted_order,
     weighted_part,
 )
+from adaptcoord.bipoly import _rows_gcd, _rows_of, _rows_to_bipoly, _z_gcd
 from adaptcoord.errors import ZeroPolynomial
-from conftest import bipolys, coefficients
+from adaptcoord.unipoly import exact_div, poly_gcd
+from conftest import bipolys, coefficients, random_corpus
 
-shear_exponents = st.integers(min_value=1, max_value=3)
+shear_exponents = st.integers(min_value=1, max_value=4)
 nonzero_bipolys = bipolys().filter(lambda f: not f.is_zero)
 
 
@@ -139,6 +143,39 @@ def test_shear_inverts_in_x1(f, b, m):
     assert apply_shear(apply_shear(f, fwd), back) == f
 
 
+def substituted(f: BiPoly, shear: ShearChange) -> BiPoly:
+    """f under the shear, one term at a time: sum c * x1^j * (x2 + b*x1^m)^k
+    for an x2-shear, built by BiPoly products and powers."""
+    b, m = shear.coefficient, shear.exponent
+    total = BiPoly.zero()
+    for (j, k), c in f.terms().items():
+        if shear.axis is ShearAxis.X2:
+            total = total + BiPoly.monomial(j, 0, c) * (BiPoly.x2() + BiPoly.monomial(m, 0, b)) ** k
+        else:
+            total = total + BiPoly.monomial(0, k, c) * (BiPoly.x1() + BiPoly.monomial(0, m, b)) ** j
+    return total
+
+
+@given(
+    bipolys(min_terms=0),
+    coefficients,
+    shear_exponents,
+    st.sampled_from([ShearAxis.X1, ShearAxis.X2]),
+)
+@settings(max_examples=150)
+@example(BiPoly.zero(), Fraction(-3, 2), 2, ShearAxis.X2)
+@example(BiPoly.constant(Fraction(-7, 3)), Fraction(5, 4), 4, ShearAxis.X1)
+# (x2 + 3/2*x1^2)^2 and (x1 - 2/3*x2)^3: every term but one cancels
+@example(parse("4*x2^2 + 12*x1^2*x2 + 9*x1^4"), Fraction(-3, 2), 2, ShearAxis.X2)
+@example(parse("27*x1^3 - 54*x1^2*x2 + 36*x1*x2^2 - 8*x2^3"), Fraction(2, 3), 1, ShearAxis.X1)
+def test_shear_matches_substitution(f, b, m, axis):
+    shear = ShearChange(axis, b, m)
+    g = apply_shear(f, shear)
+    assert g == substituted(f, shear)
+    assert 0 not in g.terms().values()
+    assert apply_shear(g, ShearChange(axis, -b, m)) == f
+
+
 def test_shear_matches_hand_expansion():
     f = parse("x2^2")
     g = apply_shear(f, ShearChange(ShearAxis.X2, Fraction(1), 2))
@@ -199,3 +236,65 @@ def test_squarefree_part_x2_powers(m1, m2):
     sf, factors = squarefree_part_x2(f)
     assert sf.x2_degree == 2  # both distinct factors survive once
     assert {m for _, m in factors} == {m1, m2}
+
+
+def _is_normalized(F: BiPoly) -> bool:
+    coeffs = list(F.terms().values())
+    top = max(j for j, k in F.support if k == F.x2_degree)
+    return (
+        all(c.denominator == 1 for c in coeffs)
+        and gcd(*(c.numerator for c in coeffs)) == 1
+        and F.coeff(top, F.x2_degree) > 0
+    )
+
+
+def _at(F: BiPoly, a: int) -> UniPoly:
+    """F with x1 = a, as a polynomial in x2."""
+    return UniPoly.from_coeffs(row.evaluate(a) for row in F.x2_coefficients())
+
+
+def test_squarefree_part_x2_oracle():
+    # products of two corpus polynomials raised to powers 1..3; the checks
+    # use Q[x2] arithmetic at integer x1 and BiPoly products, never the
+    # bivariate gcd
+    rng = Random(3)
+    pool = random_corpus(60)
+    for _ in range(25):
+        f, g = rng.sample(pool, 2)
+        p = f ** rng.randint(1, 3) * g ** rng.randint(1, 3)
+        squarefree, factors = squarefree_part_x2(p)
+        mults = [j for _, j in factors]
+        assert mults == sorted(set(mults))
+        product = BiPoly.constant(1)
+        for F, j in factors:
+            assert F.x2_degree >= 1 and _is_normalized(F)
+            product = product * F ** j
+        assert product.x2_degree == p.x2_degree
+        # the quotient p / product lies in Q[x1]: read it off the top rows
+        q = exact_div(p.x2_coefficients()[-1], product.x2_coefficients()[-1])
+        assert product * BiPoly({(i, 0): c for i, c in enumerate(q.coeffs)}) == p
+        # squarefree and pairwise coprime: degree-0 gcds at some x1 = a
+        # where no leading coefficient vanishes
+        points = [a for a in range(2, 40) if all(
+            F.x2_coefficients()[-1].evaluate(a) != 0 for F, _ in factors
+        )][:4]
+        for i, (F, _) in enumerate(factors):
+            for G, _ in factors[i:]:
+                assert min(
+                    poly_gcd(_at(F, a), _at(G, a).derivative() if G is F else _at(G, a)).degree
+                    for a in points
+                ) == 0
+        expected = BiPoly.constant(1)
+        for F, _ in factors:
+            expected = expected * F
+        assert squarefree == expected
+
+
+def test_gcds_retry_past_an_unlucky_evaluation_point():
+    # at the first xi, the gcd of the images reads back to a candidate
+    # that does not divide the inputs
+    assert _z_gcd([6, 3, -7, 3], [0, 6, -12, 8, -2]) == [3, -3, 1]
+    g = parse("x2^2 - x1 - x1^2")
+    a = g * parse("2*x2^3 - 2*x1 - 2*x1^3 - 2*x1^3*x2^2 + 2*x1^3*x2^3")
+    b = g * parse("2 - 2*x2^3 - 2*x1^2*x2 + 2*x1^2*x2^3 + 2*x1^3*x2^2")
+    assert _rows_to_bipoly(_rows_gcd(_rows_of(a), _rows_of(b))) == g

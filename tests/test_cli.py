@@ -223,3 +223,15 @@ def test_max_steps_below_one_is_a_precondition_error(capsys, steps):
         assert code == 3, argv
         assert out == ""
         assert "max_steps must be at least 1" in err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_env_cap_below_one_is_a_precondition_error(capsys, monkeypatch, steps):
+    # the same exit code and message as --max-steps below 1
+    monkeypatch.setenv(ENV_MAX_STEPS, steps)
+    decay = ["decay", "x2^2 - x1^3", "--lambda-min", "10", "--lambda-max", "1e3"]
+    for argv in ([*decay, "--points", "5"], ["analyze", "x2^2 - x1^3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "max_steps must be at least 1" in err
