@@ -25,7 +25,19 @@ from .errors import (
     InternalInvariantViolation,
     ZeroPolynomial,
 )
-from .unipoly import UniPoly, _frac, yun
+from .unipoly import (
+    Row,
+    UniPoly,
+    _frac,
+    _z_adic,
+    _z_eval,
+    _z_gcd,
+    _z_mul,
+    _z_primitive,
+    _z_quo,
+    _z_sub,
+    yun,
+)
 
 Term = tuple[int, int]
 
@@ -218,7 +230,8 @@ class BiPoly:
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        for (j, k), c in sorted(self._terms.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0], t[0][1])):
+        # the keys (j + k, j, k) are distinct, so c is never compared
+        for _, j, k, c in sorted((j + k, j, k, c) for (j, k), c in self._terms.items()):
             factors = []
             if j == 1:
                 factors.append("x1")
@@ -228,15 +241,16 @@ class BiPoly:
                 factors.append("x2")
             elif k > 1:
                 factors.append(f"x2^{k}")
+            n, d = c.numerator, c.denominator
+            mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
             if not factors:
-                body = str(abs(c))
+                body = mag
             else:
-                mag = abs(c)
-                body = "*".join(factors) if mag == 1 else f"{mag}*" + "*".join(factors)
+                body = "*".join(factors) if mag == "1" else f"{mag}*" + "*".join(factors)
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -402,97 +416,8 @@ def scale_axes(f: BiPoly, c1: Fraction | int, c2: Fraction | int) -> BiPoly:
 # x1 is set to a large integer xi, the gcd of the images is read back in
 # symmetric base xi, and the candidate is kept only when it divides both
 # inputs exactly.  Every factor met is primitive, so by Gauss's lemma
-# every exact division in the decomposition stays in Z[x1].
-
-Row = list[int]
-
-
-def _z_mul(a: Row, b: Row) -> Row:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _z_sub(a: Row, b: Row) -> Row:
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _z_quo(a: Row, b: Row) -> Row | None:
-    """The quotient a / b in Z[x1], or None when b does not divide a."""
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    quot = [0] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            q, r = divmod(c, lead)
-            if r:
-                return None
-            quot[i - db] = q
-            for j, y in enumerate(b):
-                rem[i - db + j] -= q * y
-    return None if any(rem[:db]) else quot
-
-
-def _z_eval(a: Row, x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def _z_adic(h: int, xi: int) -> Row:
-    """The digits of h in symmetric base xi, lowest first."""
-    out: Row = []
-    while h:
-        c = h % xi
-        if c > xi // 2:
-            c -= xi
-        out.append(c)
-        h = (h - c) // xi
-    return out
-
-
-def _z_primitive(a: Row) -> Row:
-    """a over the gcd of its coefficients, leading coefficient positive."""
-    g = int_gcd(*a)
-    if a[-1] < 0:
-        g = -g
-    return a if g == 1 else [c // g for c in a]
-
-
-def _z_gcd(a: Row, b: Row) -> Row:
-    """Primitive gcd in Z[x] of nonzero a and b, leading coefficient
-    positive.
-
-    Every root of a and b is below xi/2 in size (Cauchy's bound), so a
-    factor Q of a of positive degree has |Q(xi)| > xi/2.  The integer
-    gcd of a(xi) and b(xi) is read back in symmetric base xi, with digits
-    of size at most xi/2, and the primitive part P of that candidate is
-    kept when it divides a and b.  Then P divides the gcd G, and G = P*Q
-    with deg Q > 0 is impossible: Q(xi) would divide the candidate's
-    content.  The integer gcd is k*G(xi), with k dividing the resultant
-    of the cofactors, so P is G once xi > 2*|k*G|; xi grows until then.
-    """
-    xi = 2 * max(max(map(abs, a)), max(map(abs, b))) + 2
-    while True:
-        g = _z_primitive(_z_adic(int_gcd(_z_eval(a, xi), _z_eval(b, xi)), xi))
-        if _z_quo(a, g) is not None and _z_quo(b, g) is not None:
-            return g
-        xi *= xi
+# every exact division in the decomposition stays in Z[x1].  The rows'
+# own arithmetic and gcd are unipoly.py's Z[x] helpers.
 
 
 def _rows_strip(v: list[Row]) -> list[Row]:

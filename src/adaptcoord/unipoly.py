@@ -1,22 +1,26 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Coefficients are stdlib Fractions stored dense, lowest degree first, with
-no trailing zeros.  Everything in this module is exact: squarefree
-decomposition (Yun), real-root counting (Sturm chains on half-open
-intervals), root isolation by bisection, and rational roots read off
-isolating intervals refined below 1/leading coefficient, so root finding
-costs time polynomial in the coefficient size.  No floating point
-anywhere.
+A UniPoly keeps stdlib Fractions, dense, lowest degree first, with no
+trailing zeros.  The kernels work on its primitive integer row instead
+and build Fractions only for their results: squarefree decomposition is
+Yun's algorithm in Z[y] with heuristic gcds checked by exact division,
+and real roots are counted (Sturm chains on half-open intervals) and
+isolated by bisection on one primitive remainder sequence, whose signs
+at a rational point are those of an integer.  Rational roots are read
+off isolating intervals refined below 1/leading coefficient, so root
+finding costs time polynomial in the coefficient size.  The Z[x]
+helpers here are also the rows of bipoly.py's kernels over Z[x1].  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import NotSquarefree, ZeroPolynomial
+from .errors import InternalInvariantViolation, NotSquarefree, ZeroPolynomial
 
 
 def _frac(x: Fraction | int) -> Fraction:
@@ -192,6 +196,10 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+# Division and Euclid's gcd over Q.  No kernel below uses them: they are
+# the reference the integer kernels are tested against.
+
+
 def divmod_poly(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Quotient and remainder of exact field division."""
     if den.is_zero:
@@ -230,20 +238,130 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def integer_scale(coeffs: Iterable[Fraction], leading: Fraction) -> Fraction:
-    """The factor that turns coeffs into coprime integers and the
-    coefficient `leading` among them positive; coeffs must not all be 0."""
-    coeffs = tuple(coeffs)
-    den = lcm(*(c.denominator for c in coeffs))
-    scale = Fraction(den, gcd(*(c.numerator * (den // c.denominator) for c in coeffs)))
-    return -scale if leading < 0 else scale
+# --- integer rows ---------------------------------------------------------
+#
+# The kernels below work on a polynomial in Z[y] kept as a row: a list of
+# integers, lowest degree first, no trailing zeros ([] is zero).  bipoly.py
+# builds its rows over Z[x1] from the same helpers.
+
+Row = list[int]
 
 
-def integer_primitive(p: UniPoly) -> UniPoly:
-    """Scale to coprime integer coefficients with positive leading term."""
+def integer_row(p: UniPoly) -> Row:
+    """p's primitive integer row: p scaled to coprime integer coefficients,
+    the leading one positive."""
     if p.is_zero:
-        return p
-    return p.scale(integer_scale(p.coeffs, p.leading))
+        raise ZeroPolynomial("the zero polynomial has no primitive row")
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _z_primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _z_mul(a: Row, b: Row) -> Row:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _z_sub(a: Row, b: Row) -> Row:
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _z_deriv(a: Row) -> Row:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _z_quo(a: Row, b: Row) -> Row | None:
+    """The quotient a / b in Z[x], or None when b does not divide a."""
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                return None
+            quot[i - db] = q
+            for j, y in enumerate(b):
+                rem[i - db + j] -= q * y
+    return None if any(rem[:db]) else quot
+
+
+def _z_exact_quo(a: Row, b: Row) -> Row:
+    q = _z_quo(a, b)
+    if q is None:
+        raise InternalInvariantViolation("division in Z[y] expected to be exact")
+    return q
+
+
+def _z_eval(a: Row, num: int, den: int = 1) -> int:
+    """den**deg(a) * a(num/den), which has the sign of a(num/den) for
+    den > 0: the sum of c_i * num**i * den**(deg a - i)."""
+    acc = 0
+    scale = 1
+    for c in reversed(a):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _z_adic(h: int, xi: int) -> Row:
+    """The digits of h in symmetric base xi, lowest first."""
+    out: Row = []
+    while h:
+        c = h % xi
+        if c > xi // 2:
+            c -= xi
+        out.append(c)
+        h = (h - c) // xi
+    return out
+
+
+def _z_primitive(a: Row) -> Row:
+    """a over the gcd of its coefficients, leading coefficient positive."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _z_gcd(a: Row, b: Row) -> Row:
+    """Primitive gcd in Z[x] of a and b, not both zero, leading
+    coefficient positive: the primitive part of one when the other is
+    zero, and [1] when either is a nonzero constant.
+
+    Every root of a and b is below xi/2 in size (Cauchy's bound), so a
+    factor Q of a of positive degree has |Q(xi)| > xi/2.  The integer
+    gcd of a(xi) and b(xi) is read back in symmetric base xi, with digits
+    of size at most xi/2, and the primitive part P of that candidate is
+    kept when it divides a and b.  Then P divides the gcd G, and G = P*Q
+    with deg Q > 0 is impossible: Q(xi) would divide the candidate's
+    content.  The integer gcd is k*G(xi), with k dividing the resultant
+    of the cofactors, so P is G once xi > 2*|k*G|; xi grows until then.
+    """
+    if not a or not b:
+        return _z_primitive(a or b)
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    xi = 2 * max(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        g = _z_primitive(_z_adic(gcd(_z_eval(a, xi), _z_eval(b, xi)), xi))
+        if _z_quo(a, g) is not None and _z_quo(b, g) is not None:
+            return g
+        xi *= xi
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,12 +380,14 @@ class SquarefreeDecomposition:
 
 
 def yun(p, *, gcd, div, deriv, sub, degree) -> list:
-    """Yun's algorithm for p in one variable over a field, in any
-    representation: the callables give the gcd, exact division,
+    """Yun's algorithm for p in one variable over a field, or over a
+    unique factorization domain such as Z or Z[x1] with primitive gcds,
+    in any representation: the callables give the gcd, exact division,
     derivative, difference and degree.  Returns [(factor, multiplicity)]
     over the factors of positive degree, multiplicities increasing; the
-    product of factor**multiplicity is p up to a unit.  Any associate
-    gcd works, since the derivative commutes with unit scalings.
+    product of factor**multiplicity is p up to a constant.  Any associate
+    gcd works, since the derivative commutes with scalings, so b and d
+    always carry the same constant.
     """
     dp = deriv(p)
     a = gcd(p, dp)
@@ -286,20 +406,27 @@ def yun(p, *, gcd, div, deriv, sub, degree) -> list:
 
 
 def squarefree_decompose(p: UniPoly) -> SquarefreeDecomposition:
-    """Yun's algorithm over the rationals."""
+    """Yun's algorithm on p's primitive integer row, with heuristic gcds
+    and exact divisions in Z[y].
+
+    Every gcd is primitive, so by Gauss's lemma every division stays in
+    Z[y]; each factor is made monic once, at the end.
+    """
     if p.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     if p.degree == 0:
         return SquarefreeDecomposition(p.coeffs[0], ())
-    factors = yun(
-        p.monic(),
-        gcd=poly_gcd,
-        div=exact_div,
-        deriv=UniPoly.derivative,
-        sub=UniPoly.__sub__,
-        degree=lambda q: q.degree,
+    found = yun(
+        integer_row(p),
+        gcd=_z_gcd,
+        div=_z_exact_quo,
+        deriv=_z_deriv,
+        sub=_z_sub,
+        degree=lambda a: len(a) - 1,
     )
-    return SquarefreeDecomposition(p.leading, tuple(factors))
+    return SquarefreeDecomposition(p.leading, tuple(
+        (UniPoly(tuple(Fraction(c, g[-1]) for c in g)), i) for g, i in found
+    ))
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
@@ -316,42 +443,67 @@ def squarefree_part(p: UniPoly) -> UniPoly:
 # roots in the half-open interval (lo, hi].
 
 
-def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        _, r = divmod_poly(chain[-2], chain[-1])
-        chain.append(-r)
-    chain.pop()
+def _sturm_next(a: Row, b: Row) -> Row:
+    """-(|lc b|^(deg a - deg b + 1) * a mod b) over its positive content:
+    a positive multiple of -(a mod b)."""
+    rem = list(a)
+    db = len(b) - 1
+    lead = abs(b[-1])
+    tail = b[:-1] if b[-1] > 0 else [-c for c in b[:-1]]
+    # rem -> |lc b| * rem - c * y^off * sign(lc b) * b cancels the top term c
+    for top in range(len(rem) - 1, db - 1, -1):
+        c = rem.pop()
+        if lead != 1:
+            rem = [lead * x for x in rem]
+        if c:
+            off = top - db
+            for j, y in enumerate(tail):
+                rem[off + j] -= c * y
+    while rem and not rem[-1]:
+        rem.pop()
+    g = gcd(*rem)
+    return [-x // g for x in rem]
+
+
+def sturm_chain(p: UniPoly) -> list[Row]:
+    """Sturm chain of nonzero p as a primitive remainder sequence (Collins
+    1967; Brown & Traub 1971) on integer rows.
+
+    The chain starts at p's primitive integer row, and each pseudo-division
+    scales by |lc| and divides by a positive content, so every entry is a
+    positive multiple of the entry the Euclidean chain of that row has:
+    the signs, and with them the variation counts, are the same.
+    """
+    a = integer_row(p)
+    b = _z_deriv(a)
+    chain = [a]
+    if b:
+        b = _z_primitive(b)
+    while b:
+        chain.append(b)
+        a, b = b, _sturm_next(a, b)
     return chain
 
 
-def _squarefree_sturm_chain(p: UniPoly) -> list[UniPoly]:
+def _squarefree_sturm_chain(p: UniPoly) -> list[Row]:
     """Sturm chain of p, whose last entry is gcd(p, p') up to a constant."""
     chain = sturm_chain(p)
-    if chain[-1].degree > 0:
+    if len(chain[-1]) > 1:
         raise NotSquarefree("input has a repeated root")
     return chain
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_at(p: UniPoly, x: Fraction | None, positive_end: bool) -> int:
-    """Sign of p at x, or at +/- infinity when x is None."""
-    if p.is_zero:
-        return 0
+def _variations(chain: Sequence[Row], x: Fraction | None, positive_end: bool) -> int:
+    """Sign changes along the chain at x, or at +/- infinity when x is
+    None; the sign at infinity is read off the leading coefficient and
+    the parity of the degree."""
     if x is None:
-        s = _sign(p.leading)
-        if not positive_end and p.degree % 2 == 1:
-            s = -s
-        return s
-    return _sign(p.evaluate(x))
-
-
-def _variations(chain: Sequence[UniPoly], x: Fraction | None, positive_end: bool) -> int:
-    signs = [s for s in (_sign_at(p, x, positive_end) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        flip = not positive_end
+        signs = [(row[-1] > 0) != (flip and len(row) % 2 == 0) for row in chain]
+    else:
+        num, den = x.numerator, x.denominator
+        signs = [v > 0 for v in (_z_eval(row, num, den) for row in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def count_real_roots(
@@ -426,13 +578,24 @@ def exact_real_roots(
     integer z, so an interval narrower than 1/an holds at most one
     candidate, floor(an*hi)/an, which is tested exactly.
     """
-    prim = integer_primitive(p)
-    an = prim.leading.numerator
+    row = integer_row(p)
+    an = row[-1]
     out: list[tuple[Fraction, Fraction, Fraction | None]] = []
-    for lo, hi in isolate_real_roots(prim, Fraction(1, an)):
-        r = Fraction(floor(an * hi), an)
-        out.append((lo, hi, r if r > lo and prim.evaluate(r) == 0 else None))
+    for lo, hi in isolate_real_roots(p, Fraction(1, an)):
+        r = Fraction(an * hi.numerator // hi.denominator, an)
+        hit = r > lo and _z_eval(row, r.numerator, r.denominator) == 0
+        out.append((lo, hi, r if hit else None))
     return out
+
+
+def _deflate(p: UniPoly, r: Fraction) -> UniPoly:
+    """p / (y - r) for a root r of p, by synthetic division."""
+    acc = Fraction(0)
+    out = []
+    for c in reversed(p.coeffs[1:]):
+        acc = acc * r + c
+        out.append(acc)
+    return UniPoly(tuple(reversed(out)))
 
 
 def split_rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
@@ -451,7 +614,7 @@ def split_rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPol
         for _, _, r in exact_real_roots(factor):
             if r is not None:
                 roots.append((r, mult))
-                factor = exact_div(factor, UniPoly.from_coeffs([-r, 1]))
+                factor = _deflate(factor, r)
         cofactor = cofactor * factor**mult
     roots.sort()
     return roots, cofactor

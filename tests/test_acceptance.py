@@ -4,8 +4,9 @@ Every criterion runs inside a stopwatch; the line reports the verdict and
 the elapsed time, and the test fails if the work fails or the stated time
 budget is exceeded.  The timed regression tests at the end pin inputs
 whose root finding once took time exponential in the coefficient size,
-and sheared inputs whose squarefree decomposition over Q[x1] once
-stalled on coefficient growth.
+sheared inputs whose squarefree decomposition over Q[x1] once
+stalled on coefficient growth, and univariate inputs whose squarefree
+decomposition and Sturm chains once ran Euclid on Fractions.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from adaptcoord import (
     top_clusters,
     vertices_from_clusters,
 )
+from adaptcoord.unipoly import UniPoly, count_real_roots, exact_real_roots, squarefree_decompose
 from conftest import CORPUS_SEED, random_corpus
 
 # polynomials whose adapted systems are reachable by x2-shears (possibly
@@ -413,3 +415,29 @@ def test_timed_certified_report_on_sheared_cube(capsys):
         assert rep.status == "nonterminating-certified"
 
     run_timed(capsys, "certified report on a sheared cube", 2.0, body)
+
+
+def test_timed_report_on_degree_32_form_with_64_bit_coefficients(capsys):
+    rng = random.Random(7)
+    f = BiPoly({(32 - i, i): rng.randint(-2**64, 2**64) for i in range(33)})
+
+    def body():
+        assert build_report(f).height == 16
+
+    run_timed(capsys, "report on a degree-32 form with 64-bit coefficients", 1.0, body)
+
+
+def test_timed_roots_of_degree_33_input_with_32_bit_coefficients(capsys):
+    rng = random.Random(31)
+    p = UniPoly.from_coeffs([rng.randint(-2**32, 2**32) for _ in range(32)])
+    p = p * UniPoly.from_coeffs([-5, 3]) ** 2
+
+    def body():
+        factors = squarefree_decompose(p).factors
+        assert [(f.degree, j) for f, j in factors] == [(31, 1), (1, 2)]
+        assert [count_real_roots(f) for f, _ in factors] == [5, 1]
+        assert [[r for _, _, r in exact_real_roots(f)] for f, _ in factors] == [
+            [None] * 5, [Fraction(5, 3)]
+        ]
+
+    run_timed(capsys, "roots of a degree-33 input with 32-bit coefficients", 1.0, body)

@@ -26,9 +26,9 @@ from adaptcoord import (
     weighted_order,
     weighted_part,
 )
-from adaptcoord.bipoly import _rows_gcd, _rows_of, _rows_to_bipoly, _z_gcd
+from adaptcoord.bipoly import _rows_gcd, _rows_of, _rows_to_bipoly
 from adaptcoord.errors import ZeroPolynomial
-from adaptcoord.unipoly import exact_div, poly_gcd
+from adaptcoord.unipoly import _z_gcd, exact_div, poly_gcd
 from conftest import bipolys, coefficients, random_corpus
 
 shear_exponents = st.integers(min_value=1, max_value=4)

@@ -4,6 +4,7 @@ root counting, rational-root extraction."""
 from __future__ import annotations
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from adaptcoord.unipoly import (
     count_real_roots,
     divmod_poly,
     exact_div,
-    integer_primitive,
+    integer_row,
     isolate_real_roots,
     poly_gcd,
     rational_roots,
@@ -92,10 +93,12 @@ def test_gcd_divides_and_catches_common_factor(a, b, c):
     assert g.leading == 1  # monic normalization
 
 
-def test_integer_primitive_strips_content():
+def test_integer_row_strips_content():
     p = UniPoly.from_coeffs([Fraction(2, 3), Fraction(4, 3)])
-    q = integer_primitive(p)
-    assert q.coeffs == (Fraction(1), Fraction(2))
+    assert integer_row(p) == [1, 2]
+    assert integer_row(p.scale(Fraction(-7, 5))) == [1, 2]
+    with pytest.raises(ZeroPolynomial):
+        integer_row(UniPoly.zero())
 
 
 @given(small_roots)
@@ -123,8 +126,8 @@ def test_sturm_chain_signs():
     # (y-1)(y+2): chain must end in a constant, no two consecutive zeros
     p = UniPoly.from_roots([1, -2])
     chain = sturm_chain(p)
-    assert chain[0] == p
-    assert chain[-1].degree == 0
+    assert chain[0] == integer_row(p)
+    assert len(chain[-1]) == 1
 
 
 @given(small_roots)
@@ -202,3 +205,93 @@ def test_rational_roots_with_fractional_root():
     big = Fraction(10**30 + 57, 7)  # 30-digit numerator
     r = UniPoly.from_coeffs([-(10**30 + 57), 7]) ** 2 * UniPoly.from_coeffs([-2, 0, 1])
     assert rational_roots(r) == [(big, 2)]
+
+
+# Oracles for the integer kernels: the inputs are built, and the answers
+# checked, with Fraction products and the reference Euclid only.
+
+
+def _in_box(lo, hi, below) -> bool:
+    """Whether lo < root <= hi, where below(x) says whether x < root; an
+    end of None is infinite."""
+    return (lo is None or below(lo)) and (hi is None or not below(hi))
+
+
+def _with_known_roots(c, rs, ks, ls, ms):
+    """c * prod(y - r) * prod(y^2 - k) * prod(y^3 - l) * prod(y^2 + m) for
+    distinct rational r, non-square k > 0, non-cube l and m > 0; with it
+    the rational roots, and every real root given by a test of x < root
+    that compares powers, never a root."""
+    p = UniPoly.constant(c)
+    for r in rs:
+        p = p * UniPoly.from_coeffs([-r, 1])
+    for k in ks:
+        p = p * UniPoly.from_coeffs([-k, 0, 1])
+    for l in ls:
+        p = p * UniPoly.from_coeffs([-l, 0, 0, 1])
+    for m in ms:
+        p = p * UniPoly.from_coeffs([m, 0, 1])
+    roots = [lambda x, r=r: x < r for r in rs]
+    roots += [lambda x, k=k: x < 0 or x * x < k for k in ks]  # sqrt(k)
+    roots += [lambda x, k=k: x < 0 and x * x > k for k in ks]  # -sqrt(k)
+    roots += [lambda x, l=l: x**3 < l for l in ls]  # cube root of l
+    return p, rs, roots
+
+
+def _known_roots_cases(rng: Random):
+    # remainder sequences that drop two degrees at a negative leading
+    # coefficient, where a signed pseudo-division would flip an entry
+    yield _with_known_roots(5, [0], [], [-4], [])
+    yield _with_known_roots(-(2**64), [], [3], [-2], [3])
+    non_squares = [k for k in range(2, 120) if round(k ** 0.5) ** 2 != k]
+    non_cubes = [l for l in range(-60, 61) if all(i**3 != l for i in range(-4, 5))]
+    for _ in range(50):
+        yield _with_known_roots(
+            rng.choice([1, -1]) * rng.randint(1, 2**64),
+            list({Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(rng.randint(0, 4))}),
+            rng.sample(non_squares, rng.randint(0, 3)),
+            rng.sample(non_cubes, rng.randint(0, 2)),
+            rng.sample(range(1, 50), rng.randint(0, 2)),
+        )
+
+
+def test_sturm_queries_match_known_roots():
+    rng = Random(11)
+    for p, rational, roots in _known_roots_cases(rng):
+        assert count_real_roots(p) == len(roots)
+        ends = [None] + [Fraction(rng.randint(-130, 130), rng.randint(1, 12)) for _ in range(4)]
+        ends += rational  # ends on a root
+        for lo in ends:
+            for hi in ends:
+                if lo is not None and hi is not None and lo >= hi:
+                    continue
+                expected = sum(_in_box(lo, hi, below) for below in roots)
+                assert count_real_roots(p, lo, hi) == expected
+        for width in (None, Fraction(1, 1000)):
+            boxes = isolate_real_roots(p, width)
+            assert len(boxes) == len(roots)
+            assert all(a[1] <= b[0] for a, b in zip(boxes, boxes[1:]))
+            assert width is None or all(hi - lo < width for lo, hi in boxes)
+            for below in roots:
+                assert sum(_in_box(lo, hi, below) for lo, hi in boxes) == 1
+
+
+def test_squarefree_decompose_products_of_powers():
+    rng = Random(12)
+    for _ in range(40):
+        p = UniPoly.constant(Fraction(rng.randint(1, 2**64), rng.randint(1, 2**32)))
+        for _ in range(rng.randint(1, 4)):
+            base = UniPoly.from_coeffs(
+                [Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+                + [rng.choice([1, -2, 3])]
+            )
+            p = p * base ** rng.randint(1, 4)
+        dec = squarefree_decompose(p)
+        assert dec.expand() == p
+        mults = [j for _, j in dec.factors]
+        assert mults == sorted(set(mults))
+        for i, (f, _) in enumerate(dec.factors):
+            assert f.degree >= 1 and f.leading == 1
+            assert poly_gcd(f, f.derivative()).degree == 0
+            for g, _ in dec.factors[i + 1:]:
+                assert poly_gcd(f, g).degree == 0
