@@ -107,15 +107,15 @@ def face_weight(face: Face) -> Weight:
     """The weight whose unit-level line supports a compact edge."""
     if face.kind is not FaceKind.COMPACT_EDGE:
         raise DegenerateFace(f"face of kind {face.kind.value} has no edge weight")
-    (j1, k1), (j2, k2) = face.points
-    det = Fraction(j1 * k2 - j2 * k1)
-    if det == 0:
-        raise InternalInvariantViolation("edge endpoints collinear with origin")
-    return Weight((k2 - k1) / det, (j1 - j2) / det)
+    return edge_weight(*face.points)
 
 
 def edge_weight(a: Term, b: Term) -> Weight:
-    return face_weight(Face(FaceKind.COMPACT_EDGE, (a, b)))
+    (j1, k1), (j2, k2) = a, b
+    det = j1 * k2 - j2 * k1
+    if det == 0:
+        raise InternalInvariantViolation("edge endpoints collinear with origin")
+    return Weight(Fraction(k2 - k1, det), Fraction(j1 - j2, det))
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,46 +141,45 @@ class HullAnalysis:
 
 def hull_analysis(np_: NewtonPolyhedron) -> HullAnalysis:
     """Distance, principal face and weights of np_, each edge weight
-    computed once.
-
-    The polyhedron is the intersection of the half-planes t1 >= A_first,
-    t2 >= B_last, and one half-plane per compact edge, so the diagonal
-    crossing coordinate d is the largest of the per-face thresholds.  The
-    principal face is the smallest face containing (d, d).
-    """
+    computed once."""
+    num, den, face = _diagonal_crossing(np_)
     weights = tuple(edge_weight(a, b) for a, b in np_.edges)
-    d = _distance(np_, weights)
-    return HullAnalysis(np_, d, _principal_face(np_, weights, d), weights)
+    return HullAnalysis(np_, Fraction(num, den), face, weights)
 
 
-def _distance(np_: NewtonPolyhedron, weights: tuple[Weight, ...]) -> Fraction:
-    return max(
-        Fraction(np_.first[0]),
-        Fraction(np_.last[1]),
-        *(1 / (w.k1 + w.k2) for w in weights),
+def _diagonal_crossing(np_: NewtonPolyhedron) -> tuple[int, int, Face]:
+    """(num, den, face): the diagonal crosses the boundary at (d, d) with
+    d = num / den, in the smallest face containing that point.
+
+    Along the staircase j increases and k decreases, so j - k increases
+    strictly and the diagonal passes between the last vertex with j < k and
+    the first with j >= k.  On the edge from (j1, k1) to (j2, k2) the
+    crossing is d = (j2*k1 - j1*k2) / ((j2 - j1) + (k1 - k2)), both terms
+    positive; on a vertex or a half-line d is an integer.
+    """
+    verts = np_.vertices
+    for i, (j, k) in enumerate(verts):
+        if j >= k:
+            break
+    else:
+        # every vertex lies above the diagonal: it leaves horizontally
+        return verts[-1][1], 1, Face(FaceKind.HORIZONTAL_HALFLINE, (verts[-1],))
+    if j == k:
+        return j, 1, Face(FaceKind.VERTEX, (verts[i],))
+    if i == 0:
+        return j, 1, Face(FaceKind.VERTICAL_HALFLINE, (verts[0],))
+    j1, k1 = verts[i - 1]
+    return (
+        j * k1 - j1 * k,
+        (j - j1) + (k1 - k),
+        Face(FaceKind.COMPACT_EDGE, (verts[i - 1], verts[i])),
     )
-
-
-def _principal_face(
-    np_: NewtonPolyhedron, weights: tuple[Weight, ...], d: Fraction
-) -> Face:
-    """The smallest face containing (d, d)."""
-    for v in np_.vertices:
-        if v == (d, d):
-            return Face(FaceKind.VERTEX, (v,))
-    for (a, b), w in zip(np_.edges, weights):
-        if w.k1 * d + w.k2 * d == 1 and a[0] < d < b[0]:
-            return Face(FaceKind.COMPACT_EDGE, (a, b))
-    if d == np_.last[1] and d > np_.last[0]:
-        return Face(FaceKind.HORIZONTAL_HALFLINE, (np_.last,))
-    if d == np_.first[0] and d > np_.first[1]:
-        return Face(FaceKind.VERTICAL_HALFLINE, (np_.first,))
-    raise InternalInvariantViolation(f"diagonal point {(d, d)} matched no face")
 
 
 def distance(np_: NewtonPolyhedron) -> Fraction:
     """Coordinate of the boundary crossing with the diagonal t1 = t2."""
-    return _distance(np_, tuple(edge_weight(a, b) for a, b in np_.edges))
+    num, den, _ = _diagonal_crossing(np_)
+    return Fraction(num, den)
 
 
 def principal_face(np_: NewtonPolyhedron) -> Face:

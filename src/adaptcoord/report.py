@@ -192,8 +192,14 @@ def build_report(
             rep.witness.multiplicity,
         )
     vmatch, dmatch = _cluster_check(f, verts, hull.distance)
+    text = str(f) if source is None else source
+    adapted_poly = None
+    if result is not None:
+        # an input adapted as given comes back as f itself: format it once
+        reuse = source is None and result.final_poly is f
+        adapted_poly = text if reuse else str(result.final_poly)
     return AnalysisReport(
-        source=str(f) if source is None else source,
+        source=text,
         support=tuple(sorted(f.support)),
         vertices=verts,
         distance=hull.distance,
@@ -215,7 +221,7 @@ def build_report(
         steps=()
         if result is None
         else tuple((s.multiplicity, s.exponent, s.distance) for s in result.steps),
-        adapted_poly=None if result is None else str(result.final_poly),
+        adapted_poly=adapted_poly,
         cluster_vertices_match=vmatch,
         cluster_distance_match=dmatch,
     )

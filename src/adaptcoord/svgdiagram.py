@@ -10,7 +10,6 @@ as golden files.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .bipoly import BiPoly
 from .newton import FaceKind, hull_analysis, newton_polyhedron
@@ -19,8 +18,8 @@ UNIT = 40
 PAD = 46
 
 
-def _fmt(v: float | Fraction) -> str:
-    return f"{float(v):.2f}"
+def _fmt(v: float) -> str:
+    return f"{v:.2f}"
 
 
 class _Panel:
@@ -30,54 +29,44 @@ class _Panel:
         self.d = self.hull.distance
         self.face = self.hull.face
         support_max = max(max(j for j, _ in f.support), max(k for _, k in f.support))
-        self.extent = max(support_max, math.ceil(self.d)) + 1
+        self.extent = m = max(support_max, math.ceil(self.d)) + 1
         self.offset_x = offset_x
         self.label = label
-        self.side = 2 * PAD + self.extent * UNIT
-
-    def x(self, t1: float | Fraction) -> str:
-        return _fmt(self.offset_x + PAD + float(t1) * UNIT)
-
-    def y(self, t2: float | Fraction) -> str:
-        return _fmt(PAD + (self.extent - float(t2)) * UNIT)
-
-    def _staircase_points(self) -> list[tuple[float, float]]:
-        verts = self.hull.polyhedron.vertices
-        pts = [(float(verts[0][0]), float(self.extent))]
-        pts.extend((float(j), float(k)) for j, k in verts)
-        pts.append((float(self.extent), float(verts[-1][1])))
-        return pts
+        self.side = 2 * PAD + m * UNIT
+        # every lattice coordinate drawn lies in 0..extent: format each once
+        self.xs = [f"{offset_x + PAD + i * UNIT:.2f}" for i in range(m + 1)]
+        self.ys = [f"{PAD + (m - i) * UNIT:.2f}" for i in range(m + 1)]
 
     def render(self) -> list[str]:
         out: list[str] = []
-        m = self.extent
+        xs, ys, m = self.xs, self.ys, self.extent
         # shaded region: staircase closed off at the panel's far corner
-        stairs = self._staircase_points()
-        region = " ".join(f"{self.x(a)},{self.y(b)}" for a, b in stairs)
-        region += f" {self.x(m)},{self.y(m)}"
-        out.append(f'<polygon points="{region}" fill="#dce8f5" stroke="none"/>')
-        # lattice and axes
-        for i in range(m + 1):
-            for j in range(m + 1):
-                out.append(
-                    f'<circle cx="{self.x(i)}" cy="{self.y(j)}" r="1.5" fill="#c9c9c9"/>'
-                )
+        verts = self.hull.polyhedron.vertices
+        stairs = [(verts[0][0], m), *verts, (m, verts[-1][1])]
+        path = " ".join(f"{xs[a]},{ys[b]}" for a, b in stairs)
         out.append(
-            f'<line x1="{self.x(0)}" y1="{self.y(0)}" x2="{self.x(m)}" '
-            f'y2="{self.y(0)}" stroke="#444444" stroke-width="1"/>'
+            f'<polygon points="{path} {xs[m]},{ys[m]}" fill="#dce8f5" stroke="none"/>'
+        )
+        # lattice and axes
+        for x in xs:
+            out.extend(
+                f'<circle cx="{x}" cy="{y}" r="1.5" fill="#c9c9c9"/>' for y in ys
+            )
+        out.append(
+            f'<line x1="{xs[0]}" y1="{ys[0]}" x2="{xs[m]}" '
+            f'y2="{ys[0]}" stroke="#444444" stroke-width="1"/>'
         )
         out.append(
-            f'<line x1="{self.x(0)}" y1="{self.y(0)}" x2="{self.x(0)}" '
-            f'y2="{self.y(m)}" stroke="#444444" stroke-width="1"/>'
+            f'<line x1="{xs[0]}" y1="{ys[0]}" x2="{xs[0]}" '
+            f'y2="{ys[m]}" stroke="#444444" stroke-width="1"/>'
         )
         # bisectrix
         out.append(
-            f'<line x1="{self.x(0)}" y1="{self.y(0)}" x2="{self.x(m)}" '
-            f'y2="{self.y(m)}" stroke="#888888" stroke-width="1" '
+            f'<line x1="{xs[0]}" y1="{ys[0]}" x2="{xs[m]}" '
+            f'y2="{ys[m]}" stroke="#888888" stroke-width="1" '
             'stroke-dasharray="5 4"/>'
         )
         # boundary staircase
-        path = " ".join(f"{self.x(a)},{self.y(b)}" for a, b in stairs)
         out.append(
             f'<polyline points="{path}" fill="none" stroke="#333333" '
             'stroke-width="2"/>'
@@ -87,7 +76,7 @@ class _Panel:
         if kind is FaceKind.VERTEX:
             (j, k) = self.face.points[0]
             out.append(
-                f'<circle cx="{self.x(j)}" cy="{self.y(k)}" r="7" fill="none" '
+                f'<circle cx="{xs[j]}" cy="{ys[k]}" r="7" fill="none" '
                 'stroke="#c0392b" stroke-width="3.5"/>'
             )
         else:
@@ -100,28 +89,27 @@ class _Panel:
                 (j1, k1) = self.face.points[0]
                 (j2, k2) = (j1, m)
             out.append(
-                f'<line x1="{self.x(j1)}" y1="{self.y(k1)}" x2="{self.x(j2)}" '
-                f'y2="{self.y(k2)}" stroke="#c0392b" stroke-width="4" '
+                f'<line x1="{xs[j1]}" y1="{ys[k1]}" x2="{xs[j2]}" '
+                f'y2="{ys[k2]}" stroke="#c0392b" stroke-width="4" '
                 'stroke-linecap="round"/>'
             )
         # support and vertices
         for j, k in sorted(self.f.support):
+            out.append(f'<circle cx="{xs[j]}" cy="{ys[k]}" r="3.5" fill="#20639b"/>')
+        for j, k in verts:
             out.append(
-                f'<circle cx="{self.x(j)}" cy="{self.y(k)}" r="3.5" fill="#20639b"/>'
-            )
-        for j, k in self.hull.polyhedron.vertices:
-            out.append(
-                f'<circle cx="{self.x(j)}" cy="{self.y(k)}" r="4.5" fill="#ffffff" '
+                f'<circle cx="{xs[j]}" cy="{ys[k]}" r="4.5" fill="#ffffff" '
                 'stroke="#20639b" stroke-width="2"/>'
             )
         # distance point and caption
+        d = float(self.d)
         out.append(
-            f'<circle cx="{self.x(self.d)}" cy="{self.y(self.d)}" r="4" '
-            'fill="#c0392b"/>'
+            f'<circle cx="{_fmt(self.offset_x + PAD + d * UNIT)}" '
+            f'cy="{_fmt(PAD + (m - d) * UNIT)}" r="4" fill="#c0392b"/>'
         )
         caption = f"{self.label}: d = {self.d}"
         out.append(
-            f'<text x="{self.x(0)}" y="{_fmt(self.side - 12)}" '
+            f'<text x="{xs[0]}" y="{_fmt(self.side - 12)}" '
             f'font-family="monospace" font-size="14" fill="#222222">{caption}</text>'
         )
         return out

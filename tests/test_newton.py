@@ -44,6 +44,17 @@ supports = st.sets(
     max_size=10,
 )
 
+# a wider box: the crossing of the diagonal with an edge multiplies
+# coordinates, so exercise it well beyond one digit
+wide_supports = st.sets(
+    st.tuples(
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=0, max_value=60),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
 # perturbation scale: larger than any slope difference between lattice
 # normals with entries bounded by the support box, so tilting a boundary
 # normal by 1/BIG stays inside the adjacent normal cone
@@ -131,7 +142,7 @@ def test_staircase_is_monotone_and_convex(support):
     assert all(s < t for s, t in zip(slopes, slopes[1:]))
 
 
-@given(supports)
+@given(st.one_of(supports, wide_supports))
 @settings(max_examples=150)
 def test_distance_matches_dual_oracle(support):
     hull = build_polyhedron(support)
@@ -174,7 +185,7 @@ def test_principal_face_vertical_halfline():
     assert face.points == ((3, 1),)
 
 
-@given(supports)
+@given(st.one_of(supports, wide_supports))
 @settings(max_examples=100)
 def test_principal_face_contains_diagonal_point(support):
     hull = build_polyhedron(support)

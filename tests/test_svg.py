@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
-from adaptcoord import adapt, parse, render_svg
+from adaptcoord import adapt, distance, newton_polyhedron, parse, render_svg
+from adaptcoord.svgdiagram import PAD, UNIT
 
 
 def test_svg_is_well_formed_xml():
@@ -41,3 +44,34 @@ def test_svg_vertex_face_ring():
     assert "d = 2" in svg
     root = ET.fromstring(svg)
     assert root is not None
+
+
+def test_svg_wide_two_panel_diagram_sits_on_its_lattice():
+    # extent above 20 and a fractional d in both panels: beyond the
+    # golden corpora, whose extents stop at 11
+    f = parse("(x2 - x1^10)^2 + x1^21")
+    g = adapt(f).final_poly
+    root = ET.fromstring(render_svg(f, adapted=g))
+    circles = [c for c in root.iter() if c.tag.endswith("circle")]
+    lattice = [c for c in circles if c.get("r") == "1.5"]
+    support = [c for c in circles if c.get("r") == "3.5"]
+    offset = 0
+    for poly, d in ((f, Fraction(20, 11)), (g, Fraction(42, 23))):
+        assert distance(newton_polyhedron(poly)) == d
+        extent = max(max(max(t) for t in poly.support), math.ceil(d)) + 1
+        assert extent > 20
+        xs = [f"{offset + PAD + i * UNIT:.2f}" for i in range(extent + 1)]
+        ys = [f"{PAD + (extent - i) * UNIT:.2f}" for i in range(extent + 1)]
+        n = (extent + 1) ** 2
+        panel, lattice = lattice[:n], lattice[n:]
+        assert [(c.get("cx"), c.get("cy")) for c in panel] == [
+            (x, y) for x in xs for y in ys
+        ]
+        n = len(poly.support)
+        marks, support = support[:n], support[n:]
+        assert [(c.get("cx"), c.get("cy")) for c in marks] == [
+            (xs[j], ys[k]) for j, k in sorted(poly.support)
+        ]
+        offset += 2 * PAD + extent * UNIT
+    assert lattice == [] and support == []
+    assert float(root.get("width")) == offset
