@@ -49,7 +49,6 @@ from .errors import (
 )
 from .newton import (
     Face,
-    FaceKind,
     HullAnalysis,
     distance,
     hull_analysis,
@@ -127,10 +126,10 @@ class AdaptResult:
 
 
 def _needs_swap(hull: HullAnalysis) -> bool:
-    """Whether the axes must be swapped to make k1 <= k2."""
-    return hull.face.kind is FaceKind.VERTICAL_HALFLINE or (
-        hull.face.is_compact_edge and hull.weight.k1 > hull.weight.k2
-    )
+    """Whether the axes must be swapped to make k1 <= k2: true for a
+    vertical half-line, whose weight is (1/j, 0), and for an edge steeper
+    than -1."""
+    return hull.weight.q > hull.weight.p
 
 
 def check_adapted(f: BiPoly) -> AdaptednessReport:
@@ -155,43 +154,31 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
         if _needs_swap(oriented):
             raise InternalInvariantViolation("axis orientation flipped after a swap")
     face, weight = oriented.face, oriented.weight
-    if not face.is_compact_edge:
-        # vertex faces carry the symmetric weight (ratio 1, condition (b)
-        # vacuously true); half-line faces have k1 = 0 (ratio infinite)
-        condition_b = face.kind is FaceKind.VERTEX
-        return AdaptednessReport(
-            adapted=True,
-            condition_a=False,
-            condition_b=condition_b,
-            condition_c=False,
-            axis_swapped=swapped,
-            witness=None,
-            distance=d,
-            face=face,
-            weight=weight,
-            hull=hull,
-        )
-    ratio = weight.ratio
-    condition_b = ratio.denominator == 1
-    roots = verdict_roots(weight, edge_root_polynomial(g, *face.points))
-    max_real = roots.max_real_multiplicity
-    condition_c = Fraction(max_real) > d
+    # in this orientation a vertex has weight (1, 1, 2d) and a half-line
+    # is horizontal with q = 0, so q == 1 reads condition (b) for every
+    # face: vacuously true on a vertex, false on a half-line
+    condition_a = face.is_compact_edge
+    condition_b = weight.q == 1
+    condition_c = False
     witness = None
-    if condition_b and condition_c:
-        if roots.principal_root is None:
-            raise InternalInvariantViolation(
-                "conditions met but no principal root extracted"
+    if condition_a:
+        roots = verdict_roots(weight, edge_root_polynomial(g, *face.points))
+        max_real = roots.max_real_multiplicity
+        condition_c = max_real > d
+        if condition_b and condition_c:
+            if roots.principal_root is None:
+                raise InternalInvariantViolation(
+                    "conditions met but no principal root extracted"
+                )
+            b, m = roots.principal_root
+            if m != weight.p:
+                raise InternalInvariantViolation("witness exponent disagrees with weight")
+            witness = PrincipalRootWitness(
+                coefficient=b, exponent=m, multiplicity=max_real
             )
-        b, m = roots.principal_root
-        if m != int(ratio):
-            raise InternalInvariantViolation("witness exponent disagrees with weight")
-        witness = PrincipalRootWitness(
-            coefficient=b, exponent=m, multiplicity=max_real
-        )
-    adapted = not (condition_b and condition_c)
     return AdaptednessReport(
-        adapted=adapted,
-        condition_a=True,
+        adapted=not (condition_a and condition_b and condition_c),
+        condition_a=condition_a,
         condition_b=condition_b,
         condition_c=condition_c,
         axis_swapped=swapped,
@@ -247,7 +234,6 @@ def _certify_nonterminating(
     start: BiPoly,
     jet: list[tuple[Fraction, int]],
     steps: list[AdaptStep],
-    window: int,
 ) -> int | None:
     """Return the certified multiplicity N, or None if no certificate holds.
 
@@ -256,9 +242,9 @@ def _certify_nonterminating(
     that the squarefree factor of multiplicity N carries a simple series
     root extending the jet, and that the root provably is not a polynomial.
     """
-    if len(steps) < window:
+    if len(steps) < STABILIZATION_WINDOW:
         return None
-    tail = steps[-window:]
+    tail = steps[-STABILIZATION_WINDOW:]
     N = tail[-1].multiplicity
     if any(s.multiplicity != N for s in tail):
         return None
@@ -316,9 +302,7 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
     steps: list[AdaptStep] = []
     while not rep.adapted:
         if len(steps) == max_steps:
-            certified = _certify_nonterminating(
-                start, jet, steps, STABILIZATION_WINDOW
-            )
+            certified = _certify_nonterminating(start, jet, steps)
             if certified is None:
                 raise IterationCapExceeded(
                     f"no adapted system within {max_steps} shears and no "

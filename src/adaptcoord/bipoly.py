@@ -107,28 +107,10 @@ class BiPoly:
         return frozenset(self._terms)
 
     @property
-    def x1_degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(j for j, _ in self._terms)
-
-    @property
     def x2_degree(self) -> int:
         if self.is_zero:
             return -1
         return max(k for _, k in self._terms)
-
-    @property
-    def min_x1(self) -> int:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has empty support")
-        return min(j for j, _ in self._terms)
-
-    @property
-    def min_x2(self) -> int:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has empty support")
-        return min(k for _, k in self._terms)
 
     @property
     def origin_order(self) -> int:
@@ -259,45 +241,38 @@ class BiPoly:
 
 @dataclass(frozen=True, slots=True)
 class Weight:
-    """A weight (k1, k2) with k1, k2 >= 0, not both zero.
+    """The weight (k1, k2) = (q/m, p/m) in lowest terms: integers q, p >= 0,
+    not both zero, m > 0 and gcd(q, p, m) = 1.
 
-    `reduced` writes k1 = q/m, k2 = p/m over the least common denominator m
-    with gcd(q, p, m) = 1; under the convention k1 <= k2 this is the usual
-    normalized pair with p >= q and gcd(p, q) = 1.
+    The weight of a compact edge of slope -q/p has gcd(p, q) = 1 as well,
+    and the terms of weighted degree one are those with q*j + p*k = m.
     """
 
-    k1: Fraction
-    k2: Fraction
+    q: int
+    p: int
+    m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k1", _frac(self.k1))
-        object.__setattr__(self, "k2", _frac(self.k2))
-        if self.k1 < 0 or self.k2 < 0:
+        if self.q < 0 or self.p < 0:
             raise ValueError("weights must be non-negative")
-        if self.k1 == 0 and self.k2 == 0:
+        if self.q == 0 and self.p == 0:
             raise ValueError("weight (0, 0) is not allowed")
+        if self.m <= 0:
+            raise ValueError("weight denominator must be positive")
+        if int_gcd(self.q, self.p, self.m) != 1:
+            raise ValueError("weight triple (q, p, m) must be coprime")
 
     @property
-    def reduced(self) -> tuple[int, int, int]:
-        """(q, p, m) with k1 = q/m, k2 = p/m, gcd(q, p, m) = 1."""
-        m = self.k1.denominator
-        m = m * self.k2.denominator // int_gcd(m, self.k2.denominator)
-        q = int(self.k1 * m)
-        p = int(self.k2 * m)
-        if int_gcd(int_gcd(q, p), m) != 1:
-            raise InternalInvariantViolation("reduced weight triple not coprime")
-        return q, p, m
+    def k1(self) -> Fraction:
+        return Fraction(self.q, self.m)
 
     @property
-    def ratio(self) -> Fraction:
-        """k2 / k1 (requires k1 > 0)."""
-        if self.k1 == 0:
-            raise ZeroDivisionError("ratio undefined for k1 = 0")
-        return self.k2 / self.k1
+    def k2(self) -> Fraction:
+        return Fraction(self.p, self.m)
 
     def degree_of(self, term: Term) -> Fraction:
         j, k = term
-        return self.k1 * j + self.k2 * k
+        return Fraction(self.q * j + self.p * k, self.m)
 
 
 class ShearAxis(Enum):
@@ -326,13 +301,6 @@ class ShearChange:
             raise ValueError("shear coefficient must be nonzero")
         if self.exponent < 1:
             raise ValueError("shear exponent must be >= 1")
-
-
-def weighted_order(f: BiPoly, w: Weight) -> Fraction:
-    """Minimal weighted degree over the support."""
-    if f.is_zero:
-        raise ZeroPolynomial("zero polynomial has no weighted order")
-    return min(w.degree_of(t) for t in f.support)
 
 
 def weighted_part(f: BiPoly, w: Weight, degree: Fraction | int) -> BiPoly:

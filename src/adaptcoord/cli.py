@@ -300,10 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except PolySyntaxError as e:
+    except (_UsageError, PolySyntaxError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except IterationCapExceeded as e:

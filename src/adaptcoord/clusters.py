@@ -28,12 +28,11 @@ from .errors import (
     DegenerateInX2,
     InternalInvariantViolation,
     NonIntegerVertex,
-    RequiresAlgebraicExtension,
     ZeroPolynomial,
 )
 from .newton import build_polyhedron
 from .quasihomog import edge_root_polynomial
-from .unipoly import split_rational_roots
+from .unipoly import rational_roots
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +92,6 @@ def _refine_edge(
     exponent: Fraction,
     count: int,
     depth: int,
-    require_complete: bool,
 ) -> tuple[tuple[Refinement, ...], int]:
     """Split one edge's branches by leading coefficient, recursing on the
     rational ones.  Returns (refinements, unresolved count)."""
@@ -103,12 +101,11 @@ def _refine_edge(
         return (), count
     a = int(exponent)
     *_, u = edge_root_polynomial(f, *edge)
-    rational, _ = split_rational_roots(u)
     refinements: list[Refinement] = []
     resolved = 0
-    for value, mult in rational:
+    for value, mult in rational_roots(u):
         g = apply_shear(f, ShearChange(ShearAxis.X2, value, a))
-        sub_full = top_clusters(g, depth=depth - 1, require_complete=require_complete)
+        sub_full = top_clusters(g, depth=depth - 1)
         continuations = tuple(
             c for c in sub_full.clusters if c.exponent > exponent
         )
@@ -120,18 +117,14 @@ def _refine_edge(
     return tuple(refinements), count - resolved
 
 
-def top_clusters(
-    f: BiPoly, depth: int = 1, require_complete: bool = False
-) -> ClusterLevel:
+def top_clusters(f: BiPoly, depth: int = 1) -> ClusterLevel:
     """Group the Puiseux roots of f by leading exponent.
 
     Depth 1 reads the compact edges of the Newton polygon only: exponents
     are the reduced inverse slopes, counts the x2-drops, and no root
     arithmetic happens at all.  With depth >= 2, branches with integer
     exponent and rational leading coefficient are refined recursively;
-    everything else is counted in the clusters' `unresolved` fields, and
-    with require_complete=True such leftovers raise
-    RequiresAlgebraicExtension instead.
+    everything else is counted in the clusters' `unresolved` fields.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -153,14 +146,7 @@ def top_clusters(
         refinements: tuple[Refinement, ...] = ()
         unresolved = 0
         if depth >= 2:
-            refinements, unresolved = _refine_edge(
-                f, edge, exponent, count, depth, require_complete
-            )
-            if unresolved and require_complete:
-                raise RequiresAlgebraicExtension(
-                    f"{unresolved} branch(es) with exponent {exponent} need "
-                    "algebraic coefficients"
-                )
+            refinements, unresolved = _refine_edge(f, edge, exponent, count, depth)
         clusters.append(Cluster(exponent, count, refinements, unresolved))
     return ClusterLevel(nu1=nu1, nu2=nu2, clusters=tuple(clusters))
 

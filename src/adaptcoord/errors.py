@@ -86,11 +86,6 @@ class NonIntegerVertex(AdaptcoordError):
     """Cluster data reassembled to a vertex with a fractional coordinate."""
 
 
-class RequiresAlgebraicExtension(AdaptcoordError):
-    """Branch refinement needs an irrational coefficient; reported, not raised,
-    in normal operation (kept as an exception for callers that want to opt in)."""
-
-
 # oscillatory quadrature
 
 

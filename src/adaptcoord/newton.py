@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .bipoly import BiPoly, Term, Weight, weighted_part
 from .errors import (
     DegenerateFace,
     EmptySupport,
-    InternalInvariantViolation,
     ZeroPolynomial,
 )
 
@@ -111,11 +111,13 @@ def face_weight(face: Face) -> Weight:
 
 
 def edge_weight(a: Term, b: Term) -> Weight:
-    (j1, k1), (j2, k2) = a, b
-    det = j1 * k2 - j2 * k1
-    if det == 0:
-        raise InternalInvariantViolation("edge endpoints collinear with origin")
-    return Weight(Fraction(k2 - k1, det), Fraction(j1 - j2, det))
+    """The weight of the edge from a = (j0, k0) to b = (j1, k1), left to
+    right: the edge has slope -q/p in lowest terms and lies on the line
+    q*j + p*k = m through a."""
+    (j0, k0), (j1, k1) = a, b
+    g = gcd(k0 - k1, j1 - j0)
+    q, p = (k0 - k1) // g, (j1 - j0) // g
+    return Weight(q, p, q * j0 + p * k0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +138,7 @@ class HullAnalysis:
             # edge i runs from vertex i to vertex i + 1
             i = self.polyhedron.vertices.index(self.face.points[0])
             return self.edge_weights[i]
-        return principal_face_weight(self.face, self.distance)
+        return principal_face_weight(self.face)
 
 
 def hull_analysis(np_: NewtonPolyhedron) -> HullAnalysis:
@@ -187,20 +189,22 @@ def principal_face(np_: NewtonPolyhedron) -> Face:
     return hull_analysis(np_).face
 
 
-def principal_face_weight(face: Face, d: Fraction) -> Weight:
-    """Weight convention for each face kind.
+def principal_face_weight(face: Face) -> Weight:
+    """Weight convention for each face kind, read off the face's points.
 
-    Compact edges carry their supporting-line weight; a vertex face on the
-    diagonal gets the symmetric weight (1/(2d), 1/(2d)); half-lines get a
-    zero component in the unbounded direction.
+    Compact edges carry their supporting-line weight; a vertex (j, j) on
+    the diagonal gets the symmetric weight (1/(2j), 1/(2j)); a half-line
+    through (j, k) gets a zero component in its unbounded direction and
+    puts its anchor at level one: (0, 1/k) horizontal, (1/j, 0) vertical.
     """
     if face.kind is FaceKind.COMPACT_EDGE:
-        return face_weight(face)
+        return edge_weight(*face.points)
+    ((j, k),) = face.points
     if face.kind is FaceKind.VERTEX:
-        return Weight(Fraction(1, 1) / (2 * d), Fraction(1, 1) / (2 * d))
+        return Weight(1, 1, 2 * j)
     if face.kind is FaceKind.HORIZONTAL_HALFLINE:
-        return Weight(Fraction(0), Fraction(1, 1) / d)
-    return Weight(Fraction(1, 1) / d, Fraction(0))
+        return Weight(0, 1, k)
+    return Weight(1, 0, j)
 
 
 def principal_part(f: BiPoly) -> BiPoly:

@@ -18,7 +18,8 @@ leaving the rationals, in time polynomial in the coefficient size.
 
 Key quantities:
 
-* homogeneous distance d_h = 1/(k1+k2) = (nu1*q + nu2*p + p*q*n)/(p+q);
+* homogeneous distance d_h = 1/(k1+k2) = m/(q+p), where
+  m = nu1*q + nu2*p + p*q*n;
 * circle vanishing order m(P): the maximal order of vanishing of P along
   the unit circle, max{nu1, nu2, max real n_l};
 * height of P itself: max{m(P), d_h};
@@ -43,6 +44,7 @@ from .errors import (
     WrongHomogeneity,
     ZeroPolynomial,
 )
+from .newton import edge_weight
 from .unipoly import (
     UniPoly,
     count_real_roots,
@@ -71,18 +73,14 @@ def detect_weight(P: BiPoly) -> Weight | WeightDetection:
     pts = sorted(P.support)
     if len(pts) == 1:
         return WeightDetection.MONOMIAL
-    (j1, k1), (j2, k2) = pts[0], pts[-1]
-    det = Fraction(j1 * k2 - j2 * k1)
-    if det == 0:
+    # pts is sorted by j, so the line through its ends has negative slope
+    # exactly when j rises and k falls from a to b
+    a, b = pts[0], pts[-1]
+    if a[0] == b[0] or a[1] <= b[1]:
         return WeightDetection.NOT_QUASI_HOMOGENEOUS
-    w1 = (k2 - k1) / det
-    w2 = (j1 - j2) / det
-    if w1 <= 0 or w2 <= 0:
+    w = edge_weight(a, b)
+    if any(w.q * j + w.p * k != w.m for j, k in pts):
         return WeightDetection.NOT_QUASI_HOMOGENEOUS
-    w = Weight(w1, w2)
-    for t in pts:
-        if w.degree_of(t) != 1:
-            return WeightDetection.NOT_QUASI_HOMOGENEOUS
     return w
 
 
@@ -191,9 +189,9 @@ def verdict_roots(w: Weight, edge: Edge) -> QuasiHomogData:
     degree * multiplicity <= n < 2 * multiplicity and is linear.
     """
     nu1, nu2, q, p, n, u = edge
-    d_h = Fraction(nu1 * q + nu2 * p + p * q * n, q + p)
-    if d_h != 1 / (w.k1 + w.k2):
-        raise InternalInvariantViolation("two homogeneous-distance formulas disagree")
+    if (q, p) != (w.q, w.p) or q * nu1 + p * nu2 + p * q * n != w.m:
+        raise InternalInvariantViolation("edge reading disagrees with its weight")
+    d_h = Fraction(w.m, q + p)
     factors = squarefree_decompose(u).factors
     max_real = 0
     principal: tuple[Fraction, int] | None = None
@@ -225,7 +223,7 @@ def analyze(P: BiPoly) -> QuasiHomogData:
     """
     _require_order_two(P)
     w, *edge = root_structure(P)
-    if w.k1 > w.k2:
+    if w.q > w.p:
         raise AxesNotNormalized("expected k1 <= k2; swap the axes first")
     return verdict_roots(w, tuple(edge))
 
@@ -267,12 +265,11 @@ def predict_shear_vertices(P: BiPoly, b: Fraction | int) -> tuple[Term, Term]:
         raise WrongHomogeneity("a single monomial does not determine the weight")
     if w is WeightDetection.NOT_QUASI_HOMOGENEOUS:
         raise NotQuasiHomogeneous("support is not on one positively-weighted line")
-    q, p, _ = w.reduced
-    if q != 1:
-        raise WrongHomogeneity(f"weight ratio {p}/{q} is not an integer")
+    if w.q != 1:
+        raise WrongHomogeneity(f"weight ratio {w.p}/{w.q} is not an integer")
     nu1, nu2, _, _, n, u = edge_root_polynomial(P, min(P.support), max(P.support))
     mult = dict(rational_roots(u)).get(b, 0)
     first = (nu1, nu2 + n)
-    last = (nu1 + p * (nu2 + n - mult), mult)
+    last = (nu1 + w.p * (nu2 + n - mult), mult)
     return first, last
 

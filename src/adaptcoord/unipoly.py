@@ -57,10 +57,6 @@ class UniPoly:
         return UniPoly.from_coeffs([c])
 
     @staticmethod
-    def variable() -> "UniPoly":
-        return UniPoly((Fraction(0), Fraction(1)))
-
-    @staticmethod
     def monomial(exponent: int, coefficient: Fraction | int = 1) -> "UniPoly":
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
@@ -102,15 +98,6 @@ class UniPoly:
             if c != 0:
                 return i
         raise AssertionError("unreachable")
-
-    @property
-    def trailing(self) -> Fraction:
-        return self.coeffs[self.trailing_order]
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
 
     # arithmetic
 
@@ -598,28 +585,28 @@ def _deflate(p: UniPoly, r: Fraction) -> UniPoly:
     return UniPoly(tuple(reversed(out)))
 
 
+def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
+    """Rational roots of p with multiplicities, sorted increasing; each
+    root's multiplicity is that of its squarefree factor."""
+    if p.is_zero:
+        raise ZeroPolynomial("zero polynomial has every root")
+    return sorted(
+        (r, mult)
+        for factor, mult in squarefree_decompose(p).factors
+        for _, _, r in exact_real_roots(factor)
+        if r is not None
+    )
+
+
 def split_rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     """All rational roots with multiplicities, plus the deflated cofactor.
 
     p == cofactor * prod((y - r)**m) exactly; the cofactor has no rational
-    roots.  Roots are sorted increasing; each root's multiplicity is that of
-    its squarefree factor.
+    roots.  Roots are sorted increasing.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("zero polynomial has every root")
-    dec = squarefree_decompose(p)
-    roots: list[tuple[Fraction, int]] = []
-    cofactor = UniPoly.constant(dec.constant)
-    for factor, mult in dec.factors:
-        for _, _, r in exact_real_roots(factor):
-            if r is not None:
-                roots.append((r, mult))
-                factor = _deflate(factor, r)
-        cofactor = cofactor * factor**mult
-    roots.sort()
+    roots = rational_roots(p)
+    cofactor = p
+    for r, mult in roots:
+        for _ in range(mult):
+            cofactor = _deflate(cofactor, r)
     return roots, cofactor
-
-
-def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
-    """Rational roots of p with multiplicities, sorted increasing."""
-    return split_rational_roots(p)[0]

@@ -23,11 +23,9 @@ from adaptcoord import (
     scale_axes,
     squarefree_part_x2,
     swap_axes,
-    weighted_order,
     weighted_part,
 )
 from adaptcoord.bipoly import _rows_gcd, _rows_of, _rows_to_bipoly
-from adaptcoord.errors import ZeroPolynomial
 from adaptcoord.unipoly import _z_gcd, exact_div, poly_gcd
 from conftest import bipolys, coefficients, random_corpus
 
@@ -43,10 +41,7 @@ def test_constructor_drops_zero_coefficients():
 
 def test_basic_accessors():
     f = parse("x2^2 - 2*x1^2*x2 + x1^4")
-    assert f.x1_degree == 4
     assert f.x2_degree == 2
-    assert f.min_x1 == 0
-    assert f.min_x2 == 0
     assert f.origin_order == 2
     assert f.coeff(2, 1) == -2
     assert f.coeff(5, 5) == 0
@@ -94,32 +89,28 @@ def test_x2_coefficients_rows():
 
 
 def test_weight_normalization_and_degree():
-    w = Weight(Fraction(1, 4), Fraction(1, 2))
-    assert w.ratio == 2
-    q, p, m = w.reduced
-    assert (q, p) == (1, 2)
+    w = Weight(1, 2, 4)
+    assert (w.k1, w.k2) == (Fraction(1, 4), Fraction(1, 2))
     assert w.degree_of((2, 1)) == 1
-    with pytest.raises(ValueError):
-        Weight(Fraction(0), Fraction(0))
+    assert w.degree_of((5, 0)) == Fraction(5, 4)
+    # not coprime, zero, no positive denominator, negative
+    for q, p, m in [(2, 4, 8), (0, 0, 1), (1, 2, 0), (-1, 2, 3)]:
+        with pytest.raises(ValueError):
+            Weight(q, p, m)
 
 
 def test_weighted_order_and_part_partition():
     f = parse("x2^2 - 2*x1^2*x2 + x1^4 + x1^5")
-    w = Weight(Fraction(1, 4), Fraction(1, 2))
-    assert weighted_order(f, w) == 1
+    w = Weight(1, 2, 4)
+    assert min(w.degree_of(t) for t in f.support) == 1
     assert weighted_part(f, w, 1) == parse("x2^2 - 2*x1^2*x2 + x1^4")
     assert weighted_part(f, w, Fraction(5, 4)) == parse("x1^5")
-
-
-def test_weighted_order_rejects_zero():
-    with pytest.raises(ZeroPolynomial):
-        weighted_order(BiPoly.zero(), Weight(Fraction(1, 2), Fraction(1, 2)))
 
 
 @given(nonzero_bipolys)
 @settings(max_examples=60)
 def test_weighted_parts_sum_back(f):
-    w = Weight(Fraction(1, 3), Fraction(1, 2))
+    w = Weight(2, 3, 6)
     degrees = {w.degree_of(t) for t in f.support}
     total = BiPoly.zero()
     for deg in degrees:

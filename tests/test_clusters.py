@@ -26,7 +26,6 @@ from adaptcoord import (
 from adaptcoord.errors import (
     DegenerateInX2,
     NonIntegerVertex,
-    RequiresAlgebraicExtension,
     ZeroPolynomial,
 )
 from conftest import analyzable_bipolys
@@ -128,8 +127,6 @@ def test_fractional_exponent_is_left_unresolved():
     (c,) = cl.clusters
     assert c.refinements == ()
     assert c.unresolved == 2
-    with pytest.raises(RequiresAlgebraicExtension):
-        top_clusters(parse("x2^2 - x1^3"), depth=2, require_complete=True)
 
 
 def test_irrational_coefficient_is_left_unresolved():
@@ -139,13 +136,6 @@ def test_irrational_coefficient_is_left_unresolved():
     assert c.count == 3
     assert c.unresolved == 2  # the two square-root branches
     assert [(r.coefficient, r.count) for r in c.refinements] == [(1, 1)]
-    with pytest.raises(RequiresAlgebraicExtension):
-        top_clusters(f, depth=2, require_complete=True)
-
-
-def test_depth_one_never_raises_for_incomplete_branches():
-    cl = top_clusters(parse("x2^2 - x1^3"), depth=1, require_complete=True)
-    assert cl.clusters[0].unresolved == 0
 
 
 def test_input_validation():

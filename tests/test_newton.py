@@ -217,17 +217,34 @@ def test_face_weight_only_for_edges():
 
 
 def test_principal_face_weight_conventions():
-    d = Fraction(2)
-    vertex_w = principal_face_weight(Face(FaceKind.VERTEX, ((2, 2),)), d)
+    vertex_w = principal_face_weight(Face(FaceKind.VERTEX, ((2, 2),)))
     assert (vertex_w.k1, vertex_w.k2) == (Fraction(1, 4), Fraction(1, 4))
-    horiz_w = principal_face_weight(
-        Face(FaceKind.HORIZONTAL_HALFLINE, ((1, 2),)), d
-    )
+    horiz_w = principal_face_weight(Face(FaceKind.HORIZONTAL_HALFLINE, ((1, 2),)))
     assert (horiz_w.k1, horiz_w.k2) == (0, Fraction(1, 2))
-    vert_w = principal_face_weight(
-        Face(FaceKind.VERTICAL_HALFLINE, ((2, 3),)), d
-    )
+    vert_w = principal_face_weight(Face(FaceKind.VERTICAL_HALFLINE, ((2, 3),)))
     assert (vert_w.k1, vert_w.k2) == (Fraction(1, 2), 0)
+
+
+@given(wide_supports)
+@settings(max_examples=100)
+def test_edge_weight_matches_the_determinant_formula(support):
+    np_ = build_polyhedron(support)
+    for a, b in np_.edges:
+        # the reference: the line through a and b at level one, solved by
+        # Cramer's rule
+        (j1, k1), (j2, k2) = a, b
+        det = j1 * k2 - j2 * k1
+        w = edge_weight(a, b)
+        assert (w.k1, w.k2) == (Fraction(k2 - k1, det), Fraction(j1 - j2, det))
+    face = principal_face(np_)
+    if distance(np_) > 0:
+        w = principal_face_weight(face)
+        assert all(w.q * j + w.p * k == w.m for j, k in face.points)
+        # the symmetric weight of a vertex is a convention, not a supporting
+        # weight: (0, 3) lies below level 4 at the vertex (2, 2) of
+        # {(0, 3), (2, 2), (12, 0)}
+        if face.kind is not FaceKind.VERTEX:
+            assert all(w.q * j + w.p * k >= w.m for j, k in support)
 
 
 def test_principal_part_examples():
@@ -268,4 +285,4 @@ def test_hull_analysis_weights_match_the_face_conventions(support):
     assert hull.polyhedron == np_
     assert hull.edge_weights == tuple(edge_weight(a, b) for a, b in np_.edges)
     if hull.distance > 0:
-        assert hull.weight == principal_face_weight(hull.face, hull.distance)
+        assert hull.weight == principal_face_weight(hull.face)
