@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from adaptcoord import adapt, fit_decay, parse
+from adaptcoord import DEFAULT_MAX_STEPS, adapt, fit_decay, parse
 
 DEFAULT_CASES = [
     "x1^2 + x2^2",
@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--lambda-max", type=float, default=1.0e4)
     ap.add_argument("--points", type=int, default=7)
     ap.add_argument("--radius", type=float, default=0.5)
-    ap.add_argument("--max-steps", type=int, default=64)
+    ap.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args(argv)
     rows = [run_case(src, args) for src in args.expressions]

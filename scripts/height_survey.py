@@ -19,7 +19,13 @@ import time
 from collections import Counter
 from random import Random
 
-from adaptcoord import BiPoly, IterationCapExceeded, adapt, check_adapted
+from adaptcoord import (
+    DEFAULT_MAX_STEPS,
+    BiPoly,
+    IterationCapExceeded,
+    adapt,
+    check_adapted,
+)
 
 # the corpus of the test suite: tests/conftest.py draws it from here
 CORPUS_SEED = 20260822
@@ -76,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=500)
     ap.add_argument("--seed", type=int, default=CORPUS_SEED)
-    ap.add_argument("--max-steps", type=int, default=64)
+    ap.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     ap.add_argument("--json", action="store_true")
     ap.add_argument(
         "--show-nonadapted",

@@ -210,6 +210,15 @@ def shear_step(f: BiPoly) -> tuple[ShearChange, BiPoly]:
     return shear, g_next
 
 
+def _x1_extremes(F: BiPoly, pick) -> dict[int, int]:
+    """The smallest (pick=min) or largest (pick=max) x1-exponent of F's
+    terms, for each x2-exponent that occurs."""
+    out: dict[int, int] = {}
+    for j, k in F.support:
+        out[k] = pick(out.get(k, j), j)
+    return out
+
+
 def _polynomial_root_degree_bound(F: BiPoly) -> int:
     """Upper bound on deg(sigma) over polynomial roots sigma(x1) of F.
 
@@ -217,17 +226,9 @@ def _polynomial_root_degree_bound(F: BiPoly) -> int:
     the top term contribute degree deg(a_B) + B*t, which must be matched by
     some lower term: t <= (deg a_i - deg a_B) / (B - i).
     """
-    rows = F.x2_coefficients()
-    top = len(rows) - 1
-    deg_top = rows[top].degree
-    bound = 0
-    for i in range(top):
-        if rows[i].is_zero:
-            continue
-        t = Fraction(rows[i].degree - deg_top, top - i)
-        if t > bound:
-            bound = int(t)  # floor for positive t
-    return bound
+    deg = _x1_extremes(F, max)
+    top = F.x2_degree
+    return max([0] + [(deg[i] - deg[top]) // (top - i) for i in deg if i < top])
 
 
 def _certify_nonterminating(
@@ -250,28 +251,22 @@ def _certify_nonterminating(
         return None
     if N < 2:
         return None
-    _, factors = squarefree_part_x2(start)
-    matching = [F for F, j in factors if j == N]
+    matching = [F for F, j in squarefree_part_x2(start) if j == N]
     if not matching:
         return None
     F = matching[0]
-    G = apply_jet(F, jet)
-    rows = G.x2_coefficients()
-    if len(rows) < 2 or rows[0].is_zero or rows[1].is_zero:
+    low = _x1_extremes(apply_jet(F, jet), min)
+    if 0 not in low or 1 not in low:
         return None
-    e0 = rows[0].trailing_order
-    e1 = rows[1].trailing_order
-    m_next = e0 - e1
+    e0 = low[0]
+    m_next = e0 - low[1]
     m_last = jet[-1][1]
     if m_next <= m_last:
         return None
     # the (i=0, i=1) edge of the series Newton polygon must dominate, so
     # the continuation is the unique root of maximal order and is simple
-    for i in range(2, len(rows)):
-        if rows[i].is_zero:
-            continue
-        if rows[i].trailing_order + i * m_next <= e0:
-            return None
+    if any(e + i * m_next <= e0 for i, e in low.items() if i >= 2):
+        return None
     if m_next <= _polynomial_root_degree_bound(F):
         return None
     if Fraction(N) <= steps[-1].distance:

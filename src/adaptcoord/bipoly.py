@@ -27,7 +27,6 @@ from .errors import (
 )
 from .unipoly import (
     Row,
-    UniPoly,
     _frac,
     _z_adic,
     _z_eval,
@@ -187,26 +186,6 @@ class BiPoly:
             elif axis == 2 and k > 0:
                 out[(j, k - 1)] = c * k
         return BiPoly(out)
-
-    # conversions between the sparse form and the dense view in x2
-
-    def x2_coefficients(self) -> list[UniPoly]:
-        """Dense list of x1-polynomials: entry k multiplies x2^k."""
-        if self.is_zero:
-            return []
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.x2_degree + 1)]
-        for (j, k), c in self._terms.items():
-            rows[k][j] = c
-        out = []
-        for row in rows:
-            if row:
-                size = max(row) + 1
-                out.append(UniPoly.from_coeffs(
-                    [row.get(i, Fraction(0)) for i in range(size)]
-                ))
-            else:
-                out.append(UniPoly.zero())
-        return out
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -497,14 +476,13 @@ def _rows_to_bipoly(v: list[Row]) -> BiPoly:
     })
 
 
-def squarefree_part_x2(f: BiPoly) -> tuple[BiPoly, tuple[tuple[BiPoly, int], ...]]:
+def squarefree_part_x2(f: BiPoly) -> tuple[tuple[BiPoly, int], ...]:
     """Squarefree decomposition of f as a polynomial in x2.
 
-    Returns (squarefree, factors) with factors a tuple of (F, j) such that
-    f equals a polynomial in x1 alone times prod(F**j); each F is primitive
-    with coprime integer coefficients, squarefree and pairwise coprime over
-    the rational functions in x1, and multiplicities are strictly
-    increasing.  `squarefree` is the product of the F's.
+    Returns a tuple of (F, j) such that f equals a polynomial in x1 alone
+    times prod(F**j); each F is primitive with coprime integer
+    coefficients, squarefree and pairwise coprime over the rational
+    functions in x1, and multiplicities are strictly increasing.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
@@ -518,8 +496,4 @@ def squarefree_part_x2(f: BiPoly) -> tuple[BiPoly, tuple[tuple[BiPoly, int], ...
         sub=_rows_sub,
         degree=lambda v: len(v) - 1,
     )
-    factors = tuple((_rows_to_bipoly(g), i) for g, i in found)
-    squarefree = BiPoly.constant(1)
-    for g_poly, _ in factors:
-        squarefree = squarefree * g_poly
-    return squarefree, factors
+    return tuple((_rows_to_bipoly(g), i) for g, i in found)

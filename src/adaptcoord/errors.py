@@ -33,10 +33,6 @@ class DegenerateInX2(AdaptcoordError):
     """The polynomial does not involve x2, so x2-root structure is undefined."""
 
 
-class DegenerateFace(AdaptcoordError):
-    """A supporting weight was requested for a face that is not a compact edge."""
-
-
 # weighted-homogeneous analysis
 
 

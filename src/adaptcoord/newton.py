@@ -18,7 +18,6 @@ from typing import Iterable
 
 from .bipoly import BiPoly, Term, Weight, weighted_part
 from .errors import (
-    DegenerateFace,
     EmptySupport,
     ZeroPolynomial,
 )
@@ -101,13 +100,6 @@ def newton_polyhedron(f: BiPoly) -> NewtonPolyhedron:
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has no Newton polyhedron")
     return build_polyhedron(f.support)
-
-
-def face_weight(face: Face) -> Weight:
-    """The weight whose unit-level line supports a compact edge."""
-    if face.kind is not FaceKind.COMPACT_EDGE:
-        raise DegenerateFace(f"face of kind {face.kind.value} has no edge weight")
-    return edge_weight(*face.points)
 
 
 def edge_weight(a: Term, b: Term) -> Weight:

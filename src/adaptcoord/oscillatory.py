@@ -105,20 +105,17 @@ def estimate_integral(
         )
     xs = (np.arange(grid_n) + 0.5) * cell - radius
     w = bump_profile(xs / radius)
-    # rows[k](x1) is the coefficient of x2^k; evaluate on the x1 axis once,
-    # then run Horner in x2 blockwise to bound memory
-    rows = f.x2_coefficients()
-    a_vals = np.zeros((len(rows), grid_n))
-    for k, row in enumerate(rows):
-        if not row.is_zero:
-            a_vals[k] = np.polynomial.polynomial.polyval(
-                xs, [float(c) for c in row.coeffs]
-            )
+    # a_vals[k] is the coefficient of x2^k, a polynomial in x1, evaluated
+    # on the x1 axis once; then Horner runs in x2 blockwise to bound memory
+    coeffs = np.zeros((max(j for j, _ in f.support) + 1, f.x2_degree + 1))
+    for (j, k), c in f.terms().items():
+        coeffs[j, k] = float(c)
+    a_vals = np.polynomial.polynomial.polyval(xs, coeffs)
     total = 0.0 + 0.0j
     for start in range(0, grid_n, _BLOCK):
         x2 = xs[start : start + _BLOCK]
         phi = np.broadcast_to(a_vals[-1][:, None], (grid_n, len(x2))).copy()
-        for k in range(len(rows) - 2, -1, -1):
+        for k in range(len(a_vals) - 2, -1, -1):
             phi *= x2[None, :]
             phi += a_vals[k][:, None]
         block = np.exp(1j * lam * phi)

@@ -9,12 +9,13 @@ Writing k1 = q/m, k2 = p/m in lowest terms, P factors as
 over the complex numbers.  The same holds for the terms of any f on a
 compact edge of its Newton polygon.  Everything this module reports is
 derived exactly from that factorization: the lambda_l are the roots of a
-single univariate polynomial u, which edge_root_polynomial reads straight
-off the edge's lattice points (the one path from an edge to u, used by the
-adaptedness verdict, the cluster refinement and analyze alike).  Its
-squarefree decomposition, real-root counting (Sturm) and rational roots
-found by Sturm isolation give the full multiplicity data without ever
-leaving the rationals, in time polynomial in the coefficient size.
+single univariate polynomial u in Z[y], which edge_root_polynomial reads
+straight off the edge's lattice points (the one path from an edge to u,
+used by the adaptedness verdict, the cluster refinement and analyze
+alike).  Its squarefree decomposition, real-root counting (Sturm) and
+rational roots found by Sturm isolation give the full multiplicity data
+without ever leaving the rationals, in time polynomial in the
+coefficient size.
 
 Key quantities:
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .bipoly import BiPoly, Term, Weight
 from .errors import (
@@ -89,7 +90,8 @@ class RealRootDescriptor:
     """One real root of the root polynomial, with its multiplicity.
 
     Rational roots carry their exact value; irrational ones carry the
-    squarefree factor they satisfy and a half-open isolating interval.
+    primitive squarefree integer factor they satisfy and a half-open
+    isolating interval.
     """
 
     multiplicity: int
@@ -107,15 +109,17 @@ def edge_root_polynomial(f: BiPoly, a: Term, b: Term) -> Edge:
     With a = (j0, k0) left of b = (j1, k1), the lattice points of the edge
     are (j0 + p*(n - i), k1 + q*i) for i = 0..n, where n = gcd(j1 - j0,
     k0 - k1) and the edge has slope -q/p; u collects f's coefficients at
-    them, so the terms of f on the edge are x1^j0 * x2^k1 * x1^(p*n) *
-    u(x2^q / x1^p) and u(y) = c * prod (y - lambda_l)^{n_l}.
+    them, times the lcm of their denominators, so the terms of f on the
+    edge are x1^j0 * x2^k1 * x1^(p*n) * u(x2^q / x1^p) over that lcm, and
+    u(y) = c * prod (y - lambda_l)^{n_l}.  For f with integer coefficients
+    u is exactly f's coefficients on the edge.
     """
     (j0, k0), (j1, k1) = a, b
     n = gcd(j1 - j0, k0 - k1)
     p, q = (j1 - j0) // n, (k0 - k1) // n
-    u = UniPoly.from_coeffs(
-        f.coeff(j0 + p * (n - i), k1 + q * i) for i in range(n + 1)
-    )
+    cs = [f.coeff(j0 + p * (n - i), k1 + q * i) for i in range(n + 1)]
+    den = lcm(*(c.denominator for c in cs))
+    u = UniPoly.from_coeffs(c.numerator * (den // c.denominator) for c in cs)
     if u.degree != n or u.trailing_order != 0:
         raise InternalInvariantViolation("root polynomial lost an extreme term")
     return j0, k1, q, p, n, u
@@ -139,8 +143,9 @@ def root_structure(P: BiPoly) -> tuple[Weight, int, int, int, int, int, UniPoly]
 @dataclass(frozen=True, slots=True)
 class QuasiHomogData:
     """Exact factorization data of a quasi-homogeneous polynomial: the
-    squarefree decomposition of its root polynomial u, with the two values
-    the adaptedness verdict reads off it."""
+    squarefree decomposition of its root polynomial u into primitive
+    integer factors, with the two values the adaptedness verdict reads
+    off it."""
 
     weight: Weight
     nu1: int
@@ -192,7 +197,7 @@ def verdict_roots(w: Weight, edge: Edge) -> QuasiHomogData:
     if (q, p) != (w.q, w.p) or q * nu1 + p * nu2 + p * q * n != w.m:
         raise InternalInvariantViolation("edge reading disagrees with its weight")
     d_h = Fraction(w.m, q + p)
-    factors = squarefree_decompose(u).factors
+    factors = squarefree_decompose(u)
     max_real = 0
     principal: tuple[Fraction, int] | None = None
     for factor, mult in factors:
@@ -210,7 +215,7 @@ def verdict_roots(w: Weight, edge: Edge) -> QuasiHomogData:
             raise InternalInvariantViolation(
                 "principal root must be rational for rational input"
             )
-        principal = (-factor.coeffs[0], p)
+        principal = (Fraction(-factor.coeffs[0], factor.coeffs[1]), p)
     return QuasiHomogData(w, nu1, nu2, n, d_h, factors, max_real, principal)
 
 

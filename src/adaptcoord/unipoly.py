@@ -1,23 +1,23 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomials over the integers.
 
-A UniPoly keeps stdlib Fractions, dense, lowest degree first, with no
-trailing zeros.  The kernels work on its primitive integer row instead
-and build Fractions only for their results: squarefree decomposition is
-Yun's algorithm in Z[y] with heuristic gcds checked by exact division,
-and real roots are counted (Sturm chains on half-open intervals) and
-isolated by bisection on one primitive remainder sequence, whose signs
-at a rational point are those of an integer.  Rational roots are read
-off isolating intervals refined below 1/leading coefficient, so root
-finding costs time polynomial in the coefficient size.  The Z[x]
-helpers here are also the rows of bipoly.py's kernels over Z[x1].  No
-floating point anywhere.
+A UniPoly is an integer row: a tuple of ints, lowest degree first, with
+no trailing zeros.  Roots, multiplicities and root counts do not change
+when a polynomial is scaled, so the kernels read the row as it is.
+Squarefree decomposition is Yun's algorithm in Z[y] with heuristic gcds
+checked by exact division, and real roots are counted (Sturm chains on
+half-open intervals) and isolated by bisection on one primitive
+remainder sequence, whose signs at a rational point are those of an
+integer.  Rational roots are read off isolating intervals refined below
+1/leading coefficient, so root finding costs time polynomial in the
+coefficient size.  The Z[x] helpers here are also the rows of
+bipoly.py's kernels over Z[x1].  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantViolation, NotSquarefree, ZeroPolynomial
@@ -33,46 +33,19 @@ def _frac(x: Fraction | int) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class UniPoly:
-    """Dense univariate polynomial; coeffs[i] multiplies y**i."""
+    """Dense univariate polynomial in Z[y]; coeffs[i] multiplies y**i."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     @staticmethod
-    def from_coeffs(seq: Iterable[Fraction | int]) -> "UniPoly":
-        cs = [_frac(c) for c in seq]
+    def from_coeffs(seq: Iterable[int]) -> "UniPoly":
+        cs = list(seq)
+        for c in cs:
+            if not isinstance(c, int):
+                raise TypeError(f"expected int, got {type(c).__name__}")
         while cs and cs[-1] == 0:
             cs.pop()
         return UniPoly(tuple(cs))
-
-    @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly(())
-
-    @staticmethod
-    def one() -> "UniPoly":
-        return UniPoly((Fraction(1),))
-
-    @staticmethod
-    def constant(c: Fraction | int) -> "UniPoly":
-        return UniPoly.from_coeffs([c])
-
-    @staticmethod
-    def monomial(exponent: int, coefficient: Fraction | int = 1) -> "UniPoly":
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        c = _frac(coefficient)
-        if c == 0:
-            return UniPoly.zero()
-        return UniPoly((Fraction(0),) * exponent + (c,))
-
-    @staticmethod
-    def from_roots(roots: Iterable[Fraction | int]) -> "UniPoly":
-        p = UniPoly.one()
-        for r in roots:
-            p = p * UniPoly.from_coeffs([-_frac(r), 1])
-        return p
-
-    # basic queries
 
     @property
     def is_zero(self) -> bool:
@@ -84,12 +57,6 @@ class UniPoly:
         return len(self.coeffs) - 1
 
     @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    @property
     def trailing_order(self) -> int:
         """Smallest exponent with a nonzero coefficient."""
         if self.is_zero:
@@ -99,135 +66,49 @@ class UniPoly:
                 return i
         raise AssertionError("unreachable")
 
-    # arithmetic
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly.from_coeffs(out)
+# Division and Euclid's gcd over Q, on tuples of Fractions, lowest degree
+# first, with no trailing zeros.  No kernel below uses them: they are the
+# reference the integer kernels are tested against.
 
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "UniPoly | Fraction | int") -> "UniPoly":
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return UniPoly.from_coeffs(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: Fraction | int) -> "UniPoly":
-        c = _frac(c)
-        if c == 0:
-            return UniPoly.zero()
-        return UniPoly(tuple(a * c for a in self.coeffs))
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        return self.scale(1 / self.leading)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*y" if c != 1 else "y")
-            else:
-                parts.append(f"{c}*y^{i}" if c != 1 else f"y^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
+QRow = tuple[Fraction, ...]
 
 
-# Division and Euclid's gcd over Q.  No kernel below uses them: they are
-# the reference the integer kernels are tested against.
-
-
-def divmod_poly(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
+def divmod_poly(num: QRow, den: QRow) -> tuple[QRow, QRow]:
     """Quotient and remainder of exact field division."""
-    if den.is_zero:
+    if not den:
         raise ZeroPolynomial("division by the zero polynomial")
-    if num.degree < den.degree:
-        return UniPoly.zero(), num
-    rem = list(num.coeffs)
-    dd = den.degree
-    lead = den.leading
-    quot = [Fraction(0)] * (len(rem) - dd)
+    rem = list(num)
+    dd = len(den) - 1
+    quot = [Fraction(0)] * max(len(rem) - dd, 0)
     for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        q = c / lead
+        q = Fraction(rem[i]) / den[-1]
         quot[i - dd] = q
-        for j, dc in enumerate(den.coeffs):
-            rem[i - dd + j] -= q * dc
-    return UniPoly.from_coeffs(quot), UniPoly.from_coeffs(rem)
+        for j, c in enumerate(den):
+            rem[i - dd + j] -= q * c
+    del rem[dd:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quot), tuple(rem)
 
 
-def exact_div(num: UniPoly, den: UniPoly) -> UniPoly:
+def exact_div(num: QRow, den: QRow) -> QRow:
     q, r = divmod_poly(num, den)
-    if not r.is_zero:
+    if r:
         raise ValueError("division is not exact")
     return q
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+def poly_gcd(a: QRow, b: QRow) -> QRow:
     """Monic gcd via the Euclidean algorithm."""
-    while not b.is_zero:
-        _, r = divmod_poly(a, b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return a.monic()
+    while b:
+        a, b = b, divmod_poly(a, b)[1]
+    return tuple(c / Fraction(a[-1]) for c in a)
 
 
 # --- integer rows ---------------------------------------------------------
 #
-# The kernels below work on a polynomial in Z[y] kept as a row: a list of
+# The kernels below work on a UniPoly's coefficients as a row: a list of
 # integers, lowest degree first, no trailing zeros ([] is zero).  bipoly.py
 # builds its rows over Z[x1] from the same helpers.
 
@@ -235,12 +116,11 @@ Row = list[int]
 
 
 def integer_row(p: UniPoly) -> Row:
-    """p's primitive integer row: p scaled to coprime integer coefficients,
-    the leading one positive."""
+    """p's primitive integer row: p over the gcd of its coefficients, the
+    leading one positive."""
     if p.is_zero:
         raise ZeroPolynomial("the zero polynomial has no primitive row")
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return _z_primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return _z_primitive(list(p.coeffs))
 
 
 def _z_mul(a: Row, b: Row) -> Row:
@@ -351,21 +231,6 @@ def _z_gcd(a: Row, b: Row) -> Row:
         xi *= xi
 
 
-@dataclass(frozen=True, slots=True)
-class SquarefreeDecomposition:
-    """p = constant * prod(factor**multiplicity); factors monic, squarefree,
-    pairwise coprime, listed with strictly increasing multiplicity."""
-
-    constant: Fraction
-    factors: tuple[tuple[UniPoly, int], ...]
-
-    def expand(self) -> UniPoly:
-        p = UniPoly.constant(self.constant)
-        for f, mult in self.factors:
-            p = p * f**mult
-        return p
-
-
 def yun(p, *, gcd, div, deriv, sub, degree) -> list:
     """Yun's algorithm for p in one variable over a field, or over a
     unique factorization domain such as Z or Z[x1] with primitive gcds,
@@ -392,17 +257,18 @@ def yun(p, *, gcd, div, deriv, sub, degree) -> list:
     return factors
 
 
-def squarefree_decompose(p: UniPoly) -> SquarefreeDecomposition:
+def squarefree_decompose(p: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
     """Yun's algorithm on p's primitive integer row, with heuristic gcds
-    and exact divisions in Z[y].
+    and exact divisions in Z[y]: the pairs (factor, multiplicity) with p
+    equal to an integer times the product of factor**multiplicity.
 
     Every gcd is primitive, so by Gauss's lemma every division stays in
-    Z[y]; each factor is made monic once, at the end.
+    Z[y]: each factor is primitive and squarefree, its leading
+    coefficient positive, the factors pairwise coprime and listed with
+    strictly increasing multiplicity.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
-    if p.degree == 0:
-        return SquarefreeDecomposition(p.coeffs[0], ())
     found = yun(
         integer_row(p),
         gcd=_z_gcd,
@@ -411,18 +277,7 @@ def squarefree_decompose(p: UniPoly) -> SquarefreeDecomposition:
         sub=_z_sub,
         degree=lambda a: len(a) - 1,
     )
-    return SquarefreeDecomposition(p.leading, tuple(
-        (UniPoly(tuple(Fraction(c, g[-1]) for c in g)), i) for g, i in found
-    ))
-
-
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors."""
-    dec = squarefree_decompose(p)
-    out = UniPoly.one()
-    for f, _ in dec.factors:
-        out = out * f
-    return out
+    return tuple((UniPoly(tuple(g)), i) for g, i in found)
 
 
 # Sturm chains.  Sign counts use the convention that zeros are skipped, so
@@ -515,8 +370,8 @@ def root_bound(p: UniPoly) -> Fraction:
     """Cauchy bound: every real root lies in (-B, B]."""
     if p.is_zero or p.degree == 0:
         return Fraction(1)
-    lead = abs(p.leading)
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
+    lead = abs(p.coeffs[-1])
+    return Fraction(lead + max(map(abs, p.coeffs[:-1])), lead)
 
 
 def isolate_real_roots(
@@ -575,16 +430,6 @@ def exact_real_roots(
     return out
 
 
-def _deflate(p: UniPoly, r: Fraction) -> UniPoly:
-    """p / (y - r) for a root r of p, by synthetic division."""
-    acc = Fraction(0)
-    out = []
-    for c in reversed(p.coeffs[1:]):
-        acc = acc * r + c
-        out.append(acc)
-    return UniPoly(tuple(reversed(out)))
-
-
 def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
     """Rational roots of p with multiplicities, sorted increasing; each
     root's multiplicity is that of its squarefree factor."""
@@ -592,7 +437,7 @@ def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
         raise ZeroPolynomial("zero polynomial has every root")
     return sorted(
         (r, mult)
-        for factor, mult in squarefree_decompose(p).factors
+        for factor, mult in squarefree_decompose(p)
         for _, _, r in exact_real_roots(factor)
         if r is not None
     )
@@ -601,12 +446,13 @@ def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
 def split_rational_roots(p: UniPoly) -> tuple[list[tuple[Fraction, int]], UniPoly]:
     """All rational roots with multiplicities, plus the deflated cofactor.
 
-    p == cofactor * prod((y - r)**m) exactly; the cofactor has no rational
-    roots.  Roots are sorted increasing.
+    With r = n/d in lowest terms, p == cofactor * prod((d*y - n)**m)
+    exactly, the cofactor in Z[y] by Gauss's lemma; the cofactor has no
+    rational roots.  Roots are sorted increasing.
     """
     roots = rational_roots(p)
-    cofactor = p
+    row = list(p.coeffs)
     for r, mult in roots:
         for _ in range(mult):
-            cofactor = _deflate(cofactor, r)
-    return roots, cofactor
+            row = _z_exact_quo(row, [-r.numerator, r.denominator])
+    return roots, UniPoly(tuple(row))

@@ -25,7 +25,6 @@ from adaptcoord import (
     build_polyhedron,
     distance,
     edge_weight,
-    face_weight,
     hull_analysis,
     newton_polyhedron,
     parse,
@@ -33,7 +32,7 @@ from adaptcoord import (
     principal_face_weight,
     principal_part,
 )
-from adaptcoord.errors import DegenerateFace, EmptySupport, ZeroPolynomial
+from adaptcoord.errors import EmptySupport, ZeroPolynomial
 
 supports = st.sets(
     st.tuples(
@@ -211,11 +210,6 @@ def test_edge_weight_supports_endpoints_at_level_one():
     assert w2.degree_of((3, 1)) == 1
 
 
-def test_face_weight_only_for_edges():
-    with pytest.raises(DegenerateFace):
-        face_weight(Face(FaceKind.VERTEX, ((2, 2),)))
-
-
 def test_principal_face_weight_conventions():
     vertex_w = principal_face_weight(Face(FaceKind.VERTEX, ((2, 2),)))
     assert (vertex_w.k1, vertex_w.k2) == (Fraction(1, 4), Fraction(1, 4))
@@ -267,7 +261,7 @@ def test_principal_part_support_lies_on_face(support):
     assert not pp.is_zero
     assert pp.support <= f.support
     if face.kind is FaceKind.COMPACT_EDGE:
-        w = face_weight(face)
+        w = edge_weight(*face.points)
         assert all(w.degree_of(t) == 1 for t in pp.support)
     elif face.kind is FaceKind.VERTEX:
         assert pp.support == {face.points[0]}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,7 @@ from adaptcoord.errors import (
     WrongHomogeneity,
     ZeroPolynomial,
 )
-
+from adaptcoord.unipoly import _z_eval
 from conftest import random_corpus
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -144,6 +145,8 @@ def test_analyze_recovers_constructed_factorization(data):
     n = got.n
     assert got.d_h == Fraction(nu1 + nu2 * p + p * n, 1 + p)
     assert got.m_order == max(nu1, nu2, max(m for _, m in roots))
+    for factor, _ in got.factors:
+        assert gcd(*factor.coeffs) == 1 and factor.coeffs[-1] > 0
     over = [r for r, m in roots if m > got.d_h]
     # the principal root pairs the value with the shear exponent p
     assert got.principal_root == ((over[0], p) if over else None)
@@ -178,7 +181,9 @@ def test_analyze_irrational_roots_keep_isolating_intervals():
         assert r.factor is not None
         lo, hi = r.interval
         assert lo < hi
-        assert r.factor.evaluate(lo) * r.factor.evaluate(hi) <= 0
+        row = list(r.factor.coeffs)
+        at_lo = _z_eval(row, lo.numerator, lo.denominator)
+        assert at_lo * _z_eval(row, hi.numerator, hi.denominator) <= 0
 
 
 def test_circle_vanishing_order_examples():

@@ -1,9 +1,11 @@
-"""Exact univariate arithmetic: division, gcd, squarefree split, Sturm
-root counting, rational-root extraction."""
+"""Exact univariate arithmetic: the integer-row type, the Q reference
+(division, gcd), squarefree split, Sturm root counting, rational-root
+extraction."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -13,6 +15,10 @@ from hypothesis import strategies as st
 from adaptcoord import UniPoly
 from adaptcoord.errors import NotSquarefree, ZeroPolynomial
 from adaptcoord.unipoly import (
+    _z_deriv,
+    _z_eval,
+    _z_mul,
+    _z_sub,
     count_real_roots,
     divmod_poly,
     exact_div,
@@ -23,18 +29,42 @@ from adaptcoord.unipoly import (
     root_bound,
     split_rational_roots,
     squarefree_decompose,
-    squarefree_part,
     sturm_chain,
 )
 
 coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-polys = st.lists(coeff, min_size=0, max_size=7).map(UniPoly.from_coeffs)
-nonzero_polys = polys.filter(lambda p: not p.is_zero)
+# tuples of Fractions with no trailing zeros: the Q reference's input
+polys = st.lists(coeff, min_size=0, max_size=7).filter(
+    lambda cs: not cs or cs[-1] != 0
+).map(tuple)
+nonzero_polys = polys.filter(bool)
 small_roots = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=3),
     min_size=1,
     max_size=5,
 )
+
+
+def _q(row) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, row))
+
+
+def _linear(r: Fraction) -> list[int]:
+    """d*y - n for r = n/d in lowest terms."""
+    return [-r.numerator, r.denominator]
+
+
+def _product(rows) -> list[int]:
+    out = [1]
+    for row in rows:
+        out = _z_mul(out, row)
+    return out
+
+
+def _from_roots(roots) -> UniPoly:
+    """prod(d*y - n) over the roots n/d, with multiplicity: primitive, its
+    leading coefficient positive."""
+    return UniPoly.from_coeffs(_product(_linear(Fraction(r)) for r in roots))
 
 
 def test_construction_drops_trailing_zeros():
@@ -44,87 +74,84 @@ def test_construction_drops_trailing_zeros():
     assert UniPoly.from_coeffs([0, 0]).is_zero
 
 
-def test_evaluate_and_derivative():
-    p = UniPoly.from_coeffs([1, -3, 0, 2])  # 1 - 3y + 2y^3
-    assert p.evaluate(2) == 1 - 6 + 16
-    assert p.derivative().coeffs == (Fraction(-3), Fraction(0), Fraction(6))
-    assert UniPoly.zero().derivative().is_zero
-
-
-def test_from_roots_vanishes_exactly_at_roots():
-    p = UniPoly.from_roots([1, 1, Fraction(-1, 2)])
-    assert p.degree == 3
-    assert p.evaluate(1) == 0
-    assert p.evaluate(Fraction(-1, 2)) == 0
-    assert p.evaluate(2) != 0
+def test_from_coeffs_takes_only_ints():
+    for bad in (Fraction(1, 2), 1.0):
+        with pytest.raises(TypeError):
+            UniPoly.from_coeffs([1, bad])
+    p = UniPoly.from_coeffs([3, 0, -2, 0, 0])
+    assert p.coeffs == (3, 0, -2) and all(type(c) is int for c in p.coeffs)
 
 
 @given(polys, nonzero_polys)
 def test_divmod_identity(a, b):
     q, r = divmod_poly(a, b)
-    assert q * b + r == a
-    assert r.is_zero or r.degree < b.degree
+    assert tuple(_z_sub(list(a), _z_mul(list(q), list(b)))) == r
+    assert len(r) < len(b)
 
 
 def test_divmod_rejects_zero_divisor():
     with pytest.raises(ZeroPolynomial):
-        divmod_poly(UniPoly.one(), UniPoly.zero())
+        divmod_poly((Fraction(1),), ())
 
 
 @given(polys, nonzero_polys)
 def test_exact_div_inverts_multiplication(a, b):
-    assert exact_div(a * b, b) == a
+    assert exact_div(tuple(_z_mul(list(a), list(b))), b) == a
 
 
 def test_exact_div_rejects_remainder():
     with pytest.raises(ValueError):
-        exact_div(UniPoly.from_coeffs([1, 1]), UniPoly.from_coeffs([0, 1]))
+        exact_div(_q([1, 1]), _q([0, 1]))
 
 
 @given(nonzero_polys, nonzero_polys, nonzero_polys)
 @settings(max_examples=60)
 def test_gcd_divides_and_catches_common_factor(a, b, c):
-    g = poly_gcd(a * c, b * c)
-    _, r1 = divmod_poly(a * c, g)
-    _, r2 = divmod_poly(b * c, g)
+    ac, bc = tuple(_z_mul(list(a), list(c))), tuple(_z_mul(list(b), list(c)))
+    g = poly_gcd(ac, bc)
+    _, r1 = divmod_poly(ac, g)
+    _, r2 = divmod_poly(bc, g)
     _, r3 = divmod_poly(g, c)
-    assert r1.is_zero and r2.is_zero
-    assert r3.is_zero  # gcd is a multiple of every common factor
-    assert g.leading == 1  # monic normalization
+    assert not r1 and not r2
+    assert not r3  # gcd is a multiple of every common factor
+    assert g[-1] == 1  # monic normalization
 
 
 def test_integer_row_strips_content():
-    p = UniPoly.from_coeffs([Fraction(2, 3), Fraction(4, 3)])
-    assert integer_row(p) == [1, 2]
-    assert integer_row(p.scale(Fraction(-7, 5))) == [1, 2]
+    assert integer_row(UniPoly.from_coeffs([2, 4])) == [1, 2]
+    assert integer_row(UniPoly.from_coeffs([-14, -28])) == [1, 2]
     with pytest.raises(ZeroPolynomial):
-        integer_row(UniPoly.zero())
+        integer_row(UniPoly.from_coeffs([]))
+
+
+def _check_decomposition(p: UniPoly, factors) -> None:
+    """factors is p's squarefree decomposition: primitive factors with
+    positive leading coefficients, one per multiplicity, increasing, each
+    squarefree and the factors pairwise coprime over Q, whose product of
+    powers is p's primitive row, so p up to an integer constant."""
+    mults = [j for _, j in factors]
+    assert mults == sorted(set(mults)) and all(j >= 1 for j in mults)
+    for i, (f, _) in enumerate(factors):
+        assert f.degree >= 1 and f.coeffs[-1] > 0 and gcd(*f.coeffs) == 1
+        assert len(poly_gcd(_q(f.coeffs), _q(_z_deriv(list(f.coeffs))))) == 1
+        for g, _ in factors[i + 1:]:
+            assert len(poly_gcd(_q(f.coeffs), _q(g.coeffs))) == 1
+    expanded = _product(list(f.coeffs) for f, j in factors for _ in range(j))
+    assert expanded == integer_row(p)
 
 
 @given(small_roots)
 @settings(max_examples=60)
 def test_squarefree_decompose_reexpands(roots):
-    p = UniPoly.from_roots(roots)
-    dec = squarefree_decompose(p)
-    assert dec.expand() == p
-    seen = set()
-    for factor, mult in dec.factors:
-        assert mult >= 1
-        assert mult not in seen  # one factor per multiplicity class
-        seen.add(mult)
-        g = poly_gcd(factor, factor.derivative())
-        assert g.degree == 0  # each factor squarefree
-
-
-def test_squarefree_part_drops_multiplicity():
-    p = UniPoly.from_roots([1, 1, 1, -2])
-    sf = squarefree_part(p)
-    assert sf.monic() == UniPoly.from_roots([1, -2]).monic()
+    p = _from_roots(roots)
+    factors = squarefree_decompose(p)
+    _check_decomposition(p, factors)
+    assert sorted(j for _, j in factors) == sorted(set(map(roots.count, roots)))
 
 
 def test_sturm_chain_signs():
     # (y-1)(y+2): chain must end in a constant, no two consecutive zeros
-    p = UniPoly.from_roots([1, -2])
+    p = _from_roots([1, -2])
     chain = sturm_chain(p)
     assert chain[0] == integer_row(p)
     assert len(chain[-1]) == 1
@@ -133,12 +160,13 @@ def test_sturm_chain_signs():
 @given(small_roots)
 @settings(max_examples=80)
 def test_count_real_roots_matches_distinct_rational_roots(roots):
-    p = UniPoly.from_roots(roots)
-    assert count_real_roots(squarefree_part(p)) == len(set(roots))
+    p = _from_roots(roots)
+    counts = [count_real_roots(f) for f, _ in squarefree_decompose(p)]
+    assert sum(counts) == len(set(roots))
 
 
 def test_count_real_roots_on_intervals():
-    p = UniPoly.from_roots([0, 2, 5])
+    p = _from_roots([0, 2, 5])
     assert count_real_roots(p, Fraction(1), Fraction(5)) == 2  # (1, 5]
     assert count_real_roots(p, Fraction(0), Fraction(5)) == 2  # 0 excluded
     assert count_real_roots(p, None, Fraction(0)) == 1
@@ -146,7 +174,7 @@ def test_count_real_roots_on_intervals():
 
 
 def test_sturm_queries_reject_repeated_roots():
-    p = UniPoly.from_roots([1, 1, -2])  # (y - 1)^2 * (y + 2)
+    p = _from_roots([1, 1, -2])  # (y - 1)^2 * (y + 2)
     with pytest.raises(NotSquarefree):
         count_real_roots(p)
     with pytest.raises(NotSquarefree):
@@ -158,7 +186,7 @@ def test_sturm_queries_reject_repeated_roots():
 @given(small_roots)
 @settings(max_examples=60)
 def test_root_bound_dominates_rational_roots(roots):
-    p = UniPoly.from_roots(roots)
+    p = _from_roots(roots)
     bound = root_bound(p)
     assert all(abs(r) <= bound for r in roots)
 
@@ -166,30 +194,31 @@ def test_root_bound_dominates_rational_roots(roots):
 @given(small_roots)
 @settings(max_examples=60)
 def test_isolate_real_roots_separates(roots):
-    p = UniPoly.from_roots(roots)
-    boxes = isolate_real_roots(squarefree_part(p))
+    p = _from_roots(set(roots))
+    boxes = isolate_real_roots(p)
     assert len(boxes) == len(set(roots))
     for lo, hi in boxes:
-        assert lo < hi or (lo == hi and p.evaluate(lo) == 0)
+        assert lo < hi or (lo == hi and _z_eval(list(p.coeffs), lo.numerator, lo.denominator) == 0)
     # each distinct root falls in exactly one half-open box (lo, hi]
     for r in set(roots):
         assert sum(1 for lo, hi in boxes if lo < r <= hi) == 1
 
 
-@given(small_roots, st.integers(min_value=1, max_value=3))
+@given(small_roots, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=6))
 @settings(max_examples=60)
-def test_split_rational_roots_complete(roots, extra):
+def test_split_rational_roots_complete(roots, extra, content):
     # irreducible cofactor y^2 + extra has no rational roots
-    p = UniPoly.from_roots(roots) * UniPoly.from_coeffs([extra, 0, 1])
+    p = UniPoly.from_coeffs(_z_mul(list(_from_roots(roots).coeffs), [content * extra, 0, content]))
     found, cofactor = split_rational_roots(p)
     assert sorted(r for r, _ in found) == sorted(set(roots))
     for r, m in found:
         assert m == roots.count(r)
-        assert cofactor.evaluate(r) != 0
-    rebuilt = cofactor
-    for r, m in found:
-        rebuilt = rebuilt * UniPoly.from_roots([r] * m)
-    assert rebuilt.monic() == p.monic()
+        assert _z_eval(list(cofactor.coeffs), r.numerator, r.denominator) != 0
+    # p == cofactor * prod((d*y - n)**m), content and all
+    linear = _product(_linear(r) for r, m in found for _ in range(m))
+    rebuilt = _z_mul(list(cofactor.coeffs), linear)
+    assert rebuilt == list(p.coeffs)
+    assert cofactor.coeffs == (content * extra, 0, content)
 
 
 def test_rational_roots_plain():
@@ -200,15 +229,16 @@ def test_rational_roots_plain():
 def test_rational_roots_with_fractional_root():
     p = UniPoly.from_coeffs([-1, 0, 0, 2])  # 2y^3 - 1 has no rational root
     assert rational_roots(p) == []
-    q = UniPoly.from_coeffs([-1, 2]) ** 2  # (2y - 1)^2
+    q = UniPoly.from_coeffs(_product([[-1, 2]] * 2))  # (2y - 1)^2
     assert rational_roots(q) == [(Fraction(1, 2), 2)]
     big = Fraction(10**30 + 57, 7)  # 30-digit numerator
-    r = UniPoly.from_coeffs([-(10**30 + 57), 7]) ** 2 * UniPoly.from_coeffs([-2, 0, 1])
+    r = UniPoly.from_coeffs(_product([[-(10**30 + 57), 7]] * 2 + [[-2, 0, 1]]))
     assert rational_roots(r) == [(big, 2)]
 
 
-# Oracles for the integer kernels: the inputs are built, and the answers
-# checked, with Fraction products and the reference Euclid only.
+# Oracles for the integer kernels: the inputs are built as products of
+# integer rows, and the answers checked with rational comparisons and the
+# reference Euclid only.
 
 
 def _in_box(lo, hi, below) -> bool:
@@ -218,19 +248,14 @@ def _in_box(lo, hi, below) -> bool:
 
 
 def _with_known_roots(c, rs, ks, ls, ms):
-    """c * prod(y - r) * prod(y^2 - k) * prod(y^3 - l) * prod(y^2 + m) for
-    distinct rational r, non-square k > 0, non-cube l and m > 0; with it
-    the rational roots, and every real root given by a test of x < root
-    that compares powers, never a root."""
-    p = UniPoly.constant(c)
-    for r in rs:
-        p = p * UniPoly.from_coeffs([-r, 1])
-    for k in ks:
-        p = p * UniPoly.from_coeffs([-k, 0, 1])
-    for l in ls:
-        p = p * UniPoly.from_coeffs([-l, 0, 0, 1])
-    for m in ms:
-        p = p * UniPoly.from_coeffs([m, 0, 1])
+    """c * prod(d*y - n) * prod(y^2 - k) * prod(y^3 - l) * prod(y^2 + m)
+    for distinct rational r = n/d, non-square k > 0, non-cube l and m > 0;
+    with it the rational roots, and every real root given by a test of
+    x < root that compares powers, never a root."""
+    p = UniPoly.from_coeffs(_product(
+        [[c]] + [_linear(Fraction(r)) for r in rs] + [[-k, 0, 1] for k in ks]
+        + [[-l, 0, 0, 1] for l in ls] + [[m, 0, 1] for m in ms]
+    ))
     roots = [lambda x, r=r: x < r for r in rs]
     roots += [lambda x, k=k: x < 0 or x * x < k for k in ks]  # sqrt(k)
     roots += [lambda x, k=k: x < 0 and x * x > k for k in ks]  # -sqrt(k)
@@ -279,19 +304,9 @@ def test_sturm_queries_match_known_roots():
 def test_squarefree_decompose_products_of_powers():
     rng = Random(12)
     for _ in range(40):
-        p = UniPoly.constant(Fraction(rng.randint(1, 2**64), rng.randint(1, 2**32)))
+        rows = [[rng.randint(1, 2**64)]]
         for _ in range(rng.randint(1, 4)):
-            base = UniPoly.from_coeffs(
-                [Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
-                + [rng.choice([1, -2, 3])]
-            )
-            p = p * base ** rng.randint(1, 4)
-        dec = squarefree_decompose(p)
-        assert dec.expand() == p
-        mults = [j for _, j in dec.factors]
-        assert mults == sorted(set(mults))
-        for i, (f, _) in enumerate(dec.factors):
-            assert f.degree >= 1 and f.leading == 1
-            assert poly_gcd(f, f.derivative()).degree == 0
-            for g, _ in dec.factors[i + 1:]:
-                assert poly_gcd(f, g).degree == 0
+            base = [rng.randint(-120, 120) for _ in range(rng.randint(1, 3))]
+            rows += [base + [rng.choice([1, -2, 3])]] * rng.randint(1, 4)
+        p = UniPoly.from_coeffs(_product(rows))
+        _check_decomposition(p, squarefree_decompose(p))
