@@ -2,14 +2,14 @@
 used throughout the package: shears x2 -> x2 + b*x1^m (and the mirrored
 x1-shear), axis swaps, and axis scalings.
 
-A BiPoly is a sparse map (j, k) -> Fraction coefficient of x1^j * x2^k.
-The two kernels of the shear iteration work on integer numerators over
-one common denominator and build Fractions only for their output.  A
-shear is a Taylor shift of each weighted diagonal of the support, done
-with integer adds and multiplies.  The squarefree decomposition with
-respect to x2 is Yun's algorithm over Z[x1][x2], with gcds taken by
-evaluating x1 at a large integer; it normalizes every factor to coprime
-integer coefficients.
+A BiPoly is a sparse map (j, k) -> integer numerator of x1^j * x2^k over
+one positive denominator, in lowest terms, so every kernel reads
+integers and equal polynomials have equal fields.  A shear is a Taylor
+shift of each weighted diagonal of the support, done with integer adds
+and multiplies.  The squarefree decomposition with respect to x2 is
+Yun's algorithm over Z[x1][x2], with gcds taken by evaluating x1 at a
+large integer; it normalizes every factor to coprime integer
+coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     DegenerateInX2,
@@ -42,26 +42,37 @@ Term = tuple[int, int]
 
 
 class BiPoly:
-    """Immutable sparse bivariate polynomial with Fraction coefficients."""
+    """Immutable sparse bivariate polynomial over Q: nonzero integer
+    numerators `num` over one denominator `den` > 0, with
+    gcd(den, *num.values()) == 1."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, terms: Mapping[Term, Fraction | int] | None = None):
-        data: dict[Term, Fraction] = {}
+    def __new__(cls, terms: Mapping[Term, Fraction | int] | None = None):
+        data: dict[Term, Fraction | int] = {}
         if terms:
             for (j, k), c in terms.items():
                 if j < 0 or k < 0:
                     raise ValueError("exponents must be non-negative")
-                c = _frac(c)
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
                 if c != 0:
                     data[(int(j), int(k))] = c
-        object.__setattr__(self, "_terms", data)
+        den = lcm(*(c.denominator for c in data.values()))
+        return cls._of({t: c.numerator * (den // c.denominator) for t, c in data.items()}, den)
 
     @classmethod
-    def _of(cls, data: dict[Term, Fraction]) -> "BiPoly":
-        """Wrap a dict of nonzero Fraction coefficients, unchecked."""
+    def _of(cls, num: dict[Term, int], den: int = 1) -> "BiPoly":
+        """Wrap nonzero integer numerators over den > 0, unchecked, and
+        reduce them to lowest terms."""
+        if den > 1:
+            g = int_gcd(den, *num.values())
+            if g > 1:
+                num = {t: c // g for t, c in num.items()}
+                den //= g
         poly = object.__new__(cls)
-        object.__setattr__(poly, "_terms", data)
+        object.__setattr__(poly, "num", num)
+        object.__setattr__(poly, "den", den)
         return poly
 
     def __setattr__(self, name, value):
@@ -81,82 +92,75 @@ class BiPoly:
     def monomial(j: int, k: int, c: Fraction | int = 1) -> "BiPoly":
         return BiPoly({(j, k): c})
 
-    @staticmethod
-    def x1() -> "BiPoly":
-        return BiPoly({(1, 0): 1})
-
-    @staticmethod
-    def x2() -> "BiPoly":
-        return BiPoly({(0, 1): 1})
-
     # queries
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.num
 
     def terms(self) -> dict[Term, Fraction]:
-        return dict(self._terms)
+        return {t: Fraction(c, self.den) for t, c in self.num.items()}
 
     def coeff(self, j: int, k: int) -> Fraction:
-        return self._terms.get((j, k), Fraction(0))
+        return Fraction(self.num.get((j, k), 0), self.den)
+
+    def select(self, keep: Callable[[Term], bool]) -> "BiPoly":
+        """The terms whose exponent pair passes `keep`."""
+        return BiPoly._of({t: c for t, c in self.num.items() if keep(t)}, self.den)
 
     @property
     def support(self) -> frozenset[Term]:
-        return frozenset(self._terms)
+        return frozenset(self.num)
 
     @property
     def x2_degree(self) -> int:
         if self.is_zero:
             return -1
-        return max(k for _, k in self._terms)
+        return max(k for _, k in self.num)
 
     @property
     def origin_order(self) -> int:
         """Order of vanishing at the origin: min total degree of a term."""
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has empty support")
-        return min(j + k for j, k in self._terms)
+        return min(j + k for j, k in self.num)
 
     # arithmetic
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BiPoly(out)
+        den = lcm(self.den, other.den)
+        out = {t: c * (den // self.den) for t, c in self.num.items()}
+        for t, c in other.num.items():
+            out[t] = out.get(t, 0) + c * (den // other.den)
+        return BiPoly._of({t: c for t, c in out.items() if c}, den)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({key: -c for key, c in self._terms.items()})
+        return BiPoly._of({t: -c for t, c in self.num.items()}, self.den)
 
     def __mul__(self, other: "BiPoly | Fraction | int") -> "BiPoly":
         if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        out: dict[Term, Fraction] = {}
-        for (j1, k1), c1 in self._terms.items():
-            for (j2, k2), c2 in other._terms.items():
+            c = _frac(other)
+            num = {t: v * c.numerator for t, v in self.num.items()} if c else {}
+            return BiPoly._of(num, self.den * c.denominator)
+        out: dict[Term, int] = {}
+        for (j1, k1), c1 in self.num.items():
+            for (j2, k2), c2 in other.num.items():
                 key = (j1 + j2, k1 + k2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BiPoly(out)
+                out[key] = out.get(key, 0) + c1 * c2
+        return BiPoly._of({t: c for t, c in out.items() if c}, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def scale(self, c: Fraction | int) -> "BiPoly":
-        c = _frac(c)
-        if c == 0:
-            return BiPoly.zero()
-        return BiPoly({key: v * c for key, v in self._terms.items()})
 
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
@@ -170,29 +174,12 @@ class BiPoly:
             n >>= 1
         return result
 
-    def evaluate(self, a: Fraction | int, b: Fraction | int) -> Fraction:
-        a, b = _frac(a), _frac(b)
-        total = Fraction(0)
-        for (j, k), c in self._terms.items():
-            total += c * a**j * b**k
-        return total
-
-    def derivative(self, axis: int) -> "BiPoly":
-        """Partial derivative; axis 1 differentiates in x1, axis 2 in x2."""
-        out: dict[Term, Fraction] = {}
-        for (j, k), c in self._terms.items():
-            if axis == 1 and j > 0:
-                out[(j - 1, k)] = c * j
-            elif axis == 2 and k > 0:
-                out[(j, k - 1)] = c * k
-        return BiPoly(out)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts: list[str] = []
-        # the keys (j + k, j, k) are distinct, so c is never compared
-        for _, j, k, c in sorted((j + k, j, k, c) for (j, k), c in self._terms.items()):
+        # the keys (j + k, j, k) are distinct, so n is never compared
+        for _, j, k, n in sorted((j + k, j, k, n) for (j, k), n in self.num.items()):
             factors = []
             if j == 1:
                 factors.append("x1")
@@ -202,8 +189,9 @@ class BiPoly:
                 factors.append("x2")
             elif k > 1:
                 factors.append(f"x2^{k}")
-            n, d = c.numerator, c.denominator
-            mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+            g = int_gcd(n, self.den)
+            d = self.den // g
+            mag = str(abs(n) // g) if d == 1 else f"{abs(n) // g}/{d}"
             if not factors:
                 body = mag
             else:
@@ -215,7 +203,7 @@ class BiPoly:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"BiPoly({self._terms!r})"
+        return f"BiPoly({self.terms()!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,11 +271,11 @@ class ShearChange:
 
 
 def weighted_part(f: BiPoly, w: Weight, degree: Fraction | int) -> BiPoly:
-    """Sum of the terms of exact weighted degree `degree`."""
-    degree = _frac(degree)
-    return BiPoly({
-        t: c for t, c in f.terms().items() if w.degree_of(t) == degree
-    })
+    """Sum of the terms of exact weighted degree `degree`: those with
+    q*j + p*k == degree*m."""
+    level = _frac(degree) * w.m
+    n, d = level.numerator, level.denominator
+    return f.select(lambda t: d * (w.q * t[0] + w.p * t[1]) == n)
 
 
 def apply_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
@@ -296,41 +284,36 @@ def apply_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
     For an x2-shear, the terms with j + m*k = s form x1^s * P(x2/x1^m),
     and the shear maps them to x1^s * P(x2/x1^m + b): a Taylor shift of
     the univariate P, whose output terms keep the diagonal s, so
-    diagonals never mix.  With f = N/den over integers N, b = bn/bd and
-    K = deg P, bd^K * P(t + b) = R(bd*t) for R(u) = sum N_k bd^(K-k)
-    (u + bn)^k, which Horner's scheme shifts with integer adds and
-    multiplies only (von zur Gathen & Gerhard 1997).  An x1-shear is the
-    same with the roles of j and k swapped.
+    diagonals never mix.  With f = N/den, b = bn/bd and K the largest
+    diagonal degree, bd^K * P(t + b) = R(bd*t) for R(u) = sum N_k
+    bd^(K-k) (u + bn)^k, which Horner's scheme shifts with integer adds
+    and multiplies only (von zur Gathen & Gerhard 1997).  An x1-shear is
+    the same with the roles of j and k swapped.
     """
-    terms = f._terms
-    if not terms:
+    if f.is_zero:
         return f
     m = shear.exponent
     bn, bd = shear.coefficient.numerator, shear.coefficient.denominator
-    den = lcm(*(c.denominator for c in terms.values()))
     x2_axis = shear.axis is ShearAxis.X2
     diagonals: dict[int, dict[int, int]] = {}
-    for (j, k), c in terms.items():
+    for (j, k), c in f.num.items():
         if not x2_axis:
             j, k = k, j
-        diagonals.setdefault(j + m * k, {})[k] = c.numerator * (den // c.denominator)
-    bd_powers = [1]
-    for _ in range(max(max(d) for d in diagonals.values())):
-        bd_powers.append(bd_powers[-1] * bd)
-    out: dict[Term, Fraction] = {}
+        diagonals.setdefault(j + m * k, {})[k] = c
+    K = max(max(d) for d in diagonals.values())
+    bd_powers = [bd**i for i in range(K + 1)]
+    out: dict[Term, int] = {}
     for s, diagonal in diagonals.items():
         top = max(diagonal)
-        r = [diagonal.get(k, 0) * bd_powers[top - k] for k in range(top + 1)]
+        r = [diagonal.get(k, 0) * bd_powers[K - k] for k in range(top + 1)]
         for i in range(top):
             for k in range(top - 1, i - 1, -1):
                 r[k] += bn * r[k + 1]
-        # the coefficient of t^i is r[i] * bd^i / (den * bd^K), K = top
+        # the coefficient of t^i is r[i] * bd^i / (den * bd^K)
         for i, c in enumerate(r):
             if c:
-                key = (s - m * i, i) if x2_axis else (i, s - m * i)
-                d = den * bd_powers[top - i]
-                out[key] = Fraction(c) if d == 1 else Fraction(c, d)
-    return BiPoly._of(out)
+                out[(s - m * i, i) if x2_axis else (i, s - m * i)] = c * bd_powers[i]
+    return BiPoly._of(out, f.den * bd_powers[K])
 
 
 def apply_jet(f: BiPoly, jet: Iterable[tuple[Fraction, int]]) -> BiPoly:
@@ -341,7 +324,7 @@ def apply_jet(f: BiPoly, jet: Iterable[tuple[Fraction, int]]) -> BiPoly:
 
 
 def swap_axes(f: BiPoly) -> BiPoly:
-    return BiPoly({(k, j): c for (j, k), c in f.terms().items()})
+    return BiPoly._of({(k, j): c for (j, k), c in f.num.items()}, f.den)
 
 
 def scale_axes(f: BiPoly, c1: Fraction | int, c2: Fraction | int) -> BiPoly:
@@ -459,21 +442,18 @@ def _rows_gcd(u: list[Row], v: list[Row]) -> list[Row]:
 
 
 def _rows_of(f: BiPoly) -> list[Row]:
-    """The rows of f times a common denominator of its coefficients."""
-    den = lcm(*(c.denominator for c in f._terms.values()))
+    """The rows of f's integer numerators."""
     rows: list[Row] = [[] for _ in range(f.x2_degree + 1)]
-    for (j, k), c in f._terms.items():
+    for (j, k), c in f.num.items():
         row = rows[k]
         if len(row) <= j:
             row.extend([0] * (j + 1 - len(row)))
-        row[j] = c.numerator * (den // c.denominator)
+        row[j] = c
     return rows
 
 
 def _rows_to_bipoly(v: list[Row]) -> BiPoly:
-    return BiPoly._of({
-        (j, k): Fraction(c) for k, row in enumerate(v) for j, c in enumerate(row) if c
-    })
+    return BiPoly._of({(j, k): c for k, row in enumerate(v) for j, c in enumerate(row) if c})
 
 
 def squarefree_part_x2(f: BiPoly) -> tuple[tuple[BiPoly, int], ...]:

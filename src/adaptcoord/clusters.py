@@ -130,7 +130,7 @@ def top_clusters(f: BiPoly, depth: int = 1) -> ClusterLevel:
         raise ValueError("depth must be at least 1")
     if f.is_zero:
         raise ZeroPolynomial("cluster data needs a nonzero polynomial")
-    if f.coeff(0, 0) != 0:
+    if (0, 0) in f.num:
         raise ValueError("cluster data needs f(0,0) = 0")
     if f.x2_degree < 1:
         raise DegenerateInX2("cluster data needs positive degree in x2")
@@ -197,10 +197,4 @@ def edge_principal_part_from_clusters(f: BiPoly, l: int) -> BiPoly:
     a = cl.clusters[l - 1].exponent
     A, B = verts[l]
     line_level = A + a * B
-    return BiPoly(
-        {
-            (j, k): c
-            for (j, k), c in f.terms().items()
-            if j + a * k == line_level
-        }
-    )
+    return f.select(lambda t: t[0] + a * t[1] == line_level)

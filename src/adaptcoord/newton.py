@@ -203,13 +203,11 @@ def principal_part(f: BiPoly) -> BiPoly:
     """Terms of f lying on the principal face of its polyhedron."""
     hull = hull_analysis(newton_polyhedron(f))
     face = hull.face
-    if face.kind is FaceKind.VERTEX:
-        (j, k) = face.points[0]
-        return BiPoly.monomial(j, k, f.coeff(j, k))
     if face.kind is FaceKind.COMPACT_EDGE:
         return weighted_part(f, hull.weight, 1)
+    ((j0, k0),) = face.points
+    if face.kind is FaceKind.VERTEX:
+        return f.select(lambda t: t == (j0, k0))
     if face.kind is FaceKind.HORIZONTAL_HALFLINE:
-        k0 = face.points[0][1]
-        return BiPoly({(j, k): c for (j, k), c in f.terms().items() if k == k0})
-    j0 = face.points[0][0]
-    return BiPoly({(j, k): c for (j, k), c in f.terms().items() if j == j0})
+        return f.select(lambda t: t[1] == k0)
+    return f.select(lambda t: t[0] == j0)

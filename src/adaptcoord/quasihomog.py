@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .bipoly import BiPoly, Term, Weight
 from .errors import (
@@ -108,18 +108,17 @@ def edge_root_polynomial(f: BiPoly, a: Term, b: Term) -> Edge:
 
     With a = (j0, k0) left of b = (j1, k1), the lattice points of the edge
     are (j0 + p*(n - i), k1 + q*i) for i = 0..n, where n = gcd(j1 - j0,
-    k0 - k1) and the edge has slope -q/p; u collects f's coefficients at
-    them, times the lcm of their denominators, so the terms of f on the
-    edge are x1^j0 * x2^k1 * x1^(p*n) * u(x2^q / x1^p) over that lcm, and
-    u(y) = c * prod (y - lambda_l)^{n_l}.  For f with integer coefficients
-    u is exactly f's coefficients on the edge.
+    k0 - k1) and the edge has slope -q/p; u collects f's integer
+    numerators at them, so the terms of f on the edge are
+    x1^j0 * x2^k1 * x1^(p*n) * u(x2^q / x1^p) over f.den, and
+    u(y) = c * prod (y - lambda_l)^{n_l}.
     """
     (j0, k0), (j1, k1) = a, b
     n = gcd(j1 - j0, k0 - k1)
     p, q = (j1 - j0) // n, (k0 - k1) // n
-    cs = [f.coeff(j0 + p * (n - i), k1 + q * i) for i in range(n + 1)]
-    den = lcm(*(c.denominator for c in cs))
-    u = UniPoly.from_coeffs(c.numerator * (den // c.denominator) for c in cs)
+    u = UniPoly.from_coeffs(
+        f.num.get((j0 + p * (n - i), k1 + q * i), 0) for i in range(n + 1)
+    )
     if u.degree != n or u.trailing_order != 0:
         raise InternalInvariantViolation("root polynomial lost an extreme term")
     return j0, k1, q, p, n, u

@@ -183,7 +183,7 @@ def test_criterion_4_shear_vertex_prediction(capsys):
                 continue
             P = BiPoly.monomial(nu1, nu2)
             for r, m in roots.items():
-                factor = BiPoly.x2() - BiPoly.monomial(p, 0, r)
+                factor = BiPoly.monomial(0, 1) - BiPoly.monomial(p, 0, r)
                 for _ in range(m):
                     P = P * factor
             pool = list(roots) + [Fraction(5), Fraction(-7, 2), Fraction(1, 6)]

@@ -25,8 +25,9 @@ from adaptcoord import (
     weighted_part,
 )
 from adaptcoord.bipoly import _rows_gcd, _rows_of, _rows_to_bipoly
-from adaptcoord.unipoly import _z_deriv, _z_gcd, exact_div, poly_gcd
+from adaptcoord.unipoly import _z_deriv, _z_gcd
 from conftest import bipolys, coefficients, random_corpus
+from q_reference import exact_div, poly_gcd
 
 shear_exponents = st.integers(min_value=1, max_value=4)
 nonzero_bipolys = bipolys().filter(lambda f: not f.is_zero)
@@ -47,8 +48,8 @@ def test_basic_accessors():
 
 
 def test_monomial_factories():
-    assert BiPoly.x1() == BiPoly.monomial(1, 0)
-    assert BiPoly.x2() == BiPoly.monomial(0, 1)
+    assert BiPoly.monomial(1, 0).terms() == {(1, 0): 1}
+    assert BiPoly.monomial(0, 1, Fraction(-2, 3)).terms() == {(0, 1): Fraction(-2, 3)}
     assert BiPoly.constant(Fraction(1, 2)).coeff(0, 0) == Fraction(1, 2)
     assert BiPoly.zero().is_zero
 
@@ -64,6 +65,29 @@ def test_addition_commutes_and_cancels(f, g):
 @settings(max_examples=60)
 def test_multiplication_distributes(f, g, h):
     assert f * (g + h) == f * g + f * h
+
+
+@given(
+    bipolys(min_terms=0),
+    bipolys(min_terms=0),
+    coefficients,
+    shear_exponents,
+    st.sampled_from(list(ShearAxis)),
+)
+@settings(max_examples=80)
+def test_canonical_form(f, g, b, m, axis):
+    """Integer numerators over one positive denominator in lowest terms,
+    the form that == and hash rely on, whatever built the polynomial."""
+    shear = ShearChange(axis, b, m)
+    round_trip = f + g - g
+    sheared = apply_shear(f, shear)
+    for h in (f, g, round_trip, sheared, f * g, swap_axes(sheared)):
+        assert h.den > 0 and gcd(h.den, *h.num.values()) == 1
+        assert all(type(c) is int and c != 0 for c in h.num.values())
+    assert round_trip == f and hash(round_trip) == hash(f)
+    assert BiPoly(f.terms()) == f
+    assert parse(str(f)) == f
+    assert apply_shear(sheared, ShearChange(axis, -b, m)) == f
 
 
 def test_str_is_parse_compatible():
@@ -128,12 +152,13 @@ def substituted(f: BiPoly, shear: ShearChange) -> BiPoly:
     """f under the shear, one term at a time: sum c * x1^j * (x2 + b*x1^m)^k
     for an x2-shear, built by BiPoly products and powers."""
     b, m = shear.coefficient, shear.exponent
+    x1, x2 = BiPoly.monomial(1, 0), BiPoly.monomial(0, 1)
     total = BiPoly.zero()
     for (j, k), c in f.terms().items():
         if shear.axis is ShearAxis.X2:
-            total = total + BiPoly.monomial(j, 0, c) * (BiPoly.x2() + BiPoly.monomial(m, 0, b)) ** k
+            total = total + BiPoly.monomial(j, 0, c) * (x2 + BiPoly.monomial(m, 0, b)) ** k
         else:
-            total = total + BiPoly.monomial(0, k, c) * (BiPoly.x1() + BiPoly.monomial(0, m, b)) ** j
+            total = total + BiPoly.monomial(0, k, c) * (x1 + BiPoly.monomial(0, m, b)) ** j
     return total
 
 
@@ -187,7 +212,7 @@ def test_scale_axes_multiplies_coefficients(f, c1, c2):
 
 def test_scale_axes_rejects_zero():
     with pytest.raises(ValueError):
-        scale_axes(BiPoly.x1(), 0, 1)
+        scale_axes(BiPoly.monomial(1, 0), 0, 1)
 
 
 def test_squarefree_part_x2_splits_multiplicity():

@@ -18,10 +18,10 @@ from conftest import bipolys
 
 
 def test_monomials_and_aliases():
-    assert parse("x1") == BiPoly.x1()
-    assert parse("x") == BiPoly.x1()
-    assert parse("x2") == BiPoly.x2()
-    assert parse("y") == BiPoly.x2()
+    assert parse("x1") == BiPoly.monomial(1, 0)
+    assert parse("x") == BiPoly.monomial(1, 0)
+    assert parse("x2") == BiPoly.monomial(0, 1)
+    assert parse("y") == BiPoly.monomial(0, 1)
     assert parse("x^2*y") == parse("x1^2*x2")
 
 

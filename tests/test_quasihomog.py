@@ -57,7 +57,7 @@ def product_poly(
 ) -> BiPoly:
     f = BiPoly.monomial(nu1, nu2)
     for r, m in roots:
-        factor = BiPoly.x2() - BiPoly.monomial(p, 0, r)
+        factor = BiPoly.monomial(0, 1) - BiPoly.monomial(p, 0, r)
         for _ in range(m):
             f = f * factor
     return f

@@ -20,17 +20,15 @@ from adaptcoord.unipoly import (
     _z_mul,
     _z_sub,
     count_real_roots,
-    divmod_poly,
-    exact_div,
     integer_row,
     isolate_real_roots,
-    poly_gcd,
     rational_roots,
     root_bound,
     split_rational_roots,
     squarefree_decompose,
     sturm_chain,
 )
+from q_reference import divmod_poly, exact_div, poly_gcd
 
 coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 # tuples of Fractions with no trailing zeros: the Q reference's input
