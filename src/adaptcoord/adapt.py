@@ -44,17 +44,15 @@ from .errors import (
     AlreadyAdapted,
     InternalInvariantViolation,
     IterationCapExceeded,
-    NonvanishingGradient,
-    NotFiniteType,
 )
 from .newton import (
-    Face,
     HullAnalysis,
     distance,
     hull_analysis,
     newton_polyhedron,
 )
-from .quasihomog import edge_root_polynomial, verdict_roots
+from .quasihomog import _require_order_two, edge_root_polynomial, verdict_roots
+from .unipoly import UniPoly
 
 DEFAULT_MAX_STEPS = 64
 STABILIZATION_WINDOW = 3
@@ -72,7 +70,7 @@ class PrincipalRootWitness:
 
 @dataclass(frozen=True, slots=True)
 class AdaptednessReport:
-    """The verdict on f.  `face`, `weight` and `witness` are taken in the
+    """The verdict on f.  `weight` and `witness` are taken in the
     axis-normalized orientation; `hull` is the Newton data of f as given."""
 
     adapted: bool
@@ -82,7 +80,6 @@ class AdaptednessReport:
     axis_swapped: bool
     witness: PrincipalRootWitness | None
     distance: Fraction
-    face: Face
     weight: Weight
     hull: HullAnalysis
 
@@ -136,24 +133,18 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
     """Decide adaptedness of the current coordinates.
 
     Axes are normalized internally so k1 <= k2; when that requires a swap
-    the report says so and the witness refers to the swapped orientation.
+    the report says so and the weight and witness refer to the swapped
+    orientation.  A swap only relabels the axes, so it mirrors f's hull
+    data in place: the weight (q, p, m) becomes (p, q, m), and the edge's
+    lattice points run in the opposite order, so u is reversed.
     """
-    if f.is_zero:
-        raise NotFiniteType("the zero polynomial has no finite-type analysis")
-    if f.origin_order < 2:
-        raise NonvanishingGradient("input must vanish to order >= 2 at the origin")
+    _require_order_two(f)
     hull = hull_analysis(newton_polyhedron(f))
     d = hull.distance
+    face, weight = hull.face, hull.weight
     swapped = _needs_swap(hull)
-    g, oriented = f, hull
     if swapped:
-        g = swap_axes(f)
-        oriented = hull_analysis(newton_polyhedron(g))
-        if oriented.distance != d:
-            raise InternalInvariantViolation("distance changed under axis swap")
-        if _needs_swap(oriented):
-            raise InternalInvariantViolation("axis orientation flipped after a swap")
-    face, weight = oriented.face, oriented.weight
+        weight = Weight(weight.p, weight.q, weight.m)
     # in this orientation a vertex has weight (1, 1, 2d) and a half-line
     # is horizontal with q = 0, so q == 1 reads condition (b) for every
     # face: vacuously true on a vertex, false on a half-line
@@ -162,7 +153,11 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
     condition_c = False
     witness = None
     if condition_a:
-        roots = verdict_roots(weight, edge_root_polynomial(g, *face.points))
+        edge = edge_root_polynomial(f, *face.points)
+        if swapped:
+            nu1, nu2, q, p, n, u = edge
+            edge = nu2, nu1, p, q, n, UniPoly(u.coeffs[::-1])
+        roots = verdict_roots(weight, edge)
         max_real = roots.max_real_multiplicity
         condition_c = max_real > d
         if condition_b and condition_c:
@@ -184,7 +179,6 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
         axis_swapped=swapped,
         witness=witness,
         distance=d,
-        face=face,
         weight=weight,
         hull=hull,
     )

@@ -237,10 +237,6 @@ class Weight:
     def k2(self) -> Fraction:
         return Fraction(self.p, self.m)
 
-    def degree_of(self, term: Term) -> Fraction:
-        j, k = term
-        return Fraction(self.q * j + self.p * k, self.m)
-
 
 class ShearAxis(Enum):
     """Which variable a shear replaces."""

@@ -55,10 +55,6 @@ class WrongHomogeneity(AdaptcoordError):
 # adaptedness and the shear iteration
 
 
-class NotFiniteType(AdaptcoordError):
-    """Adaptedness analysis is defined for nonzero polynomials only."""
-
-
 class NonvanishingGradient(AdaptcoordError):
     """Input must vanish to order >= 2 at the origin."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, Term
 from .errors import NonIntegerExponent, PolySyntaxError, UnknownVariable
 
 _VARIABLES = {"x1": (1, 0), "x": (1, 0), "x2": (0, 1), "y": (0, 1)}
@@ -111,12 +111,16 @@ class _Parser:
         return value
 
     def expr(self) -> BiPoly:
-        value = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            value = value + rhs if op.kind == "+" else value - rhs
-        return value
+        # one term map for the whole sum: folding `value + rhs` would copy
+        # the running sum at every summand
+        total: dict[Term, Fraction] = {}
+        sign = 1
+        while True:
+            for t, c in self.term().terms().items():
+                total[t] = total.get(t, 0) + sign * c
+            if self.peek().kind not in ("+", "-"):
+                return BiPoly(total)
+            sign = 1 if self.advance().kind == "+" else -1
 
     def term(self) -> BiPoly:
         value = self.factor()

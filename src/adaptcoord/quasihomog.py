@@ -119,7 +119,7 @@ def edge_root_polynomial(f: BiPoly, a: Term, b: Term) -> Edge:
     u = UniPoly.from_coeffs(
         f.num.get((j0 + p * (n - i), k1 + q * i), 0) for i in range(n + 1)
     )
-    if u.degree != n or u.trailing_order != 0:
+    if u.degree != n or not u.coeffs[0]:
         raise InternalInvariantViolation("root polynomial lost an extreme term")
     return j0, k1, q, p, n, u
 
@@ -154,10 +154,6 @@ class QuasiHomogData:
     factors: tuple[tuple[UniPoly, int], ...]
     max_real_multiplicity: int
     principal_root: tuple[Fraction, int] | None
-
-    @property
-    def distinct_count(self) -> int:
-        return sum(factor.degree for factor, _ in self.factors)
 
     @property
     def m_order(self) -> int:
@@ -264,16 +260,12 @@ def predict_shear_vertices(P: BiPoly, b: Fraction | int) -> tuple[Term, Term]:
     b = Fraction(b)
     if b == 0:
         raise ValueError("shear coefficient must be nonzero")
-    w = detect_weight(P)
-    if w is WeightDetection.MONOMIAL:
+    if len(P.support) == 1:
         raise WrongHomogeneity("a single monomial does not determine the weight")
-    if w is WeightDetection.NOT_QUASI_HOMOGENEOUS:
-        raise NotQuasiHomogeneous("support is not on one positively-weighted line")
+    w, nu1, nu2, _, _, n, u = root_structure(P)
     if w.q != 1:
         raise WrongHomogeneity(f"weight ratio {w.p}/{w.q} is not an integer")
-    nu1, nu2, _, _, n, u = edge_root_polynomial(P, min(P.support), max(P.support))
     mult = dict(rational_roots(u)).get(b, 0)
     first = (nu1, nu2 + n)
     last = (nu1 + w.p * (nu2 + n - mult), mult)
     return first, last
-

@@ -56,16 +56,6 @@ class UniPoly:
         """Degree, with the convention deg 0 = -1."""
         return len(self.coeffs) - 1
 
-    @property
-    def trailing_order(self) -> int:
-        """Smallest exponent with a nonzero coefficient."""
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no trailing order")
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        raise AssertionError("unreachable")
-
 
 # --- integer rows ---------------------------------------------------------
 #

@@ -10,8 +10,11 @@ import pytest
 from adaptcoord import (
     AdaptStatus,
     FaceKind,
+    ShearAxis,
+    ShearChange,
     adapt,
     apply_jet,
+    apply_shear,
     check_adapted,
     distance,
     height,
@@ -24,8 +27,9 @@ from adaptcoord.errors import (
     AlreadyAdapted,
     IterationCapExceeded,
     NonvanishingGradient,
-    NotFiniteType,
+    ZeroPolynomial,
 )
+from conftest import random_corpus
 
 # (input, exact height) pairs worked out by hand
 HEIGHT_CASES = [
@@ -59,7 +63,7 @@ def test_check_adapted_vertex_face():
     assert not rep.condition_c
     assert rep.witness is None
     assert rep.distance == 2
-    assert rep.face.kind is FaceKind.VERTEX
+    assert rep.hull.face.kind is FaceKind.VERTEX
     assert (rep.weight.k1, rep.weight.k2) == (Fraction(1, 4), Fraction(1, 4))
 
 
@@ -68,7 +72,7 @@ def test_check_adapted_halfline_face():
     assert rep.adapted
     assert not rep.condition_a
     assert not rep.condition_b
-    assert rep.face.kind is FaceKind.HORIZONTAL_HALFLINE
+    assert rep.hull.face.kind is FaceKind.HORIZONTAL_HALFLINE
 
 
 def test_check_adapted_edge_fractional_ratio():
@@ -149,6 +153,29 @@ def test_adapt_applies_jet_consistently():
     assert distance(newton_polyhedron(res.final_poly)) == res.height
 
 
+def test_verdict_does_not_depend_on_orientation():
+    # the verdict mirrors f's hull data when it swaps the axes; reading the
+    # swapped polynomial itself must give the same normalized verdict
+    corpus = random_corpus(200)
+    sheared = [
+        swap_axes(apply_shear(f, ShearChange(ShearAxis.X2, (-1) ** i * (1 + i % 3), 2)))
+        for i, f in enumerate(corpus)
+    ]
+    swapped_not_adapted = 0
+    for f in corpus + sheared:
+        rep = check_adapted(f)
+        if not rep.axis_swapped:
+            continue
+        mirror = check_adapted(swap_axes(f))
+        assert not mirror.axis_swapped, f
+        fields = ("adapted", "condition_a", "condition_b", "condition_c")
+        fields += ("distance", "weight", "witness")
+        for name in fields:
+            assert getattr(rep, name) == getattr(mirror, name), (f, name)
+        swapped_not_adapted += not rep.adapted
+    assert swapped_not_adapted >= 20
+
+
 def test_adapt_swapped_input_reports_frame():
     f = parse("(x1 - x2^2)^2 + x2^5")
     res = adapt(f)
@@ -158,7 +185,7 @@ def test_adapt_swapped_input_reports_frame():
 
 
 def test_adapt_zero_and_low_order_inputs():
-    with pytest.raises(NotFiniteType):
+    with pytest.raises(ZeroPolynomial):
         adapt(parse("0"))
     with pytest.raises(NonvanishingGradient):
         adapt(parse("x2 + x1^2"))

@@ -206,8 +206,8 @@ def test_edge_weight_supports_endpoints_at_level_one():
     w = edge_weight((0, 2), (4, 0))
     assert (w.k1, w.k2) == (Fraction(1, 4), Fraction(1, 2))
     w2 = edge_weight((1, 2), (3, 1))
-    assert w2.degree_of((1, 2)) == 1
-    assert w2.degree_of((3, 1)) == 1
+    assert Fraction(w2.q * 1 + w2.p * 2, w2.m) == 1
+    assert Fraction(w2.q * 3 + w2.p * 1, w2.m) == 1
 
 
 def test_principal_face_weight_conventions():
@@ -262,7 +262,7 @@ def test_principal_part_support_lies_on_face(support):
     assert pp.support <= f.support
     if face.kind is FaceKind.COMPACT_EDGE:
         w = edge_weight(*face.points)
-        assert all(w.degree_of(t) == 1 for t in pp.support)
+        assert all(Fraction(w.q * t[0] + w.p * t[1], w.m) == 1 for t in pp.support)
     elif face.kind is FaceKind.VERTEX:
         assert pp.support == {face.points[0]}
     elif face.kind is FaceKind.HORIZONTAL_HALFLINE:

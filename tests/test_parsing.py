@@ -3,7 +3,9 @@ error messages, and the printer round trip."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -105,3 +107,21 @@ def test_printer_examples():
 @settings(max_examples=120)
 def test_parse_inverts_str(f):
     assert parse(str(f)) == f
+
+
+def test_parse_is_linear_in_the_summands():
+    # 6,400 terms with 64-bit coefficients: folding the sum one summand
+    # at a time copies the running sum at each `+` and takes several
+    # seconds; one term map for the whole sum takes under one
+    rng = Random(7)
+    f = BiPoly({
+        (j, k): rng.choice((-1, 1)) * rng.randint(1, 2**64)
+        for j in range(80)
+        for k in range(80)
+    })
+    src = str(f)
+    start = time.perf_counter()
+    g = parse(src)
+    elapsed = time.perf_counter() - start
+    assert g == f
+    assert elapsed < 3.0, f"parsing {len(f.num)} terms took {elapsed:.2f}s"

@@ -108,7 +108,7 @@ def test_root_structure_example():
     assert (q, p) == (1, 2)
     assert n == 1
     assert u == UniPoly.from_coeffs([-1, 1])  # y - 1 up to sign convention
-    assert w.degree_of((1, 2)) == 1
+    assert Fraction(w.q * 1 + w.p * 2, w.m) == 1
 
 
 def test_root_structure_fractional_ratio():
@@ -139,7 +139,7 @@ def test_analyze_recovers_constructed_factorization(data):
     assert got.nu1 == nu1
     assert got.nu2 == nu2
     assert got.n == sum(m for _, m in roots)
-    assert got.distinct_count == len(roots)
+    assert sum(factor.degree for factor, _ in got.factors) == len(roots)
     recovered = sorted((r.value, r.multiplicity) for r in got.real_roots)
     assert recovered == sorted(roots)
     n = got.n
