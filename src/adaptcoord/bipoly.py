@@ -165,6 +165,11 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
             raise ValueError("negative power")
+        if len(self.num) == 1:
+            # a monomial c/den * x1^j * x2^k is raised term by term; c and
+            # den are coprime, so their powers are too
+            [((j, k), c)] = self.num.items()
+            return BiPoly._of({(j * n, k * n): c**n}, self.den**n)
         result = BiPoly.constant(1)
         base = self
         while n:

@@ -77,13 +77,15 @@ class ClusterLevel:
 def _validate(cl: ClusterLevel) -> None:
     if cl.nu1 < 0 or cl.nu2 < 0:
         raise ValueError("trivial-root counts must be non-negative")
-    prev: Fraction | None = None
+    # exponents compared as integer cross products of p/q, q > 0
+    prev_p, prev_q = 0, 1
     for c in cl.clusters:
-        if c.exponent <= 0 or c.count < 1:
+        p, q = c.exponent.numerator, c.exponent.denominator
+        if p <= 0 or c.count < 1:
             raise ValueError("clusters need positive exponents and counts")
-        if prev is not None and c.exponent <= prev:
+        if p * prev_q <= prev_p * q:
             raise ValueError("cluster exponents must increase strictly")
-        prev = c.exponent
+        prev_p, prev_q = p, q
 
 
 def _refine_edge(
@@ -159,28 +161,41 @@ def vertices_from_clusters(cl: ClusterLevel) -> list[tuple[int, int]]:
     integral; NonIntegerVertex flags inconsistent data.
     """
     _validate(cl)
-    a = Fraction(cl.nu1)
+    a = cl.nu1
     b = cl.total_roots
-    out = [(cl.nu1, b)]
+    out = [(a, b)]
     for c in cl.clusters:
-        a += c.exponent * c.count
+        # A_{l-1} is an integer, so A_l is one exactly when a_l * N_l is
+        step, rest = divmod(c.exponent.numerator * c.count, c.exponent.denominator)
+        if rest:
+            raise NonIntegerVertex(
+                f"vertex abscissa {a + c.exponent * c.count} is not an integer"
+            )
+        a += step
         b -= c.count
-        if a.denominator != 1:
-            raise NonIntegerVertex(f"vertex abscissa {a} is not an integer")
-        out.append((int(a), b))
+        out.append((a, b))
     return out
 
 
 def distance_from_clusters(cl: ClusterLevel) -> Fraction:
     """Newton distance from cluster data: the largest of A_0, B_n, and the
     bisectrix intercepts (A_l + a_l B_l) / (1 + a_l) of the edge lines."""
-    verts = vertices_from_clusters(cl)
-    best = max(Fraction(verts[0][0]), Fraction(verts[-1][1]))
+    return _distance_from_vertices(cl, vertices_from_clusters(cl))
+
+
+def _distance_from_vertices(
+    cl: ClusterLevel, verts: list[tuple[int, int]]
+) -> Fraction:
+    """distance_from_clusters on the vertices reconstructed from cl: with
+    a_l = p/q the intercept is (A_l q + p B_l) / (q + p), and intercepts
+    are compared as integer cross products."""
+    num, den = max(verts[0][0], verts[-1][1]), 1
     for c, (A, B) in zip(cl.clusters, verts[1:]):
-        t = (A + c.exponent * B) / (1 + c.exponent)
-        if t > best:
-            best = t
-    return best
+        p, q = c.exponent.numerator, c.exponent.denominator
+        t_num, t_den = A * q + p * B, q + p
+        if t_num * den > num * t_den:
+            num, den = t_num, t_den
+    return Fraction(num, den)
 
 
 def edge_principal_part_from_clusters(f: BiPoly, l: int) -> BiPoly:

@@ -10,14 +10,14 @@ docs/report_schema.md.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .adapt import AdaptResult, adapt, check_adapted
 from .bipoly import BiPoly
-from .clusters import distance_from_clusters, top_clusters, vertices_from_clusters
-from .errors import DegenerateInX2, ZeroPolynomial
+from .clusters import _distance_from_vertices, top_clusters, vertices_from_clusters
+from .errors import DegenerateInX2
 
 IntPair = tuple[int, int]
 FracPair = tuple[Fraction, Fraction]
@@ -97,7 +97,104 @@ class AnalysisReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """The bytes of json.dumps(self.to_dict(), indent=2,
+        sort_keys=True), written straight from the fixed schema: keys in
+        sorted order, each array item from one template at its indent."""
+        witness = "null"
+        if self.witness is not None:
+            witness = _WITNESS % self.witness
+        cluster_check = "null"
+        if self.cluster_vertices_match is not None:
+            cluster_check = _CLUSTER_CHECK % (
+                _LITERAL[self.cluster_distance_match],
+                _LITERAL[self.cluster_vertices_match],
+            )
+        return _REPORT % (
+            _LITERAL[self.adapt_axis_swapped],
+            _LITERAL[self.adapted_input],
+            _string_or_null(self.adapted_poly),
+            _LITERAL[self.check_axis_swapped],
+            _LITERAL[self.condition_a],
+            _LITERAL[self.condition_b],
+            _LITERAL[self.condition_c],
+            witness,
+            cluster_check,
+            self.distance,
+            _array([_WEIGHT % w for w in self.edge_weights], "  "),
+            _string_or_null(self.height),
+            _quote(self.source),
+            _array([_JET_TERM % t for t in self.jet], "  "),
+            _LITERAL[self.jet_truncated],
+            _quote(self.face_kind),
+            _array([_FACE_POINT % p for p in self.face_points], "    "),
+            *self.principal_weight,
+            _quote(self.status),
+            _array([_STEP % (d, m, n) for n, m, d in self.steps], "  "),
+            _array([_POINT % p for p in self.support], "  "),
+            _array([_POINT % p for p in self.vertices], "  "),
+        )
+
+
+# json.dumps spells these three apart from int, of which bool is a subclass
+_LITERAL = {True: "true", False: "false", None: "null"}
+
+# the item templates of AnalysisReport.to_json, each at its fixed indent;
+# a Fraction's str is digits, "-" and "/", so it is quoted as it stands
+_POINT = "    [\n      %d,\n      %d\n    ]"
+_FACE_POINT = "      [\n        %d,\n        %d\n      ]"
+_WEIGHT = '    [\n      "%s",\n      "%s"\n    ]'
+_JET_TERM = '    [\n      "%s",\n      %d\n    ]'
+_STEP = (
+    '    {\n      "distance": "%s",\n      "exponent": %d,\n'
+    '      "multiplicity": %d\n    }'
+)
+_WITNESS = (
+    '{\n      "coefficient": "%s",\n      "exponent": %d,\n'
+    '      "multiplicity": %d\n    }'
+)
+_CLUSTER_CHECK = '{\n    "distance_match": %s,\n    "vertices_match": %s\n  }'
+_REPORT = """{
+  "adapt_axis_swapped": %s,
+  "adapted_input": %s,
+  "adapted_poly": %s,
+  "adaptedness": {
+    "axis_swapped": %s,
+    "condition_a": %s,
+    "condition_b": %s,
+    "condition_c": %s,
+    "witness": %s
+  },
+  "cluster_check": %s,
+  "distance": "%s",
+  "edge_weights": %s,
+  "height": %s,
+  "input": %s,
+  "jet": %s,
+  "jet_truncated": %s,
+  "principal_face": {
+    "kind": %s,
+    "points": %s
+  },
+  "principal_weight": [
+    "%s",
+    "%s"
+  ],
+  "status": %s,
+  "steps": %s,
+  "support": %s,
+  "vertices": %s
+}"""
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array whose items are written, closed at `indent`."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _string_or_null(value: object) -> str:
+    return "null" if value is None else _quote(str(value))
 
 
 def report_from_dict(data: dict) -> AnalysisReport:
@@ -152,9 +249,10 @@ def _cluster_check(f: BiPoly, verts: tuple[IntPair, ...], d: Fraction):
         cl = top_clusters(f)
     except DegenerateInX2:
         return None, None
+    cluster_verts = vertices_from_clusters(cl)
     return (
-        tuple(vertices_from_clusters(cl)) == verts,
-        distance_from_clusters(cl) == d,
+        tuple(cluster_verts) == verts,
+        _distance_from_vertices(cl, cluster_verts) == d,
     )
 
 
@@ -170,9 +268,6 @@ def build_report(
     carries status "skipped" with no height.  IterationCapExceeded from
     the iteration propagates to the caller.
     """
-    # the zero polynomial fails on its polyhedron, before any verdict
-    if f.is_zero:
-        raise ZeroPolynomial("zero polynomial has no Newton polyhedron")
     result: AdaptResult | None = None
     if run_adapt:
         if max_steps is None:

@@ -16,6 +16,7 @@ from .newton import FaceKind, hull_analysis, newton_polyhedron
 
 UNIT = 40
 PAD = 46
+_DOT_END = '" r="1.5" fill="#c9c9c9"/>'
 
 
 def _fmt(v: float) -> str:
@@ -33,9 +34,10 @@ class _Panel:
         self.offset_x = offset_x
         self.label = label
         self.side = 2 * PAD + m * UNIT
-        # every lattice coordinate drawn lies in 0..extent: format each once
-        self.xs = [f"{offset_x + PAD + i * UNIT:.2f}" for i in range(m + 1)]
-        self.ys = [f"{PAD + (m - i) * UNIT:.2f}" for i in range(m + 1)]
+        # every lattice coordinate drawn lies in 0..extent: format each
+        # once; they are integers, so ".00" is their ".2f" form
+        self.xs = [f"{offset_x + PAD + i * UNIT}.00" for i in range(m + 1)]
+        self.ys = [f"{PAD + (m - i) * UNIT}.00" for i in range(m + 1)]
 
     def render(self) -> list[str]:
         out: list[str] = []
@@ -47,11 +49,11 @@ class _Panel:
         out.append(
             f'<polygon points="{path} {xs[m]},{ys[m]}" fill="#dce8f5" stroke="none"/>'
         )
-        # lattice and axes
+        # lattice and axes: one string per column, its dots joined by a
+        # separator that carries the column's cx
         for x in xs:
-            out.extend(
-                f'<circle cx="{x}" cy="{y}" r="1.5" fill="#c9c9c9"/>' for y in ys
-            )
+            dot = f'<circle cx="{x}" cy="'
+            out.append(dot + f"{_DOT_END}\n{dot}".join(ys) + _DOT_END)
         out.append(
             f'<line x1="{xs[0]}" y1="{ys[0]}" x2="{xs[m]}" '
             f'y2="{ys[0]}" stroke="#444444" stroke-width="1"/>'

@@ -90,6 +90,18 @@ def test_canonical_form(f, g, b, m, axis):
     assert apply_shear(sheared, ShearChange(axis, -b, m)) == f
 
 
+@pytest.mark.parametrize("c", [Fraction(-3, 4), Fraction(5, 6)])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_monomial_power_equals_repeated_products(c, n):
+    f = BiPoly.monomial(2, 3, c)
+    expected = BiPoly.constant(1)
+    for _ in range(n):
+        expected = expected * f
+    got = f**n
+    assert got == expected
+    assert (got.num, got.den) == (expected.num, expected.den)
+
+
 def test_str_is_parse_compatible():
     f = parse("x2^2 - 2*x1^2*x2 + x1^4")
     assert str(f) == "x2^2 - 2*x1^2*x2 + x1^4"

@@ -77,6 +77,17 @@ def test_precondition_exit_code(capsys):
     assert "error:" in err
 
 
+def test_zero_input_has_one_message(capsys):
+    runs = [
+        ("analyze", "0"),
+        ("analyze", "0", "--no-adapt"),
+        ("decay", "0", "--lambda-min", "10", "--lambda-max", "100", "--points", "3"),
+    ]
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", "error: zero polynomial\n"), argv
+
+
 def test_iteration_cap_exit_code(capsys):
     code, _, err = run(
         capsys,

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptcoord import (
     BiPoly,
@@ -160,6 +161,73 @@ def test_reconstruction_rejects_inconsistent_data():
         )
     with pytest.raises(ValueError):
         vertices_from_clusters(ClusterLevel(-1, 0, ()))
+
+
+def _fraction_vertices(cl: ClusterLevel):
+    """vertices_from_clusters on Fractions; None for a non-integer A_l."""
+    a = Fraction(cl.nu1)
+    b = cl.total_roots
+    out = [(cl.nu1, b)]
+    for c in cl.clusters:
+        a += c.exponent * c.count
+        b -= c.count
+        if a.denominator != 1:
+            return None
+        out.append((int(a), b))
+    return out
+
+
+def _fraction_distance(cl: ClusterLevel) -> Fraction:
+    verts = _fraction_vertices(cl)
+    best = max(Fraction(verts[0][0]), Fraction(verts[-1][1]))
+    for c, (A, B) in zip(cl.clusters, verts[1:]):
+        best = max(best, (A + c.exponent * B) / (1 + c.exponent))
+    return best
+
+
+@st.composite
+def cluster_levels(draw) -> ClusterLevel:
+    exponents = draw(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6),
+            max_size=4,
+            unique=True,
+        )
+    )
+    clusters = []
+    for e in sorted(exponents):
+        # mostly a multiple of the denominator, so most vertices are integral
+        count = e.denominator * draw(st.integers(1, 3)) + draw(
+            st.sampled_from((0, 0, 0, 1))
+        )
+        clusters.append(Cluster(e, count))
+    nu1, nu2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return ClusterLevel(nu1, nu2, tuple(clusters))
+
+
+@given(cluster_levels())
+@settings(max_examples=150, deadline=None)
+def test_reconstruction_matches_a_fraction_reference(cl):
+    expected = _fraction_vertices(cl)
+    if expected is None:
+        with pytest.raises(NonIntegerVertex):
+            vertices_from_clusters(cl)
+        with pytest.raises(NonIntegerVertex):
+            distance_from_clusters(cl)
+        return
+    assert vertices_from_clusters(cl) == expected
+    got = distance_from_clusters(cl)
+    assert type(got) is Fraction
+    assert got == _fraction_distance(cl)
+
+
+def test_non_integer_vertex_names_the_first_bad_abscissa():
+    cl = ClusterLevel(
+        2, 0, (Cluster(Fraction(1, 3), 3), Cluster(Fraction(1, 2), 1))
+    )
+    assert _fraction_vertices(cl) is None
+    with pytest.raises(NonIntegerVertex, match="vertex abscissa 7/2 is not"):
+        vertices_from_clusters(cl)
 
 
 @given(analyzable_bipolys())

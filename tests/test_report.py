@@ -2,16 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from adaptcoord import build_report, parse, report_from_dict
+from adaptcoord import (
+    DEFAULT_MAX_STEPS,
+    ShearAxis,
+    ShearChange,
+    apply_shear,
+    build_report,
+    parse,
+    report_from_dict,
+)
 from adaptcoord.errors import IterationCapExceeded
-from conftest import analyzable_bipolys
+from conftest import analyzable_bipolys, random_corpus
 
 
 def test_report_fields_on_nonadapted_input():
@@ -98,6 +109,65 @@ def test_json_is_deterministic():
     # keys sorted, so a re-parse and re-dump is stable too
     data = json.loads(rep.to_json())
     assert rep.to_json() == json.dumps(data, indent=2, sort_keys=True)
+
+
+def _stdlib_json(rep) -> str:
+    """The reference bytes for AnalysisReport.to_json."""
+    return json.dumps(rep.to_dict(), indent=2, sort_keys=True)
+
+
+def _sheared_inputs(n: int) -> list:
+    """Corpus polynomials under 1..3 shears in either axis, coefficient
+    +-1 and exponent 1..3, kept while the total degree stays <= 10 and
+    the coefficients fit in 16 bits."""
+    rng = Random(7)
+    out = []
+    for f in random_corpus(6 * n, seed=31_000_000):
+        for _ in range(rng.randint(1, 3)):
+            axis = rng.choice((ShearAxis.X1, ShearAxis.X2))
+            b = Fraction(rng.choice((-1, 1)))
+            f = apply_shear(f, ShearChange(axis, b, rng.randint(1, 3)))
+        if (
+            max(j + k for j, k in f.support) <= 10
+            and max(abs(c).bit_length() for c in f.num.values()) <= 16
+        ):
+            out.append(f)
+            if len(out) == n:
+                return out
+    raise AssertionError(f"only {len(out)} sheared inputs kept")
+
+
+def test_to_json_matches_the_stdlib_encoder_on_the_corpus():
+    certified = parse("(x2*(1 + x1) - x1^2)^2")
+    reports = [build_report(f) for f in random_corpus(500)]
+    reports += [build_report(certified, max_steps=cap) for cap in (8, DEFAULT_MAX_STEPS)]
+    skipped = build_report(parse("(x2 - x1^2)^2 + x1^5"), run_adapt=False)
+    no_clusters = build_report(parse("x1^3"))
+    assert (skipped.status, skipped.height) == ("skipped", None)
+    assert no_clusters.cluster_vertices_match is None
+    reports += [skipped, no_clusters]
+    for rep in reports:
+        assert rep.to_json() == _stdlib_json(rep), rep.source
+
+
+def test_to_json_matches_the_stdlib_encoder_on_sheared_inputs():
+    shapes = set()
+    for f in _sheared_inputs(400):
+        rep = build_report(f, max_steps=10)
+        assert rep.to_json() == _stdlib_json(rep), rep.source
+        shapes.add((rep.adapted_input, rep.status, len(rep.steps) > 1))
+    # adapted and not, terminated after one and after several shears
+    assert {(True, "terminated", False), (False, "terminated", False)} <= shapes
+    assert (False, "terminated", True) in shapes
+
+
+@given(st.text(max_size=40))
+@example('say "x" \\ \t\n\x00\x1f\x7f \u00e9 \u2603 \U0001d11e')
+@settings(max_examples=100, deadline=None)
+def test_to_json_quotes_source_text_like_the_stdlib_encoder(source):
+    rep = build_report(parse("(x2 - x1^2)^2 + x1^5"))
+    rep = dataclasses.replace(rep, source=source)
+    assert rep.to_json() == _stdlib_json(rep)
 
 
 def test_round_trip_examples():
