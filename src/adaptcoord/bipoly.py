@@ -6,10 +6,10 @@ A BiPoly is a sparse map (j, k) -> integer numerator of x1^j * x2^k over
 one positive denominator, in lowest terms, so every kernel reads
 integers and equal polynomials have equal fields.  A shear is a Taylor
 shift of each weighted diagonal of the support, done with integer adds
-and multiplies.  The squarefree decomposition with respect to x2 is
-Yun's algorithm over Z[x1][x2], with gcds taken by evaluating x1 at a
-large integer; it normalizes every factor to coprime integer
-coefficients.
+and multiplies.  The squarefree decomposition with respect to x2 fixes
+x1 at one large integer, decomposes the image with unipoly.py's Yun in
+Z[x2], and lifts each factor back to coprime integer coefficients,
+checked by the exact product.
 """
 
 from __future__ import annotations
@@ -20,22 +20,17 @@ from fractions import Fraction
 from math import gcd as int_gcd, lcm
 from typing import Callable, Iterable, Mapping
 
-from .errors import (
-    DegenerateInX2,
-    InternalInvariantViolation,
-    ZeroPolynomial,
-)
+from .errors import DegenerateInX2, ZeroPolynomial
 from .unipoly import (
     Row,
+    UniPoly,
     _frac,
     _z_adic,
     _z_eval,
     _z_gcd,
-    _z_mul,
     _z_primitive,
     _z_quo,
-    _z_sub,
-    yun,
+    squarefree_decompose,
 )
 
 Term = tuple[int, int]
@@ -343,18 +338,8 @@ def scale_axes(f: BiPoly, c1: Fraction | int, c2: Fraction | int) -> BiPoly:
 # A polynomial in x2 over Z[x1] is kept as a list of rows, entry k the
 # x1-polynomial that multiplies x2^k, each row a list of integers, lowest
 # degree first, no trailing zeros ([] is zero); the top row is nonzero.
-# gcds are heuristic gcds (Char, Geddes & Gonnet 1989) at both levels:
-# x1 is set to a large integer xi, the gcd of the images is read back in
-# symmetric base xi, and the candidate is kept only when it divides both
-# inputs exactly.  Every factor met is primitive, so by Gauss's lemma
-# every exact division in the decomposition stays in Z[x1].  The rows'
-# own arithmetic and gcd are unipoly.py's Z[x] helpers.
-
-
-def _rows_strip(v: list[Row]) -> list[Row]:
-    while v and not v[-1]:
-        v.pop()
-    return v
+# Rows are evaluated, read back and made primitive with unipoly.py's Z[x]
+# helpers.
 
 
 def _rows_primitive(v: list[Row]) -> list[Row]:
@@ -372,74 +357,6 @@ def _rows_primitive(v: list[Row]) -> list[Row]:
     if v[-1][-1] < 0:
         c = -c
     return v if c == 1 else [[x // c for x in row] for row in v]
-
-
-def _rows_sub(u: list[Row], v: list[Row]) -> list[Row]:
-    size = max(len(u), len(v))
-    u = u + [[]] * (size - len(u))
-    v = v + [[]] * (size - len(v))
-    return _rows_strip([_z_sub(a, b) for a, b in zip(u, v)])
-
-
-def _rows_deriv(v: list[Row]) -> list[Row]:
-    return [[k * x for x in row] for k, row in enumerate(v)][1:]
-
-
-def _rows_quo(num: list[Row], den: list[Row]) -> list[Row] | None:
-    """The quotient num / den in x2 over Z[x1], or None when den does not
-    divide num."""
-    rem = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot: list[Row] = [[] for _ in range(max(len(rem) - dd, 0))]
-    while len(rem) > dd:
-        q = _z_quo(rem.pop(), lead)
-        if q is None:
-            return None
-        off = len(rem) - dd
-        quot[off] = q
-        for i in range(dd):
-            rem[off + i] = _z_sub(rem[off + i], _z_mul(q, den[i]))
-        _rows_strip(rem)
-    return None if rem else quot
-
-
-def _rows_exact_quo(num: list[Row], den: list[Row]) -> list[Row]:
-    q = _rows_quo(num, den)
-    if q is None:
-        raise InternalInvariantViolation("x2-division expected to be exact")
-    return q
-
-
-def _rows_gcd(u: list[Row], v: list[Row]) -> list[Row]:
-    """Primitive gcd in x2 over Z[x1] of nonzero u and any v.
-
-    Every root of lc(u) and lc(v) is below xi in size, so the gcd G keeps
-    its degree at x1 = xi, and G(xi, x2) divides the gcd h of u(xi, x2)
-    and v(xi, x2).  A primitive candidate that divides u and v divides G,
-    so it is G when it has the degree of h.  Scaled to the leading
-    coefficient l(xi), l = gcd(lc u, lc v), h is the image of
-    (l/lc G)*G unless xi is one of the finitely many roots of the
-    resultant of the cofactors, and read back in base xi it is that
-    polynomial once xi is large; xi grows until the candidate divides.
-    """
-    if not v:
-        return _rows_primitive(u)
-    if len(u) == 1 or len(v) == 1:
-        return [[1]]
-    lead = _z_gcd(u[-1], v[-1])
-    lead = [int_gcd(int_gcd(*u[-1]), int_gcd(*v[-1])) * c for c in lead]
-    xi = 2 * max(abs(c) for w in (u, v) for row in w for c in row) + 2
-    while True:
-        h = _z_gcd([_z_eval(row, xi) for row in u], [_z_eval(row, xi) for row in v])
-        if len(h) == 1:
-            return [[1]]
-        scale, r = divmod(_z_eval(lead, xi), h[-1])
-        if not r:
-            g = _rows_primitive([_z_adic(scale * c, xi) for c in h])
-            if _rows_quo(u, g) is not None and _rows_quo(v, g) is not None:
-                return g
-        xi *= xi
 
 
 def _rows_of(f: BiPoly) -> list[Row]:
@@ -464,17 +381,40 @@ def squarefree_part_x2(f: BiPoly) -> tuple[tuple[BiPoly, int], ...]:
     times prod(F**j); each F is primitive with coprime integer
     coefficients, squarefree and pairwise coprime over the rational
     functions in x1, and multiplicities are strictly increasing.
+
+    x1 is fixed at an integer xi above the Cauchy bound of the top row
+    lc, so lc(xi) != 0 and the image in Z[x2] keeps f's degree.  Each
+    squarefree factor g of the image, scaled to the leading coefficient
+    lc(xi), is read back in symmetric base xi and made primitive (Geddes,
+    Czapor & Labahn 1992, ch. 7).  The factors F are accepted only when
+    prod(F**j) is f's primitive part exactly.  Then each F(xi) is a
+    multiple of its g of the same degree, and a factor h of positive
+    degree repeated in one F, or shared by two, would divide f, so
+    lc(h)(xi) != 0 and h(xi) would be repeated in, or shared by, the
+    images: F is squarefree and the F pairwise coprime, so they are the
+    decomposition.  The true factors come back once xi avoids the
+    finitely many roots of their discriminants and resultants and
+    exceeds twice the coefficients of (lc/lc F)*F; xi squares until then.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     if f.x2_degree < 1:
         raise DegenerateInX2("input does not involve x2")
-    found = yun(
-        _rows_primitive(_rows_of(f)),
-        gcd=_rows_gcd,
-        div=_rows_exact_quo,
-        deriv=_rows_deriv,
-        sub=_rows_sub,
-        degree=lambda v: len(v) - 1,
-    )
-    return tuple((_rows_to_bipoly(g), i) for g, i in found)
+    rows = _rows_primitive(_rows_of(f))
+    target = _rows_to_bipoly(rows)
+    xi = 2 * max(abs(c) for row in rows for c in row) + 2
+    while True:
+        lead = _z_eval(rows[-1], xi)
+        found = []
+        product = BiPoly.constant(1)
+        for g, i in squarefree_decompose(UniPoly(tuple(_z_eval(row, xi) for row in rows))):
+            scale, r = divmod(lead, g.coeffs[-1])
+            if r:
+                break
+            F = _rows_to_bipoly(_rows_primitive([_z_adic(scale * c, xi) for c in g.coeffs]))
+            found.append((F, i))
+            product = product * F**i
+        else:
+            if product == target:
+                return tuple(found)
+        xi *= xi

@@ -9,8 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 expression or usage errors (an --svg path that
 cannot be written is one, an ADAPTCOORD_MAX_STEPS that is not an integer
-another), 3 precondition violations (a step cap below 1, from --max-steps
-or ADAPTCOORD_MAX_STEPS, is one), 4 iteration cap exceeded.
+another, parentheses nested deeper than parsing.MAX_NESTING a third), 3
+precondition violations (a step cap below 1, from --max-steps or
+ADAPTCOORD_MAX_STEPS, is one, a clusters --depth outside 1 to
+clusters.MAX_DEPTH another), 4 iteration cap exceeded.
 ADAPTCOORD_MAX_STEPS overrides the default shear cap when --max-steps is
 not given.
 """

@@ -34,6 +34,11 @@ from .newton import build_polyhedron
 from .quasihomog import edge_root_polynomial
 from .unipoly import rational_roots
 
+# each level of refinement recurses through top_clusters and _refine_edge,
+# so this keeps the deepest refinement far below Python's default
+# recursion limit
+MAX_DEPTH = 256
+
 
 @dataclass(frozen=True, slots=True)
 class Refinement:
@@ -127,9 +132,10 @@ def top_clusters(f: BiPoly, depth: int = 1) -> ClusterLevel:
     arithmetic happens at all.  With depth >= 2, branches with integer
     exponent and rational leading coefficient are refined recursively;
     everything else is counted in the clusters' `unresolved` fields.
+    The depth runs from 1 to MAX_DEPTH.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be between 1 and {MAX_DEPTH}")
     if f.is_zero:
         raise ZeroPolynomial("cluster data needs a nonzero polynomial")
     if (0, 0) in f.num:

@@ -12,8 +12,8 @@ Grammar, loosest binding first:
 
 Variables are x1 and x2, with x and y accepted as aliases.  There is no
 implicit multiplication and no division except inside rational literals;
-exponents must be non-negative integer literals.  Errors carry 1-based
-line and column positions.
+exponents must be non-negative integer literals.  Parentheses nest at
+most MAX_NESTING deep.  Errors carry 1-based line and column positions.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .errors import NonIntegerExponent, PolySyntaxError, UnknownVariable
 
 _VARIABLES = {"x1": (1, 0), "x": (1, 0), "x2": (0, 1), "y": (0, 1)}
 _PUNCT = set("+-*^()/")
+
+# each '(' of an atom costs five frames of recursive descent, so this
+# keeps the deepest parse far below Python's default recursion limit
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,6 +86,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -164,9 +169,15 @@ class _Parser:
             j, k = _VARIABLES[tok.text]
             return BiPoly.monomial(j, k)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise PolySyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col
+                )
             self.advance()
+            self.depth += 1
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise PolySyntaxError(
             f"expected a number, variable, or '(', found "

@@ -9,8 +9,9 @@ half-open intervals) and isolated by bisection on one primitive
 remainder sequence, whose signs at a rational point are those of an
 integer.  Rational roots are read off isolating intervals refined below
 1/leading coefficient, so root finding costs time polynomial in the
-coefficient size.  The Z[x] helpers here are also the rows of
-bipoly.py's kernels over Z[x1].  No floating point anywhere.
+coefficient size.  bipoly.py reads its rows over Z[x1] with the Z[x]
+helpers here, and decomposes in x2 with the Yun loop here.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class UniPoly:
 #
 # The kernels below work on a UniPoly's coefficients as a row: a list of
 # integers, lowest degree first, no trailing zeros ([] is zero).  bipoly.py
-# builds its rows over Z[x1] from the same helpers.
+# reads its rows over Z[x1] with the same helpers.
 
 Row = list[int]
 
@@ -72,17 +73,6 @@ def integer_row(p: UniPoly) -> Row:
     if p.is_zero:
         raise ZeroPolynomial("the zero polynomial has no primitive row")
     return _z_primitive(list(p.coeffs))
-
-
-def _z_mul(a: Row, b: Row) -> Row:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _z_sub(a: Row, b: Row) -> Row:
@@ -182,32 +172,6 @@ def _z_gcd(a: Row, b: Row) -> Row:
         xi *= xi
 
 
-def yun(p, *, gcd, div, deriv, sub, degree) -> list:
-    """Yun's algorithm for p in one variable over a field, or over a
-    unique factorization domain such as Z or Z[x1] with primitive gcds,
-    in any representation: the callables give the gcd, exact division,
-    derivative, difference and degree.  Returns [(factor, multiplicity)]
-    over the factors of positive degree, multiplicities increasing; the
-    product of factor**multiplicity is p up to a constant.  Any associate
-    gcd works, since the derivative commutes with scalings, so b and d
-    always carry the same constant.
-    """
-    dp = deriv(p)
-    a = gcd(p, dp)
-    b = div(p, a)
-    d = sub(div(dp, a), deriv(b))
-    factors = []
-    i = 1
-    while degree(b) > 0:
-        g = gcd(b, d)
-        if degree(g) > 0:
-            factors.append((g, i))
-        b = div(b, g)
-        d = sub(div(d, g), deriv(b))
-        i += 1
-    return factors
-
-
 def squarefree_decompose(p: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
     """Yun's algorithm on p's primitive integer row, with heuristic gcds
     and exact divisions in Z[y]: the pairs (factor, multiplicity) with p
@@ -220,15 +184,21 @@ def squarefree_decompose(p: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
-    found = yun(
-        integer_row(p),
-        gcd=_z_gcd,
-        div=_z_exact_quo,
-        deriv=_z_deriv,
-        sub=_z_sub,
-        degree=lambda a: len(a) - 1,
-    )
-    return tuple((UniPoly(tuple(g)), i) for g, i in found)
+    a = integer_row(p)
+    da = _z_deriv(a)
+    g = _z_gcd(a, da)
+    b = _z_exact_quo(a, g)
+    d = _z_sub(_z_exact_quo(da, g), _z_deriv(b))
+    factors = []
+    i = 1
+    while len(b) > 1:
+        g = _z_gcd(b, d)
+        if len(g) > 1:
+            factors.append((UniPoly(tuple(g)), i))
+        b = _z_exact_quo(b, g)
+        d = _z_sub(_z_exact_quo(d, g), _z_deriv(b))
+        i += 1
+    return tuple(factors)
 
 
 # Sturm chains.  Sign counts use the convention that zeros are skipped, so

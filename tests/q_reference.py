@@ -1,6 +1,7 @@
 """Division and Euclid's gcd over Q, on tuples of Fractions, lowest
-degree first, with no trailing zeros.  No kernel uses them: they are the
-reference the integer kernels are tested against."""
+degree first, with no trailing zeros, and the product of integer rows
+that builds test inputs.  No kernel uses them: they are the reference
+the integer kernels are tested against."""
 
 from __future__ import annotations
 
@@ -41,3 +42,15 @@ def poly_gcd(a: QRow, b: QRow) -> QRow:
     while b:
         a, b = b, divmod_poly(a, b)[1]
     return tuple(c / Fraction(a[-1]) for c in a)
+
+
+def _z_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer rows, lowest degree first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out

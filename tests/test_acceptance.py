@@ -49,12 +49,12 @@ from adaptcoord import (
 )
 from adaptcoord.unipoly import (
     UniPoly,
-    _z_mul,
     count_real_roots,
     exact_real_roots,
     squarefree_decompose,
 )
 from conftest import CORPUS_SEED, random_corpus
+from q_reference import _z_mul
 
 # polynomials whose adapted systems are reachable by x2-shears (possibly
 # after an axis swap) with coefficients in {-2..2} and exponents <= 4;

@@ -24,7 +24,6 @@ from adaptcoord import (
     swap_axes,
     weighted_part,
 )
-from adaptcoord.bipoly import _rows_gcd, _rows_of, _rows_to_bipoly
 from adaptcoord.unipoly import _z_deriv, _z_gcd
 from conftest import bipolys, coefficients, random_corpus
 from q_reference import exact_div, poly_gcd
@@ -283,15 +282,25 @@ def _at(F: BiPoly, a: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+# two products whose first evaluation point lifts a wrong candidate
+_UNLUCKY_PRODUCTS = (
+    "(x1^2 + 3*x1^2*x2^2)^2 * (2*x2 - 3*x1^3 - 2*x1^2*x2^2 + 2*x1^3*x2^2)",
+    "(3*x1^2*x2 - 2*x1^3 - 3*x1^3*x2)^2 * (-3*x1^2 + x1^2*x2 - x1^3*x2^2)",
+)
+
+
 def test_squarefree_part_x2_oracle():
-    # products of two corpus polynomials raised to powers 1..3; the checks
-    # use Q[x2] arithmetic at integer x1 and BiPoly products, never the
-    # bivariate gcd
+    # products of two corpus polynomials raised to powers 1..3, and the
+    # unlucky products; the checks use Q[x2] arithmetic at integer x1 and
+    # BiPoly products, never the decomposition's own evaluation point
     rng = Random(3)
     pool = random_corpus(60)
+    products = []
     for _ in range(25):
         f, g = rng.sample(pool, 2)
-        p = f ** rng.randint(1, 3) * g ** rng.randint(1, 3)
+        products.append(f ** rng.randint(1, 3) * g ** rng.randint(1, 3))
+    products += [parse(s) for s in _UNLUCKY_PRODUCTS]
+    for p in products:
         factors = squarefree_part_x2(p)
         mults = [j for _, j in factors]
         assert mults == sorted(set(mults))
@@ -314,11 +323,22 @@ def test_squarefree_part_x2_oracle():
                 assert min(len(poly_gcd(_at(F, a), other(a))) for a in points) == 1
 
 
+def test_squarefree_part_x2_checks_the_lift_by_the_product():
+    # at the first point, x1 = 38 and x1 = 86, the multiplicity-1 factor
+    # of the image lifts to a polynomial that does not divide the input,
+    # 18*x2 + 11*x1^3 - x1^4 - 18*x1^2*x2^2 + 18*x1^3*x2^2 for the first;
+    # only the exact product rejects it
+    assert squarefree_part_x2(parse(_UNLUCKY_PRODUCTS[0])) == (
+        (parse("2*x2 - 3*x1^3 - 2*x1^2*x2^2 + 2*x1^3*x2^2"), 1),
+        (parse("1 + 3*x2^2"), 2),
+    )
+    assert squarefree_part_x2(parse(_UNLUCKY_PRODUCTS[1])) == (
+        (parse("3 - x2 + x1*x2^2"), 1),
+        (parse("2*x1 - 3*x2 + 3*x1*x2"), 2),
+    )
+
+
 def test_gcds_retry_past_an_unlucky_evaluation_point():
     # at the first xi, the gcd of the images reads back to a candidate
     # that does not divide the inputs
     assert _z_gcd([6, 3, -7, 3], [0, 6, -12, 8, -2]) == [3, -3, 1]
-    g = parse("x2^2 - x1 - x1^2")
-    a = g * parse("2*x2^3 - 2*x1 - 2*x1^3 - 2*x1^3*x2^2 + 2*x1^3*x2^3")
-    b = g * parse("2 - 2*x2^3 - 2*x1^2*x2 + 2*x1^2*x2^3 + 2*x1^3*x2^2")
-    assert _rows_to_bipoly(_rows_gcd(_rows_of(a), _rows_of(b))) == g

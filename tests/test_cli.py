@@ -69,12 +69,18 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
     assert "error:" in err
     assert "column" in err
+    code, _, err = run(capsys, "analyze", "(" * 250 + "x1^2" + ")" * 250)
+    assert code == 2
+    assert "nested deeper" in err
 
 
 def test_precondition_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "x1 + x2^2")  # order 1 at origin
     assert code == 3
     assert "error:" in err
+    code, _, err = run(capsys, "clusters", "(x2*(1 + x1) - x1^2)^2", "--depth", "500")
+    assert code == 3
+    assert "depth must be between" in err
 
 
 def test_zero_input_has_one_message(capsys):

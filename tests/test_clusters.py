@@ -24,6 +24,7 @@ from adaptcoord import (
     vertices_from_clusters,
     weighted_part,
 )
+from adaptcoord.clusters import MAX_DEPTH
 from adaptcoord.errors import (
     DegenerateInX2,
     NonIntegerVertex,
@@ -148,6 +149,21 @@ def test_input_validation():
         top_clusters(parse("1 + x2^2"))
     with pytest.raises(DegenerateInX2):
         top_clusters(parse("x1^2 + x1^3"))
+
+
+def test_depth_at_the_bound_and_past_it():
+    # x2 = x1^2/(1 + x1) = x1^2 - x1^3 + ... refines one level per step,
+    # so the deepest allowed call recurses the whole way
+    f = parse("(x2*(1 + x1) - x1^2)^2")
+    clusters = top_clusters(f, depth=MAX_DEPTH).clusters
+    coefficients = []
+    while clusters[0].refinements:
+        [r] = clusters[0].refinements
+        coefficients.append((r.coefficient, r.count))
+        clusters = r.sub.clusters
+    assert coefficients == [((-1) ** i, 2) for i in range(MAX_DEPTH - 1)]
+    with pytest.raises(ValueError, match=str(MAX_DEPTH)):
+        top_clusters(f, depth=MAX_DEPTH + 1)
 
 
 def test_reconstruction_rejects_inconsistent_data():

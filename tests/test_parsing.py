@@ -16,6 +16,7 @@ from adaptcoord.errors import (
     PolySyntaxError,
     UnknownVariable,
 )
+from adaptcoord.parsing import MAX_NESTING
 from conftest import bipolys
 
 
@@ -89,6 +90,19 @@ def test_multiline_positions():
         parse("x1^2 +\n  %x2")
     assert err.value.line == 2
     assert err.value.col == 3
+
+
+def test_nesting_past_the_bound_is_a_syntax_error():
+    def nested(n: int) -> str:
+        return "(" * n + "x1^2" + ")" * n
+
+    assert parse(nested(MAX_NESTING)) == parse("x1^2")
+    for n in (MAX_NESTING + 1, 250, 5000):
+        with pytest.raises(PolySyntaxError) as err:
+            parse(nested(n))
+        assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
+    # the bound is on depth, not on the number of parentheses
+    assert parse(" + ".join([nested(MAX_NESTING)] * 3)) == parse("3*x1^2")
 
 
 def test_zero_denominator_rejected():

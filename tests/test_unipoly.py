@@ -17,7 +17,6 @@ from adaptcoord.errors import NotSquarefree, ZeroPolynomial
 from adaptcoord.unipoly import (
     _z_deriv,
     _z_eval,
-    _z_mul,
     _z_sub,
     count_real_roots,
     integer_row,
@@ -28,7 +27,7 @@ from adaptcoord.unipoly import (
     squarefree_decompose,
     sturm_chain,
 )
-from q_reference import divmod_poly, exact_div, poly_gcd
+from q_reference import _z_mul, divmod_poly, exact_div, poly_gcd
 
 coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 # tuples of Fractions with no trailing zeros: the Q reference's input
