@@ -15,6 +15,14 @@ distance.  Iterating this step either terminates in adapted coordinates or
 tracks an infinite power-series root of some fixed multiplicity N; in the
 latter case the height equals N.
 
+Condition (c) is decided without factoring the edge's root polynomial u
+(quasihomog.deep_root).  With q <= p, no root is deep when q >= 2, since
+then d_h >= n, nor when q = 1 and n <= nu1 + p*nu2, which is exactly
+n <= d_h.  Otherwise k = floor(d_h) + 1 > n/2, and G = gcd(u, u', ...,
+u^(k-1)) keeps the roots of multiplicity M >= k, each M - k + 1 times.
+Two of them would need degree 2k > n, and a root's conjugates over Q
+have its multiplicity, so G = c*(A*y + B)^e: b = -B/A and M = e + k - 1.
+
 Non-termination is certified exactly, not guessed: once the step
 multiplicities stabilize at N, the squarefree factor F of f with
 multiplicity N must carry the root being tracked.  A polynomial root of F
@@ -51,7 +59,7 @@ from .newton import (
     hull_analysis,
     newton_polyhedron,
 )
-from .quasihomog import _require_order_two, edge_root_polynomial, verdict_roots
+from .quasihomog import _require_order_two, deep_root, edge_root_polynomial
 from .unipoly import UniPoly
 
 DEFAULT_MAX_STEPS = 64
@@ -157,19 +165,12 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
         if swapped:
             nu1, nu2, q, p, n, u = edge
             edge = nu2, nu1, p, q, n, UniPoly(u.coeffs[::-1])
-        roots = verdict_roots(weight, edge)
-        max_real = roots.max_real_multiplicity
-        condition_c = max_real > d
-        if condition_b and condition_c:
-            if roots.principal_root is None:
-                raise InternalInvariantViolation(
-                    "conditions met but no principal root extracted"
-                )
-            b, m = roots.principal_root
-            if m != weight.p:
-                raise InternalInvariantViolation("witness exponent disagrees with weight")
+        deep = deep_root(weight, edge)
+        condition_c = deep is not None
+        if condition_c:
+            b, mult = deep
             witness = PrincipalRootWitness(
-                coefficient=b, exponent=m, multiplicity=max_real
+                coefficient=b, exponent=weight.p, multiplicity=mult
             )
     return AdaptednessReport(
         adapted=not (condition_a and condition_b and condition_c),

@@ -24,8 +24,23 @@ Key quantities:
 * circle vanishing order m(P): the maximal order of vanishing of P along
   the unit circle, max{nu1, nu2, max real n_l};
 * height of P itself: max{m(P), d_h};
-* the principal root: the unique real root with multiplicity > d_h, which
+* the deep root: the unique real root with multiplicity M > d_h, which
   can only exist when q = 1 and is then provably rational.
+
+deep_root decides the last one without factoring u.  With q <= p:
+
+* q >= 2 gives p > q >= 2, so pq >= p + q and d_h >= pqn/(p+q) >= n:
+  no multiplicity exceeds d_h;
+* for q = 1, d_h = (nu1 + p*nu2 + p*n)/(1+p), so n <= d_h exactly when
+  n <= nu1 + p*nu2.
+
+Otherwise k = floor(d_h) + 1 is the least multiplicity above d_h, and
+k > d_h >= p*n/(1+p) >= n/2.  A root of multiplicity M in u has
+multiplicity M - i in u^(i), so G = gcd(u, u', ..., u^(k-1)) has exactly
+the roots of multiplicity >= k, each with multiplicity M - k + 1.  Two
+such roots would need degree 2k > n, and a root's conjugates over Q
+have its multiplicity, so G = c*(A*y + B)^e: one rational root -B/A,
+with M = e + k - 1.
 """
 
 from __future__ import annotations
@@ -33,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .bipoly import BiPoly, Term, Weight
 from .errors import (
@@ -48,8 +63,11 @@ from .errors import (
 from .newton import edge_weight
 from .unipoly import (
     UniPoly,
+    _z_deriv,
+    _z_gcd,
     count_real_roots,
     exact_real_roots,
+    integer_row,
     rational_roots,
     squarefree_decompose,
 )
@@ -143,8 +161,8 @@ def root_structure(P: BiPoly) -> tuple[Weight, int, int, int, int, int, UniPoly]
 class QuasiHomogData:
     """Exact factorization data of a quasi-homogeneous polynomial: the
     squarefree decomposition of its root polynomial u into primitive
-    integer factors, with the two values the adaptedness verdict reads
-    off it."""
+    integer factors, its largest real multiplicity, and deep_root's
+    root paired with the shear exponent p."""
 
     weight: Weight
     nu1: int
@@ -180,52 +198,60 @@ def _require_order_two(P: BiPoly) -> None:
         )
 
 
-def verdict_roots(w: Weight, edge: Edge) -> QuasiHomogData:
-    """Factorization data of the edge (from edge_root_polynomial) whose
-    weight is w, with k1 <= k2.
-
-    A real root of multiplicity above d_h can only exist when q = 1, and is
-    then unique and rational: d_h >= n/2, so its squarefree factor has
-    degree * multiplicity <= n < 2 * multiplicity and is linear.
-    """
+def deep_root(w: Weight, edge: Edge) -> tuple[Fraction, int] | None:
+    """(b, M) for the real root b of multiplicity M > d_h of the edge (from
+    edge_root_polynomial) whose weight is w, with k1 <= k2; None when no
+    root is that deep.  No factorization: the two bounds and the chain of
+    derivative gcds of the module docstring."""
     nu1, nu2, q, p, n, u = edge
     if (q, p) != (w.q, w.p) or q * nu1 + p * nu2 + p * q * n != w.m:
         raise InternalInvariantViolation("edge reading disagrees with its weight")
-    d_h = Fraction(w.m, q + p)
-    factors = squarefree_decompose(u)
-    max_real = 0
-    principal: tuple[Fraction, int] | None = None
-    for factor, mult in factors:
-        real = count_real_roots(factor)
-        if not real:
-            continue
-        max_real = mult  # factors come in increasing multiplicity
-        if mult <= d_h:
-            continue
-        if principal is not None or real > 1:
-            raise InternalInvariantViolation("more than one root above the threshold")
-        if q != 1:
-            raise InternalInvariantViolation("root above threshold despite q >= 2")
-        if factor.degree != 1:
-            raise InternalInvariantViolation(
-                "principal root must be rational for rational input"
-            )
-        principal = (Fraction(-factor.coeffs[0], factor.coeffs[1]), p)
-    return QuasiHomogData(w, nu1, nu2, n, d_h, factors, max_real, principal)
+    if q != 1 or n <= nu1 + p * nu2:
+        return None
+    k = w.m // (q + p) + 1
+    g = der = integer_row(u)
+    for _ in range(k - 1):
+        der = _z_deriv(der)
+        g = _z_gcd(g, der)
+        if len(g) == 1:
+            return None
+    e = len(g) - 1
+    b = Fraction(-g[e - 1], e * g[e])
+    A, B = b.denominator, -b.numerator
+    if g != [comb(e, i) * A**i * B ** (e - i) for i in range(e + 1)]:
+        raise InternalInvariantViolation("deep roots are not one rational root")
+    return b, e + k - 1
 
 
 def analyze(P: BiPoly) -> QuasiHomogData:
     """Full factorization data for quasi-homogeneous P with k1 <= k2.
 
     The input must vanish to order >= 2 at the origin and must not be a
-    monomial.  The principal root is populated exactly when q = 1 and one
-    real root has multiplicity exceeding d_h; such a root is rational.
+    monomial.  The principal root is deep_root's, paired with the shear
+    exponent p; the squarefree factors and their real-root counts must
+    agree with it, or InternalInvariantViolation is raised.
     """
     _require_order_two(P)
     w, *edge = root_structure(P)
     if w.q > w.p:
         raise AxesNotNormalized("expected k1 <= k2; swap the axes first")
-    return verdict_roots(w, tuple(edge))
+    nu1, nu2, _, _, n, u = edge
+    d_h = Fraction(w.m, w.q + w.p)
+    factors = squarefree_decompose(u)
+    max_real = max(
+        (mult for factor, mult in factors if count_real_roots(factor)), default=0
+    )
+    deep = deep_root(w, tuple(edge))
+    if deep is None:
+        principal = None
+        agree = max_real <= d_h
+    else:
+        b, mult = deep
+        principal = (b, w.p)
+        agree = factors[-1] == (UniPoly((-b.numerator, b.denominator)), mult)
+    if not agree:
+        raise InternalInvariantViolation("deep root disagrees with the factorization")
+    return QuasiHomogData(w, nu1, nu2, n, d_h, factors, max_real, principal)
 
 
 def circle_vanishing_order(P: BiPoly) -> int:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 from hypothesis import strategies as st
 
-from adaptcoord import BiPoly
+from adaptcoord import BiPoly, ShearAxis, ShearChange, apply_shear
 
 # the seeded corpus is the height survey's, so the two cannot drift apart
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -50,3 +51,25 @@ def analyzable_bipolys(draw) -> BiPoly:
 
 def frac(a: int, b: int = 1) -> Fraction:
     return Fraction(a, b)
+
+
+def sheared_inputs(n: int) -> list[tuple[BiPoly, BiPoly]]:
+    """(base, sheared) pairs: corpus polynomials under 1..3 shears in
+    either axis, coefficient +-1 and exponent 1..3, kept while the total
+    degree stays <= 10 and the coefficients fit in 16 bits."""
+    rng = Random(7)
+    out = []
+    for base in random_corpus(6 * n, seed=31_000_000):
+        f = base
+        for _ in range(rng.randint(1, 3)):
+            axis = rng.choice((ShearAxis.X1, ShearAxis.X2))
+            b = Fraction(rng.choice((-1, 1)))
+            f = apply_shear(f, ShearChange(axis, b, rng.randint(1, 3)))
+        if (
+            max(j + k for j, k in f.support) <= 10
+            and max(abs(c).bit_length() for c in f.num.values()) <= 16
+        ):
+            out.append((base, f))
+            if len(out) == n:
+                return out
+    raise AssertionError(f"only {len(out)} sheared inputs kept")

@@ -1,4 +1,4 @@
-"""Acceptance gate: eight criteria, each printing one PASS/FAIL line.
+"""Acceptance gate: nine criteria, each printing one PASS/FAIL line.
 
 Every criterion runs inside a stopwatch; the line reports the verdict and
 the elapsed time, and the test fails if the work fails or the stated time
@@ -53,7 +53,7 @@ from adaptcoord.unipoly import (
     exact_real_roots,
     squarefree_decompose,
 )
-from conftest import CORPUS_SEED, random_corpus
+from conftest import CORPUS_SEED, random_corpus, sheared_inputs
 from q_reference import _z_mul
 
 # polynomials whose adapted systems are reachable by x2-shears (possibly
@@ -324,6 +324,18 @@ def test_criterion_8_invariance_suite(capsys, corpus):
             assert all(a >= b for a, b in zip(mults, mults[1:])), f
 
     run_criterion(capsys, "8 invariance suite", 10.0, body)
+
+
+def test_criterion_9_height_invariance_under_shears(capsys):
+    # the slice is fixed: the first 200 (base, sheared) pairs at cap 10
+    pairs = sheared_inputs(200)
+
+    def body():
+        for base, g in pairs:
+            want = adapt(base, max_steps=10).height
+            assert adapt(g, max_steps=10).height == want, (base, g)
+
+    run_criterion(capsys, "9 height invariance under shears (200 pairs)", 10.0, body)
 
 
 # a Morse function (h = 1) with a 29-digit prime coefficient

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adaptcoord import (
@@ -45,8 +45,10 @@ from adaptcoord.errors import (
     WrongHomogeneity,
     ZeroPolynomial,
 )
-from adaptcoord.unipoly import _z_eval
+from adaptcoord.quasihomog import deep_root
+from adaptcoord.unipoly import _z_eval, count_real_roots, squarefree_decompose
 from conftest import random_corpus
+from q_reference import _z_mul
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 nonzero_rationals = rationals.filter(lambda r: r != 0)
@@ -208,6 +210,64 @@ def test_principal_root_is_unique_and_rational():
     assert got.principal_root == (Fraction(3), 2)  # (value, exponent)
     assert got.max_real_multiplicity == 3
     assert got.d_h == Fraction(2)
+
+
+COPRIME_WEIGHTS = [
+    (q, p) for p in range(1, 5) for q in range(1, p + 1) if gcd(q, p) == 1
+]
+
+
+def yun_sturm_deep_root(w: Weight, edge) -> tuple[Fraction, int] | None:
+    """The deep root read off the squarefree factors and their Sturm
+    counts, the reading deep_root replaces in the verdict."""
+    d_h = Fraction(w.m, w.q + w.p)
+    deep = [
+        (factor, mult)
+        for factor, mult in squarefree_decompose(edge[-1])
+        if mult > d_h and count_real_roots(factor)
+    ]
+    if not deep:
+        return None
+    ((factor, mult),) = deep  # one real factor above d_h, and it is linear
+    assert factor.degree == 1
+    return Fraction(-factor.coeffs[0], factor.coeffs[1]), mult
+
+
+@given(
+    nu1=st.integers(min_value=0, max_value=3),
+    nu2=st.integers(min_value=0, max_value=3),
+    qp=st.sampled_from(COPRIME_WEIGHTS),
+    c=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    roots=st.lists(
+        st.tuples(nonzero_rationals, st.integers(min_value=1, max_value=5)),
+        min_size=1,
+        max_size=3,
+    ),
+    j=st.integers(min_value=0, max_value=2),
+    a=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+)
+# q = 2: a triple root is no deeper than d_h = 18/5
+@example(nu1=0, nu2=0, qp=(2, 3), c=1, roots=[(Fraction(1), 3)], j=0, a=1)
+# n = nu1 + p*nu2 = 2: the double root sits at d_h = 2
+@example(nu1=0, nu2=1, qp=(1, 2), c=1, roots=[(Fraction(1), 2)], j=0, a=1)
+# n = 5, d_h = 5/2, k = 3: a root of multiplicity exactly k is deep
+@example(nu1=0, nu2=0, qp=(1, 1), c=2, roots=[(Fraction(1, 2), 3)], j=1, a=1)
+# n = 4, d_h = 2, k = 3: a root of multiplicity k - 1 is not
+@example(nu1=0, nu2=0, qp=(1, 1), c=1, roots=[(Fraction(1), 2)], j=1, a=2)
+@settings(max_examples=150, deadline=None)
+def test_deep_root_matches_yun_and_sturm(nu1, nu2, qp, c, roots, j, a):
+    q, p = qp
+    u = [c]
+    for r, mult in roots:
+        for _ in range(mult):
+            u = _z_mul(u, [-r.numerator, r.denominator])
+    for _ in range(j):
+        u = _z_mul(u, [a, 0, 1])
+    u = UniPoly.from_coeffs(u)
+    n = u.degree
+    w = Weight(q, p, q * nu1 + p * nu2 + p * q * n)
+    edge = (nu1, nu2, q, p, n, u)
+    assert deep_root(w, edge) == yun_sturm_deep_root(w, edge)
 
 
 def test_predict_shear_vertices_examples():

@@ -6,7 +6,6 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
-from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,15 +13,12 @@ from hypothesis import strategies as st
 
 from adaptcoord import (
     DEFAULT_MAX_STEPS,
-    ShearAxis,
-    ShearChange,
-    apply_shear,
     build_report,
     parse,
     report_from_dict,
 )
 from adaptcoord.errors import IterationCapExceeded
-from conftest import analyzable_bipolys, random_corpus
+from conftest import analyzable_bipolys, random_corpus, sheared_inputs
 
 
 def test_report_fields_on_nonadapted_input():
@@ -116,27 +112,6 @@ def _stdlib_json(rep) -> str:
     return json.dumps(rep.to_dict(), indent=2, sort_keys=True)
 
 
-def _sheared_inputs(n: int) -> list:
-    """Corpus polynomials under 1..3 shears in either axis, coefficient
-    +-1 and exponent 1..3, kept while the total degree stays <= 10 and
-    the coefficients fit in 16 bits."""
-    rng = Random(7)
-    out = []
-    for f in random_corpus(6 * n, seed=31_000_000):
-        for _ in range(rng.randint(1, 3)):
-            axis = rng.choice((ShearAxis.X1, ShearAxis.X2))
-            b = Fraction(rng.choice((-1, 1)))
-            f = apply_shear(f, ShearChange(axis, b, rng.randint(1, 3)))
-        if (
-            max(j + k for j, k in f.support) <= 10
-            and max(abs(c).bit_length() for c in f.num.values()) <= 16
-        ):
-            out.append(f)
-            if len(out) == n:
-                return out
-    raise AssertionError(f"only {len(out)} sheared inputs kept")
-
-
 def test_to_json_matches_the_stdlib_encoder_on_the_corpus():
     certified = parse("(x2*(1 + x1) - x1^2)^2")
     reports = [build_report(f) for f in random_corpus(500)]
@@ -152,7 +127,7 @@ def test_to_json_matches_the_stdlib_encoder_on_the_corpus():
 
 def test_to_json_matches_the_stdlib_encoder_on_sheared_inputs():
     shapes = set()
-    for f in _sheared_inputs(400):
+    for _, f in sheared_inputs(400):
         rep = build_report(f, max_steps=10)
         assert rep.to_json() == _stdlib_json(rep), rep.source
         shapes.add((rep.adapted_input, rep.status, len(rep.steps) > 1))
