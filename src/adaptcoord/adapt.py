@@ -15,13 +15,8 @@ distance.  Iterating this step either terminates in adapted coordinates or
 tracks an infinite power-series root of some fixed multiplicity N; in the
 latter case the height equals N.
 
-Condition (c) is decided without factoring the edge's root polynomial u
-(quasihomog.deep_root).  With q <= p, no root is deep when q >= 2, since
-then d_h >= n, nor when q = 1 and n <= nu1 + p*nu2, which is exactly
-n <= d_h.  Otherwise k = floor(d_h) + 1 > n/2, and G = gcd(u, u', ...,
-u^(k-1)) keeps the roots of multiplicity M >= k, each M - k + 1 times.
-Two of them would need degree 2k > n, and a root's conjugates over Q
-have its multiplicity, so G = c*(A*y + B)^e: b = -B/A and M = e + k - 1.
+Condition (c) is decided without factoring the edge's root polynomial;
+the argument is at quasihomog.deep_root.
 
 Non-termination is certified exactly, not guessed: once the step
 multiplicities stabilize at N, the squarefree factor F of f with
@@ -53,12 +48,7 @@ from .errors import (
     InternalInvariantViolation,
     IterationCapExceeded,
 )
-from .newton import (
-    HullAnalysis,
-    distance,
-    hull_analysis,
-    newton_polyhedron,
-)
+from .newton import HullAnalysis, hull_analysis, newton_polyhedron
 from .quasihomog import _require_order_two, deep_root, edge_root_polynomial
 from .unipoly import UniPoly
 
@@ -130,13 +120,6 @@ class AdaptResult:
     input_check: AdaptednessReport
 
 
-def _needs_swap(hull: HullAnalysis) -> bool:
-    """Whether the axes must be swapped to make k1 <= k2: true for a
-    vertical half-line, whose weight is (1/j, 0), and for an edge steeper
-    than -1."""
-    return hull.weight.q > hull.weight.p
-
-
 def check_adapted(f: BiPoly) -> AdaptednessReport:
     """Decide adaptedness of the current coordinates.
 
@@ -148,9 +131,10 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
     """
     _require_order_two(f)
     hull = hull_analysis(newton_polyhedron(f))
-    d = hull.distance
     face, weight = hull.face, hull.weight
-    swapped = _needs_swap(hull)
+    # k1 <= k2 needs a swap for a vertical half-line, whose weight is
+    # (1/j, 0), and for an edge steeper than -1
+    swapped = weight.q > weight.p
     if swapped:
         weight = Weight(weight.p, weight.q, weight.m)
     # in this orientation a vertex has weight (1, 1, 2d) and a half-line
@@ -179,10 +163,26 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
         condition_c=condition_c,
         axis_swapped=swapped,
         witness=witness,
-        distance=d,
+        distance=hull.distance,
         weight=weight,
         hull=hull,
     )
+
+
+def _shear_by_witness(
+    g: BiPoly, rep: AdaptednessReport
+) -> tuple[ShearChange, BiPoly, AdaptednessReport]:
+    """Shear g by the witness of its non-adapted verdict `rep`, g taken in
+    the axis-normalized orientation; return the shear, the sheared
+    polynomial and its verdict.  The distance must grow."""
+    assert rep.witness is not None
+    w = rep.witness
+    shear = ShearChange(ShearAxis.X2, w.coefficient, w.exponent)
+    g_next = apply_shear(g, shear)
+    rep_next = check_adapted(g_next)
+    if rep_next.distance <= rep.distance:
+        raise InternalInvariantViolation("shear failed to increase the distance")
+    return shear, g_next, rep_next
 
 
 def shear_step(f: BiPoly) -> tuple[ShearChange, BiPoly]:
@@ -195,13 +195,8 @@ def shear_step(f: BiPoly) -> tuple[ShearChange, BiPoly]:
     report = check_adapted(f)
     if report.adapted:
         raise AlreadyAdapted("coordinates are already adapted")
-    assert report.witness is not None
     g = swap_axes(f) if report.axis_swapped else f
-    w = report.witness
-    shear = ShearChange(ShearAxis.X2, w.coefficient, w.exponent)
-    g_next = apply_shear(g, shear)
-    if distance(newton_polyhedron(g_next)) <= report.distance:
-        raise InternalInvariantViolation("shear failed to increase the distance")
+    shear, g_next, _ = _shear_by_witness(g, report)
     return shear, g_next
 
 
@@ -290,23 +285,7 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
     rep = report
     jet: list[tuple[Fraction, int]] = []
     steps: list[AdaptStep] = []
-    while not rep.adapted:
-        if len(steps) == max_steps:
-            certified = _certify_nonterminating(start, jet, steps)
-            if certified is None:
-                raise IterationCapExceeded(
-                    f"no adapted system within {max_steps} shears and no "
-                    "non-termination certificate; retry with a larger max_steps"
-                )
-            return AdaptResult(
-                jet=RootJet(tuple(jet), truncated=True),
-                axis_swapped=swapped,
-                height=Fraction(certified),
-                final_poly=g,
-                steps=tuple(steps),
-                status=AdaptStatus.NONTERMINATING_CERTIFIED,
-                input_check=report,
-            )
+    while not rep.adapted and len(steps) < max_steps:
         if steps and rep.axis_swapped:
             raise InternalInvariantViolation(
                 "axis orientation flipped after the first shear"
@@ -315,21 +294,28 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
         w = rep.witness
         if jet and w.exponent <= jet[-1][1]:
             raise InternalInvariantViolation("jet exponents failed to increase")
-        if steps and rep.distance <= steps[-1].distance:
-            raise InternalInvariantViolation("shear failed to increase the distance")
         if steps and w.multiplicity > steps[-1].multiplicity:
             raise InternalInvariantViolation("root multiplicity increased along the jet")
         steps.append(AdaptStep(w.multiplicity, w.exponent, rep.distance))
         jet.append((w.coefficient, w.exponent))
-        g = apply_shear(g, ShearChange(ShearAxis.X2, w.coefficient, w.exponent))
-        rep = check_adapted(g)
+        _, g, rep = _shear_by_witness(g, rep)
+    if rep.adapted:
+        status, height = AdaptStatus.TERMINATED, rep.distance
+    else:
+        certified = _certify_nonterminating(start, jet, steps)
+        if certified is None:
+            raise IterationCapExceeded(
+                f"no adapted system within {max_steps} shears and no "
+                "non-termination certificate; retry with a larger max_steps"
+            )
+        status, height = AdaptStatus.NONTERMINATING_CERTIFIED, Fraction(certified)
     return AdaptResult(
-        jet=RootJet(tuple(jet), truncated=False),
+        jet=RootJet(tuple(jet), truncated=not rep.adapted),
         axis_swapped=swapped,
-        height=rep.distance,
+        height=height,
         final_poly=g,
         steps=tuple(steps),
-        status=AdaptStatus.TERMINATED,
+        status=status,
         input_check=report,
     )
 

@@ -7,21 +7,19 @@ Subcommands:
   predict-shear  extreme vertices after shearing a weighted-homogeneous
                  polynomial, without expanding the shear
 
-Exit codes: 0 success, 2 expression or usage errors (an --svg path that
-cannot be written is one, an ADAPTCOORD_MAX_STEPS that is not an integer
-another, parentheses nested deeper than parsing.MAX_NESTING a third), 3
-precondition violations (a step cap below 1, from --max-steps or
-ADAPTCOORD_MAX_STEPS, is one, a clusters --depth outside 1 to
-clusters.MAX_DEPTH another), 4 iteration cap exceeded.
-ADAPTCOORD_MAX_STEPS overrides the default shear cap when --max-steps is
-not given.
+Exit codes: 0 success; 2 expression or usage errors (among them an --svg
+path that cannot be written and parentheses nested deeper than
+parsing.MAX_NESTING); 3 precondition violations (among them a --max-steps
+below 1, a clusters --depth outside 1 to clusters.MAX_DEPTH, a decay
+lambda or radius that is not finite, and a decay grid too coarse for the
+phase, GridTooCoarse, which a gradient bound beyond the float range
+raises); 4 iteration cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -37,20 +35,6 @@ from .parsing import parse
 from .quasihomog import predict_shear_vertices
 from .report import AnalysisReport, build_report
 from .svgdiagram import render_svg
-
-ENV_MAX_STEPS = "ADAPTCOORD_MAX_STEPS"
-
-
-def _resolved_max_steps(flag_value: int | None) -> int | None:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(ENV_MAX_STEPS)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"{ENV_MAX_STEPS} must be an integer, got {raw!r}")
 
 
 class _UsageError(Exception):
@@ -119,7 +103,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     rep = build_report(
         f,
         source=args.expr,
-        max_steps=_resolved_max_steps(args.max_steps),
+        max_steps=args.max_steps,
         run_adapt=not args.no_adapt,
     )
     if args.svg is not None:
@@ -140,8 +124,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_decay(args: argparse.Namespace) -> int:
     f = parse(args.expr)
-    max_steps = _resolved_max_steps(args.max_steps)
-    h = adapt(f, max_steps=DEFAULT_MAX_STEPS if max_steps is None else max_steps).height
+    h = adapt(f, max_steps=args.max_steps).height
     est = fit_decay(
         f,
         args.lambda_min,
@@ -261,6 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-steps",
         type=int,
+        default=DEFAULT_MAX_STEPS,
         metavar="N",
         help=f"shear iteration cap (default {DEFAULT_MAX_STEPS})",
     )
@@ -276,7 +260,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--radius", type=float, default=0.5)
     p.add_argument("--grid", type=int, default=None, help="per-axis cell count")
-    p.add_argument("--max-steps", type=int, default=None, help=argparse.SUPPRESS)
+    p.add_argument(
+        "--max-steps",
+        type=int,
+        default=DEFAULT_MAX_STEPS,
+        metavar="N",
+        help=f"shear iteration cap for the height (default {DEFAULT_MAX_STEPS})",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_decay)
 

@@ -178,7 +178,7 @@ def distance(np_: NewtonPolyhedron) -> Fraction:
 
 def principal_face(np_: NewtonPolyhedron) -> Face:
     """Smallest boundary face containing the diagonal crossing point."""
-    return hull_analysis(np_).face
+    return _diagonal_crossing(np_)[2]
 
 
 def principal_face_weight(face: Face) -> Weight:

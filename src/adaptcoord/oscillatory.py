@@ -57,22 +57,28 @@ def bump_profile(t: np.ndarray) -> np.ndarray:
 
 
 def gradient_bound(f: BiPoly, radius: float) -> float:
-    """Upper bound for max(|df/dx1|, |df/dx2|) on the closed square."""
+    """Upper bound for max(|df/dx1|, |df/dx2|) on the closed square; inf
+    when the bound exceeds the float range."""
     b1 = 0.0
     b2 = 0.0
-    for (j, k), c in f.terms().items():
-        scale = abs(float(c)) * radius ** (j + k - 1)
-        b1 += j * scale
-        b2 += k * scale
-    return max(b1, b2)
+    try:
+        for (j, k), c in f.terms().items():
+            scale = abs(float(c)) * radius ** (j + k - 1)
+            b1 += j * scale
+            b2 += k * scale
+    except OverflowError:
+        return math.inf
+    # a term that overflowed to inf leaves 0 * inf = nan in the other sum
+    return math.inf if math.isnan(b1 + b2) else max(b1, b2)
 
 
 def default_grid_size(f: BiPoly, lam: float, radius: float = DEFAULT_RADIUS) -> int:
     """Per-axis cell count aiming at TARGET_PHASE_PER_CELL radians per
     cell, clamped to [MIN_GRID, MAX_GRID]."""
     rate = lam * gradient_bound(f, radius)
-    n = math.ceil(rate * 2.0 * radius / TARGET_PHASE_PER_CELL)
-    return max(MIN_GRID, min(MAX_GRID, n))
+    cells = rate * 2.0 * radius / TARGET_PHASE_PER_CELL
+    # an infinite bound asks for the largest grid, which then refuses it
+    return MAX_GRID if cells >= MAX_GRID else max(MIN_GRID, math.ceil(cells))
 
 
 def estimate_integral(
@@ -84,14 +90,15 @@ def estimate_integral(
     """Midpoint-rule estimate of the oscillatory integral at one lambda.
 
     Raises GridTooCoarse when the requested grid cannot resolve the phase
-    (more than PHASE_PER_CELL_LIMIT radians per cell per axis).
+    (more than PHASE_PER_CELL_LIMIT radians per cell per axis, or a
+    gradient bound beyond the float range).
     """
     if f.is_zero:
         raise ValueError("integrand phase must be a nonzero polynomial")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam!r}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     if grid_n is None:
         grid_n = default_grid_size(f, lam, radius)
     if grid_n < 64:
@@ -141,6 +148,8 @@ def fit_decay(
     """
     if not 0 < lambda_min < lambda_max:
         raise ValueError("need 0 < lambda_min < lambda_max")
+    if lambda_max == math.inf:
+        raise ValueError("lambda_max must be finite, got inf")
     if points < 5:
         raise ValueError("need at least 5 sample points")
     if lambda_min <= 1.0:

@@ -25,22 +25,8 @@ Key quantities:
   the unit circle, max{nu1, nu2, max real n_l};
 * height of P itself: max{m(P), d_h};
 * the deep root: the unique real root with multiplicity M > d_h, which
-  can only exist when q = 1 and is then provably rational.
-
-deep_root decides the last one without factoring u.  With q <= p:
-
-* q >= 2 gives p > q >= 2, so pq >= p + q and d_h >= pqn/(p+q) >= n:
-  no multiplicity exceeds d_h;
-* for q = 1, d_h = (nu1 + p*nu2 + p*n)/(1+p), so n <= d_h exactly when
-  n <= nu1 + p*nu2.
-
-Otherwise k = floor(d_h) + 1 is the least multiplicity above d_h, and
-k > d_h >= p*n/(1+p) >= n/2.  A root of multiplicity M in u has
-multiplicity M - i in u^(i), so G = gcd(u, u', ..., u^(k-1)) has exactly
-the roots of multiplicity >= k, each with multiplicity M - k + 1.  Two
-such roots would need degree 2k > n, and a root's conjugates over Q
-have its multiplicity, so G = c*(A*y + B)^e: one rational root -B/A,
-with M = e + k - 1.
+  can only exist when q = 1 and is then provably rational; deep_root
+  decides it without factoring u.
 """
 
 from __future__ import annotations
@@ -201,8 +187,23 @@ def _require_order_two(P: BiPoly) -> None:
 def deep_root(w: Weight, edge: Edge) -> tuple[Fraction, int] | None:
     """(b, M) for the real root b of multiplicity M > d_h of the edge (from
     edge_root_polynomial) whose weight is w, with k1 <= k2; None when no
-    root is that deep.  No factorization: the two bounds and the chain of
-    derivative gcds of the module docstring."""
+    root is that deep.
+
+    No factorization is needed.  With q <= p:
+
+    * q >= 2 gives p > q >= 2, so pq >= p + q and d_h >= pqn/(p+q) >= n:
+      no multiplicity exceeds d_h;
+    * for q = 1, d_h = (nu1 + p*nu2 + p*n)/(1+p), so n <= d_h exactly when
+      n <= nu1 + p*nu2.
+
+    Otherwise k = floor(d_h) + 1 is the least multiplicity above d_h, and
+    k > d_h >= p*n/(1+p) >= n/2.  A root of multiplicity M in u has
+    multiplicity M - i in u^(i), so G = gcd(u, u', ..., u^(k-1)) has
+    exactly the roots of multiplicity >= k, each with multiplicity
+    M - k + 1.  Two such roots would need degree 2k > n, and a root's
+    conjugates over Q have its multiplicity, so G = c*(A*y + B)^e: one
+    rational root -B/A, with M = e + k - 1.
+    """
     nu1, nu2, q, p, n, u = edge
     if (q, p) != (w.q, w.p) or q * nu1 + p * nu2 + p * q * n != w.m:
         raise InternalInvariantViolation("edge reading disagrees with its weight")

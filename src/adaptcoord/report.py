@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .adapt import AdaptResult, adapt, check_adapted
+from .adapt import DEFAULT_MAX_STEPS, AdaptResult, adapt, check_adapted
 from .bipoly import BiPoly
 from .clusters import _distance_from_vertices, top_clusters, vertices_from_clusters
 from .errors import DegenerateInX2
@@ -265,15 +265,13 @@ def build_report(
     """Run the full pipeline on f and assemble the report.
 
     With run_adapt=False the shear iteration is skipped and the report
-    carries status "skipped" with no height.  IterationCapExceeded from
-    the iteration propagates to the caller.
+    carries status "skipped" with no height; max_steps=None means
+    DEFAULT_MAX_STEPS.  IterationCapExceeded from the iteration propagates
+    to the caller.
     """
     result: AdaptResult | None = None
     if run_adapt:
-        if max_steps is None:
-            result = adapt(f)
-        else:
-            result = adapt(f, max_steps=max_steps)
+        result = adapt(f, DEFAULT_MAX_STEPS if max_steps is None else max_steps)
         rep = result.input_check
     else:
         rep = check_adapted(f)

@@ -29,7 +29,7 @@ from adaptcoord.errors import (
     NonvanishingGradient,
     ZeroPolynomial,
 )
-from conftest import random_corpus
+from conftest import random_corpus, sheared_inputs
 
 # (input, exact height) pairs worked out by hand
 HEIGHT_CASES = [
@@ -129,6 +129,23 @@ def test_shear_step_increases_distance():
 def test_shear_step_rejects_adapted_input():
     with pytest.raises(AlreadyAdapted):
         shear_step(parse("x2^2 - x1^3"))
+
+
+def test_shear_step_agrees_with_adapts_first_step():
+    inputs = random_corpus(500) + [g for _, g in sheared_inputs(200)]
+    sheared = 0
+    for f in inputs:
+        if check_adapted(f).adapted:
+            with pytest.raises(AlreadyAdapted):
+                shear_step(f)
+            continue
+        res = adapt(f, max_steps=10)
+        b, m = res.jet.terms[0]
+        change, g = shear_step(f)
+        assert change == ShearChange(ShearAxis.X2, b, m), f
+        assert g == apply_shear(swap_axes(f) if res.axis_swapped else f, change), f
+        sheared += 1
+    assert sheared == 70
 
 
 def test_adapt_terminating_trace():

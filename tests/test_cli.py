@@ -1,5 +1,5 @@
-"""Command-line interface: output formats, exit codes, environment
-override for the step cap, and SVG file emission."""
+"""Command-line interface: output formats, exit codes and SVG file
+emission."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import json
 import pytest
 
 from adaptcoord import report_from_dict
-from adaptcoord.cli import ENV_MAX_STEPS, main
+from adaptcoord.cli import main
 
 
 def run(capsys, *argv):
@@ -104,29 +104,6 @@ def test_iteration_cap_exit_code(capsys):
     )
     assert code == 4
     assert "max_steps" in err
-
-
-def test_env_cap_used_when_flag_absent(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_MAX_STEPS, "3")
-    code, _, _ = run(capsys, "analyze", "(x2 - x1^2 - x1^3 - x1^4 - x1^5)^2")
-    assert code == 4
-    # explicit flag wins over the environment
-    code, out, _ = run(
-        capsys,
-        "analyze",
-        "(x2 - x1^2 - x1^3 - x1^4 - x1^5)^2",
-        "--max-steps",
-        "8",
-    )
-    assert code == 0
-    assert "height:          2" in out
-
-
-def test_env_cap_must_be_a_positive_integer(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_MAX_STEPS, "many")
-    code, _, err = run(capsys, "analyze", "x2^2")
-    assert code == 2
-    assert ENV_MAX_STEPS in err
 
 
 def test_clusters_text_and_json(capsys):
@@ -242,13 +219,20 @@ def test_max_steps_below_one_is_a_precondition_error(capsys, steps):
         assert "max_steps must be at least 1" in err
 
 
-@pytest.mark.parametrize("steps", ["0", "-3"])
-def test_env_cap_below_one_is_a_precondition_error(capsys, monkeypatch, steps):
-    # the same exit code and message as --max-steps below 1
-    monkeypatch.setenv(ENV_MAX_STEPS, steps)
-    decay = ["decay", "x2^2 - x1^3", "--lambda-min", "10", "--lambda-max", "1e3"]
-    for argv in ([*decay, "--points", "5"], ["analyze", "x2^2 - x1^3"]):
-        code, out, err = run(capsys, *argv)
-        assert code == 3, argv
-        assert out == ""
-        assert "max_steps must be at least 1" in err
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--lambda-max", "inf"],
+        ["--lambda-max", "1e400"],
+        ["--lambda-max", "1e3", "--radius", "1e300"],
+        ["--lambda-max", "1e3", "--radius", "nan"],
+        ["--lambda-max", "1e3", "--radius", "inf"],
+    ],
+)
+def test_decay_non_finite_arguments_are_precondition_errors(capsys, bounds):
+    argv = ["decay", "x2^2 - x1^3", "--lambda-min", "10", "--points", "5"]
+    code, out, err = run(capsys, *argv, *bounds)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -106,6 +106,21 @@ def test_grid_too_coarse_raises():
         estimate_integral(parse("x1^2 + x2^2"), 1e6, grid_n=64)
 
 
+def test_non_finite_arguments_are_named():
+    f = parse("x2^2 - x1^3")
+    for lam, radius, name in [(math.inf, 0.5, "lambda"), (10.0, math.nan, "radius")]:
+        with pytest.raises(ValueError, match=name):
+            estimate_integral(f, lam, radius)
+    with pytest.raises(ValueError, match="lambda_max"):
+        fit_decay(f, 10.0, math.inf, points=5)
+    # radius**2 overflows a float, and so does 1e200 * radius, which would
+    # leave 0 * inf = nan in the x1 sum: either way the bound is infinite
+    assert gradient_bound(f, 1e300) == math.inf
+    assert gradient_bound(parse("10^200*x2^2 + x1^2"), 1e200) == math.inf
+    with pytest.raises(GridTooCoarse):
+        estimate_integral(f, 10.0, 1e300)
+
+
 def test_fit_decay_quadratic_phase():
     est = fit_decay(parse("x1^2 + x2^2"), 10.0, 1000.0, points=5)
     assert est.fitted_log_power == 0
