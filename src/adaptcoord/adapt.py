@@ -109,7 +109,9 @@ class AdaptStatus(Enum):
 
 @dataclass(frozen=True, slots=True)
 class AdaptResult:
-    """`input_check` is check_adapted(f) on the input as given."""
+    """`input_check` is check_adapted(f) on the input as given;
+    `final_check` is the loop's last verdict, on `final_poly`, so its
+    hull is the Newton data of `final_poly`."""
 
     jet: RootJet
     axis_swapped: bool
@@ -118,6 +120,7 @@ class AdaptResult:
     steps: tuple[AdaptStep, ...]
     status: AdaptStatus
     input_check: AdaptednessReport
+    final_check: AdaptednessReport
 
 
 def check_adapted(f: BiPoly) -> AdaptednessReport:
@@ -130,6 +133,13 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
     lattice points run in the opposite order, so u is reversed.
     """
     _require_order_two(f)
+    return _verdict(f)
+
+
+def _verdict(f: BiPoly) -> AdaptednessReport:
+    """check_adapted without its order-two check, for polynomials a shear
+    produced: a shear fixes the origin with an invertible linear part, so
+    it keeps f nonzero and its order at the origin."""
     hull = hull_analysis(newton_polyhedron(f))
     face, weight = hull.face, hull.weight
     # k1 <= k2 needs a swap for a vertical half-line, whose weight is
@@ -179,7 +189,7 @@ def _shear_by_witness(
     w = rep.witness
     shear = ShearChange(ShearAxis.X2, w.coefficient, w.exponent)
     g_next = apply_shear(g, shear)
-    rep_next = check_adapted(g_next)
+    rep_next = _verdict(g_next)
     if rep_next.distance <= rep.distance:
         raise InternalInvariantViolation("shear failed to increase the distance")
     return shear, g_next, rep_next
@@ -317,6 +327,7 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
         steps=tuple(steps),
         status=status,
         input_check=report,
+        final_check=rep,
     )
 
 

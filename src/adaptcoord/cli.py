@@ -10,10 +10,13 @@ Subcommands:
 Exit codes: 0 success; 2 expression or usage errors (among them an --svg
 path that cannot be written and parentheses nested deeper than
 parsing.MAX_NESTING); 3 precondition violations (among them a --max-steps
-below 1, a clusters --depth outside 1 to clusters.MAX_DEPTH, a decay
-lambda or radius that is not finite, and a decay grid too coarse for the
-phase, GridTooCoarse, which a gradient bound beyond the float range
-raises); 4 iteration cap exceeded.
+below 1, a clusters --depth outside 1 to clusters.MAX_DEPTH, an --svg
+diagram whose extent exceeds svgdiagram.MAX_EXTENT, which writes no file,
+a decay lambda or radius that is not finite, a decay radius so small
+that the cell area underflows, a decay --grid above
+oscillatory.MAX_GRID, and a decay grid too coarse for the phase,
+GridTooCoarse, which a gradient bound beyond the float range raises);
+4 iteration cap exceeded.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from .errors import (
 from .oscillatory import fit_decay
 from .parsing import parse
 from .quasihomog import predict_shear_vertices
-from .report import AnalysisReport, build_report
-from .svgdiagram import render_svg
+from .report import AnalysisReport, _assemble, _diagram, _run
 
 
 class _UsageError(Exception):
@@ -100,19 +102,14 @@ def _print_analysis(rep: AnalysisReport) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     f = parse(args.expr)
-    rep = build_report(
-        f,
-        source=args.expr,
-        max_steps=args.max_steps,
-        run_adapt=not args.no_adapt,
-    )
+    check, result = _run(f, args.max_steps, not args.no_adapt)
+    rep = _assemble(f, args.expr, check, result)
     if args.svg is not None:
-        second = None
-        if rep.adapted_poly is not None and (rep.jet or rep.adapt_axis_swapped):
-            second = parse(rep.adapted_poly)
+        # drawn before the file is opened, so a refused diagram leaves none
+        svg = _diagram(f, check, result)
         try:
             with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(render_svg(f, second))
+                fh.write(svg)
         except OSError as e:
             raise _UsageError(f"cannot write {args.svg}: {e.strerror}")
     if args.json:

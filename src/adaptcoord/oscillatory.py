@@ -89,8 +89,10 @@ def estimate_integral(
 ) -> complex:
     """Midpoint-rule estimate of the oscillatory integral at one lambda.
 
-    Raises GridTooCoarse when the requested grid cannot resolve the phase
-    (more than PHASE_PER_CELL_LIMIT radians per cell per axis, or a
+    Raises ValueError for a grid_n outside 64..MAX_GRID, before any
+    allocation, and for a radius so small that the cell area underflows
+    to 0.  Raises GridTooCoarse when the requested grid cannot resolve the
+    phase (more than PHASE_PER_CELL_LIMIT radians per cell per axis, or a
     gradient bound beyond the float range).
     """
     if f.is_zero:
@@ -101,9 +103,13 @@ def estimate_integral(
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     if grid_n is None:
         grid_n = default_grid_size(f, lam, radius)
-    if grid_n < 64:
-        raise ValueError("grid_n must be at least 64")
+    if not 64 <= grid_n <= MAX_GRID:
+        raise ValueError(f"grid_n must be in 64..{MAX_GRID}, got {grid_n}")
     cell = 2.0 * radius / grid_n
+    if cell * cell == 0.0:
+        raise ValueError(
+            f"radius {radius!r} is too small: the cell area underflows to 0"
+        )
     phase_per_cell = lam * gradient_bound(f, radius) * cell
     if phase_per_cell > PHASE_PER_CELL_LIMIT:
         raise GridTooCoarse(

@@ -5,7 +5,8 @@ adaptedness verdict on the input coordinates, the shear iteration's
 outcome, and a cross-check of the hull data against the cluster
 reconstruction.  All rational values serialize as exact "p/q" strings so
 reports round-trip losslessly; the schema is documented in
-docs/report_schema.md.
+docs/report_schema.md.  The CLI draws its SVG from the same run the report
+is assembled from, so nothing the run produced is computed or parsed again.
 """
 
 from __future__ import annotations
@@ -14,10 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .adapt import DEFAULT_MAX_STEPS, AdaptResult, adapt, check_adapted
+from .adapt import (
+    DEFAULT_MAX_STEPS,
+    AdaptednessReport,
+    AdaptResult,
+    adapt,
+    check_adapted,
+)
 from .bipoly import BiPoly
 from .clusters import _distance_from_vertices, top_clusters, vertices_from_clusters
 from .errors import DegenerateInX2
+from .svgdiagram import _render
 
 IntPair = tuple[int, int]
 FracPair = tuple[Fraction, Fraction]
@@ -256,25 +264,24 @@ def _cluster_check(f: BiPoly, verts: tuple[IntPair, ...], d: Fraction):
     )
 
 
-def build_report(
-    f: BiPoly,
-    source: str | None = None,
-    max_steps: int | None = None,
-    run_adapt: bool = True,
-) -> AnalysisReport:
-    """Run the full pipeline on f and assemble the report.
+def _run(
+    f: BiPoly, max_steps: int | None, run_adapt: bool
+) -> tuple[AdaptednessReport, AdaptResult | None]:
+    """The verdict on f and the shear iteration's result (None with
+    run_adapt=False); the verdict is the result's input_check."""
+    if not run_adapt:
+        return check_adapted(f), None
+    result = adapt(f, DEFAULT_MAX_STEPS if max_steps is None else max_steps)
+    return result.input_check, result
 
-    With run_adapt=False the shear iteration is skipped and the report
-    carries status "skipped" with no height; max_steps=None means
-    DEFAULT_MAX_STEPS.  IterationCapExceeded from the iteration propagates
-    to the caller.
-    """
-    result: AdaptResult | None = None
-    if run_adapt:
-        result = adapt(f, DEFAULT_MAX_STEPS if max_steps is None else max_steps)
-        rep = result.input_check
-    else:
-        rep = check_adapted(f)
+
+def _assemble(
+    f: BiPoly,
+    source: str | None,
+    rep: AdaptednessReport,
+    result: AdaptResult | None,
+) -> AnalysisReport:
+    """The report of one run of _run on f."""
     hull = rep.hull
     verts = tuple(hull.polyhedron.vertices)
     witness = None
@@ -318,3 +325,29 @@ def build_report(
         cluster_vertices_match=vmatch,
         cluster_distance_match=dmatch,
     )
+
+
+def build_report(
+    f: BiPoly,
+    source: str | None = None,
+    max_steps: int | None = None,
+    run_adapt: bool = True,
+) -> AnalysisReport:
+    """Run the full pipeline on f and assemble the report.
+
+    With run_adapt=False the shear iteration is skipped and the report
+    carries status "skipped" with no height; max_steps=None means
+    DEFAULT_MAX_STEPS.  IterationCapExceeded from the iteration propagates
+    to the caller.
+    """
+    return _assemble(f, source, *_run(f, max_steps, run_adapt))
+
+
+def _diagram(f: BiPoly, rep: AdaptednessReport, result: AdaptResult | None) -> str:
+    """The SVG of one run of _run on f, drawn from the run's own hulls: the
+    input panel, and the adapted panel when the iteration sheared (an
+    axis swap always comes with a shear)."""
+    panels = [(f, rep.hull, "input")]
+    if result is not None and result.jet.terms:
+        panels.append((result.final_poly, result.final_check.hull, "adapted"))
+    return _render(panels)

@@ -4,7 +4,8 @@ One panel per polynomial: lattice dots, the shaded polyhedron with its
 staircase boundary, the dashed bisectrix t1 = t2, support and vertex
 markers, the principal face stroked bold, and the distance point.  Output
 is a pure function of the input, byte for byte, so diagrams can be kept
-as golden files.
+as golden files.  A panel draws (extent + 1)^2 lattice dots, so an extent
+above MAX_EXTENT is refused before anything is drawn.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import math
 
 from .bipoly import BiPoly
-from .newton import FaceKind, hull_analysis, newton_polyhedron
+from .newton import FaceKind, HullAnalysis, hull_analysis, newton_polyhedron
 
 UNIT = 40
 PAD = 46
+MAX_EXTENT = 1024
 _DOT_END = '" r="1.5" fill="#c9c9c9"/>'
 
 
@@ -24,13 +26,18 @@ def _fmt(v: float) -> str:
 
 
 class _Panel:
-    def __init__(self, f: BiPoly, offset_x: int, label: str):
+    def __init__(self, f: BiPoly, hull: HullAnalysis, offset_x: int, label: str):
         self.f = f
-        self.hull = hull_analysis(newton_polyhedron(f))
-        self.d = self.hull.distance
-        self.face = self.hull.face
+        self.hull = hull
+        self.d = hull.distance
+        self.face = hull.face
         support_max = max(max(j for j, _ in f.support), max(k for _, k in f.support))
         self.extent = m = max(support_max, math.ceil(self.d)) + 1
+        if m > MAX_EXTENT:
+            raise ValueError(
+                f"{label} diagram extent {m} exceeds svgdiagram.MAX_EXTENT = "
+                f"{MAX_EXTENT}"
+            )
         self.offset_x = offset_x
         self.label = label
         self.side = 2 * PAD + m * UNIT
@@ -117,16 +124,18 @@ class _Panel:
         return out
 
 
-def render_svg(f: BiPoly, adapted: BiPoly | None = None) -> str:
-    """SVG for f's Newton polyhedron, plus a second panel when a
-    post-adaptation polynomial is supplied."""
-    panels = [_Panel(f, 0, "input")]
-    if adapted is not None:
-        panels.append(_Panel(adapted, panels[0].side, "adapted"))
-    width = sum(p.side for p in panels)
-    height = max(p.side for p in panels)
+def _render(panels: list[tuple[BiPoly, HullAnalysis, str]]) -> str:
+    """SVG of one panel per (polynomial, its hull, label), left to right.
+    Raises ValueError, before drawing, when a panel's extent exceeds
+    MAX_EXTENT."""
+    laid_out: list[_Panel] = []
+    width = 0
+    for f, hull, label in panels:
+        laid_out.append(_Panel(f, hull, width, label))
+        width += laid_out[-1].side
+    height = max(p.side for p in laid_out)
     body: list[str] = []
-    for p in panels:
+    for p in laid_out:
         body.extend(p.render())
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -134,3 +143,12 @@ def render_svg(f: BiPoly, adapted: BiPoly | None = None) -> str:
     )
     background = f'<rect width="{width}" height="{height}" fill="#ffffff"/>'
     return "\n".join([head, background, *body, "</svg>"]) + "\n"
+
+
+def render_svg(f: BiPoly, adapted: BiPoly | None = None) -> str:
+    """SVG for f's Newton polyhedron, plus a second panel when a
+    post-adaptation polynomial is supplied."""
+    panels = [(f, hull_analysis(newton_polyhedron(f)), "input")]
+    if adapted is not None:
+        panels.append((adapted, hull_analysis(newton_polyhedron(adapted)), "adapted"))
+    return _render(panels)

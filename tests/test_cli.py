@@ -236,3 +236,26 @@ def test_decay_non_finite_arguments_are_precondition_errors(capsys, bounds):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_oversized_diagram_is_refused_without_a_file(capsys, tmp_path):
+    target = tmp_path / "wide.svg"
+    code, out, err = run(capsys, "analyze", "x2^2 + x1^3000", "--svg", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_EXTENT" in err and "Traceback" not in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [(["--grid", "100000"], "grid_n"), (["--radius", "1e-300"], "radius")],
+)
+def test_decay_bounds_are_precondition_errors(capsys, extra, named):
+    argv = ["decay", "x2^2 - x1^3", "--lambda-min", "10", "--lambda-max", "1e3"]
+    code, out, err = run(capsys, *argv, "--points", "5", *extra)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err

@@ -27,7 +27,8 @@ from adaptcoord import (
     render_svg,
 )
 from adaptcoord.cli import _print_analysis
-from conftest import random_corpus
+from adaptcoord.report import _assemble, _diagram, _run
+from conftest import random_corpus, sheared_inputs
 from test_acceptance import CURATED
 
 CERTIFIED = "(x2*(1 + x1) - x1^2)^2"
@@ -36,15 +37,13 @@ GOLDEN_SHA256 = "8761ae174936b15bcbdb85d80189469641f8218fc2674cb8864d2fbfb95639b
 
 
 def _parts(f, source=None, max_steps=None):
-    rep = build_report(f, source=source, max_steps=max_steps)
+    # one run, reported and drawn exactly as `adaptcoord analyze --svg` does
+    check, result = _run(f, max_steps, True)
+    rep = _assemble(f, source, check, result)
     text = io.StringIO()
     with contextlib.redirect_stdout(text):
         _print_analysis(rep)
-    # the adapted panel is drawn exactly as `adaptcoord analyze --svg` draws it
-    second = None
-    if rep.adapted_poly is not None and (rep.jet or rep.adapt_axis_swapped):
-        second = parse(rep.adapted_poly)
-    return text.getvalue(), rep.to_json(), render_svg(f, second)
+    return text.getvalue(), rep.to_json(), _diagram(f, check, result)
 
 
 def _cases():
@@ -54,6 +53,32 @@ def _cases():
         yield f, None, None
     for cap in (8, DEFAULT_MAX_STEPS):
         yield parse(CERTIFIED), None, cap
+
+
+def _public_svg(f, max_steps):
+    """The diagram through the public names only: build_report, then
+    render_svg of the parsed adapted form when the run sheared."""
+    rep = build_report(f, max_steps=max_steps)
+    if rep.adapted_poly is not None and (rep.jet or rep.adapt_axis_swapped):
+        return render_svg(f, parse(rep.adapted_poly))
+    return render_svg(f)
+
+
+def _equality_cases():
+    for expr in CURATED:
+        yield parse(expr), None
+    for f in random_corpus(500):
+        yield f, None
+    for _, f in sheared_inputs(200):
+        yield f, 10
+    for cap in (8, DEFAULT_MAX_STEPS):
+        yield parse(CERTIFIED), cap
+
+
+def test_run_diagram_matches_the_public_path():
+    for f, max_steps in _equality_cases():
+        check, result = _run(f, max_steps, True)
+        assert _diagram(f, check, result) == _public_svg(f, max_steps), str(f)
 
 
 def test_outputs_match_the_golden_digest():

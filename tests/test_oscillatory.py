@@ -101,6 +101,21 @@ def test_estimate_validation():
         estimate_integral(f, 10.0, grid_n=32)
 
 
+def test_grid_is_bounded_above():
+    # refused before the grid_n x 512 blocks are allocated
+    f = parse("x1^2 + x2^2")
+    with pytest.raises(ValueError, match=f"64..{MAX_GRID}"):
+        estimate_integral(f, 10.0, grid_n=MAX_GRID + 1)
+
+
+def test_underflowing_cell_area_names_the_radius():
+    f = parse("x2^2 - x1^3")
+    with pytest.raises(ValueError, match="radius 1e-300"):
+        estimate_integral(f, 10.0, radius=1e-300)
+    with pytest.raises(ValueError, match="radius"):
+        fit_decay(f, 10.0, 1e3, points=5, radius=1e-300)
+
+
 def test_grid_too_coarse_raises():
     with pytest.raises(GridTooCoarse):
         estimate_integral(parse("x1^2 + x2^2"), 1e6, grid_n=64)

@@ -17,6 +17,7 @@ from adaptcoord import (
     parse,
     report_from_dict,
 )
+from adaptcoord.cli import main
 from adaptcoord.errors import IterationCapExceeded
 from conftest import analyzable_bipolys, random_corpus, sheared_inputs
 
@@ -202,10 +203,34 @@ def _count_calls(monkeypatch, module: str, name: str) -> list:
     [("(x2 - x1^2)^2 + x1^5", None, 4), ("(x2*(1 + x1) - x1^2)^2", 8, None)],
 )
 def test_report_analyses_each_polynomial_once(monkeypatch, expr, max_steps, max_hulls):
-    checks = _count_calls(monkeypatch, "adapt", "check_adapted")
+    verdicts = _count_calls(monkeypatch, "adapt", "_verdict")
+    order_checks = _count_calls(monkeypatch, "quasihomog", "_require_order_two")
     hulls = _count_calls(monkeypatch, "newton", "build_polyhedron")
     rep = build_report(parse(expr), max_steps=max_steps)
-    # one verdict on the input, one on each polynomial a shear produced
-    assert len(checks) == 1 + len(rep.steps)
+    # one verdict on the input, one on each polynomial a shear produced;
+    # a shear keeps the order at the origin, so it is checked on the input
+    assert len(verdicts) == 1 + len(rep.steps)
+    assert len(order_checks) == 1
     if max_hulls is not None:
         assert len(hulls) <= max_hulls
+
+
+@pytest.mark.parametrize(
+    "expr, hull_builds, order_checks",
+    [("(x2 - x1^2)^2 + x1^5", 3, 1), ("(x2*(1 + x1) - x1^2)^2", 66, 1)],
+)
+def test_analyze_svg_draws_the_run_it_reports(
+    monkeypatch, capsys, tmp_path, expr, hull_builds, order_checks
+):
+    hulls = _count_calls(monkeypatch, "newton", "build_polyhedron")
+    parses = _count_calls(monkeypatch, "parsing", "parse")
+    checks = _count_calls(monkeypatch, "quasihomog", "_require_order_two")
+    target = tmp_path / "diagram.svg"
+    assert main(["analyze", expr, "--svg", str(target)]) == 0
+    capsys.readouterr()
+    # one verdict per polynomial of the run and one cluster oracle on the
+    # input; the diagram reads the run's hulls and its adapted polynomial
+    assert len(hulls) == hull_builds
+    assert len(parses) == 1
+    assert len(checks) == order_checks
+    assert "adapted: d = " in target.read_text()

@@ -6,8 +6,11 @@ import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import pytest
+
 from adaptcoord import adapt, distance, newton_polyhedron, parse, render_svg
-from adaptcoord.svgdiagram import PAD, UNIT
+from adaptcoord import svgdiagram
+from adaptcoord.svgdiagram import MAX_EXTENT, PAD, UNIT
 
 
 def test_svg_is_well_formed_xml():
@@ -75,3 +78,20 @@ def test_svg_wide_two_panel_diagram_sits_on_its_lattice():
         offset += 2 * PAD + extent * UNIT
     assert lattice == [] and support == []
     assert float(root.get("width")) == offset
+
+
+def test_svg_refuses_an_extent_past_the_bound():
+    # x1^1024 puts the panel's extent at MAX_EXTENT + 1
+    f = parse(f"x2^2 + x1^{MAX_EXTENT}")
+    with pytest.raises(ValueError, match=f"MAX_EXTENT = {MAX_EXTENT}"):
+        render_svg(f)
+    with pytest.raises(ValueError, match="adapted diagram extent"):
+        render_svg(parse("x2^2 + x1^3"), adapted=f)
+
+
+def test_svg_extent_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(svgdiagram, "MAX_EXTENT", 5)
+    root = ET.fromstring(render_svg(parse("x2^2 + x1^4")))
+    assert float(root.get("width")) == 2 * PAD + 5 * UNIT
+    with pytest.raises(ValueError, match="extent 6 exceeds"):
+        render_svg(parse("x2^2 + x1^5"))
