@@ -14,8 +14,10 @@ below 1, a clusters --depth outside 1 to clusters.MAX_DEPTH, an --svg
 diagram whose extent exceeds svgdiagram.MAX_EXTENT, which writes no file,
 a decay lambda or radius that is not finite, a decay radius so small
 that the cell area underflows, a decay --grid above
-oscillatory.MAX_GRID, and a decay grid too coarse for the phase,
-GridTooCoarse, which a gradient bound beyond the float range raises);
+oscillatory.MAX_GRID, a decay --points above oscillatory.MAX_POINTS,
+refused before any quadrature, and a decay grid too coarse for the phase,
+GridTooCoarse, which a gradient bound or a phase beyond the float range
+raises);
 4 iteration cap exceeded.
 """
 

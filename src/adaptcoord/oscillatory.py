@@ -12,6 +12,17 @@ per-axis cell count chosen to keep the phase increment per cell small and
 capped at 4096.  The amplitude vanishes to infinite order at the edge of
 the square, so the integrand is globally smooth and the midpoint rule's
 error is driven by phase resolution alone.
+
+The amplitude is separable, a(x) = w(x1) * w(x2), so the sum runs in
+real arithmetic.  The coefficient of each x2^k present in f, times
+lambda, is evaluated on the x1 nodes once, one power of x1 per nonzero
+term.  Then each block of 128 x2 columns builds the phase theta by
+Horner over those powers of x2 and adds the contractions
+w . cos(theta) . w_b and w . sin(theta) . w_b to the real and imaginary
+parts.  numpy's einsum does each in one pass with no temporary; `@`
+would call a BLAS gemv, about ten times slower on a 4096 x 128 block on
+a 2-core x86 machine.  A block holds theta and its cosine, 2 * 4096 *
+128 float64 values: 8 MiB at the largest grid.
 """
 
 from __future__ import annotations
@@ -32,7 +43,9 @@ TARGET_PHASE_PER_CELL = 2.0
 # per cell per axis with no headroom left
 PHASE_PER_CELL_LIMIT = 2.0 * math.pi
 LOG_MARGIN = 0.7
-_BLOCK = 512
+# a fit of more lambda points than this is refused before any quadrature
+MAX_POINTS = 64
+_BLOCK = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,8 +75,9 @@ def gradient_bound(f: BiPoly, radius: float) -> float:
     b1 = 0.0
     b2 = 0.0
     try:
-        for (j, k), c in f.terms().items():
-            scale = abs(float(c)) * radius ** (j + k - 1)
+        for (j, k), n in f.num.items():
+            # n / den is the correctly rounded float of the coefficient
+            scale = abs(n / f.den) * radius ** (j + k - 1)
             b1 += j * scale
             b2 += k * scale
     except OverflowError:
@@ -72,13 +86,18 @@ def gradient_bound(f: BiPoly, radius: float) -> float:
     return math.inf if math.isnan(b1 + b2) else max(b1, b2)
 
 
-def default_grid_size(f: BiPoly, lam: float, radius: float = DEFAULT_RADIUS) -> int:
-    """Per-axis cell count aiming at TARGET_PHASE_PER_CELL radians per
-    cell, clamped to [MIN_GRID, MAX_GRID]."""
-    rate = lam * gradient_bound(f, radius)
+def _grid_size(rate: float, radius: float) -> int:
+    """Per-axis cell count for a phase changing at most `rate` radians per
+    unit length."""
     cells = rate * 2.0 * radius / TARGET_PHASE_PER_CELL
     # an infinite bound asks for the largest grid, which then refuses it
     return MAX_GRID if cells >= MAX_GRID else max(MIN_GRID, math.ceil(cells))
+
+
+def default_grid_size(f: BiPoly, lam: float, radius: float = DEFAULT_RADIUS) -> int:
+    """Per-axis cell count aiming at TARGET_PHASE_PER_CELL radians per
+    cell, clamped to [MIN_GRID, MAX_GRID]."""
+    return _grid_size(lam * gradient_bound(f, radius), radius)
 
 
 def estimate_integral(
@@ -93,7 +112,8 @@ def estimate_integral(
     allocation, and for a radius so small that the cell area underflows
     to 0.  Raises GridTooCoarse when the requested grid cannot resolve the
     phase (more than PHASE_PER_CELL_LIMIT radians per cell per axis, or a
-    gradient bound beyond the float range).
+    gradient bound beyond the float range), and when lambda times the
+    phase leaves the float range, so that the sum is not finite.
     """
     if f.is_zero:
         raise ValueError("integrand phase must be a nonzero polynomial")
@@ -101,8 +121,9 @@ def estimate_integral(
         raise ValueError(f"lambda must be positive and finite, got {lam!r}")
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    rate = lam * gradient_bound(f, radius)
     if grid_n is None:
-        grid_n = default_grid_size(f, lam, radius)
+        grid_n = _grid_size(rate, radius)
     if not 64 <= grid_n <= MAX_GRID:
         raise ValueError(f"grid_n must be in 64..{MAX_GRID}, got {grid_n}")
     cell = 2.0 * radius / grid_n
@@ -110,7 +131,7 @@ def estimate_integral(
         raise ValueError(
             f"radius {radius!r} is too small: the cell area underflows to 0"
         )
-    phase_per_cell = lam * gradient_bound(f, radius) * cell
+    phase_per_cell = rate * cell
     if phase_per_cell > PHASE_PER_CELL_LIMIT:
         raise GridTooCoarse(
             f"{phase_per_cell:.2f} rad per cell at lambda={lam:g}; "
@@ -118,24 +139,33 @@ def estimate_integral(
         )
     xs = (np.arange(grid_n) + 0.5) * cell - radius
     w = bump_profile(xs / radius)
-    # a_vals[k] is the coefficient of x2^k, a polynomial in x1, evaluated
-    # on the x1 axis once; then Horner runs in x2 blockwise to bound memory
-    coeffs = np.zeros((max(j for j, _ in f.support) + 1, f.x2_degree + 1))
-    for (j, k), c in f.terms().items():
-        coeffs[j, k] = float(c)
-    a_vals = np.polynomial.polynomial.polyval(xs, coeffs)
-    total = 0.0 + 0.0j
-    for start in range(0, grid_n, _BLOCK):
-        x2 = xs[start : start + _BLOCK]
-        phi = np.broadcast_to(a_vals[-1][:, None], (grid_n, len(x2))).copy()
-        for k in range(len(a_vals) - 2, -1, -1):
-            phi *= x2[None, :]
-            phi += a_vals[k][:, None]
-        block = np.exp(1j * lam * phi)
-        block *= w[:, None]
-        block *= w[None, start : start + _BLOCK]
-        total += block.sum()
-    return total * cell * cell
+    # rows[k] is the coefficient of x2^k, a polynomial in x1, evaluated on
+    # the x1 axis once from f's nonzero terms; then Horner runs blockwise
+    # over the x2 powers present, highest first, down to x2^0.  A phase
+    # past the float range leaves a nan in the sum, refused below.
+    re = im = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = {0: np.zeros(grid_n)}
+        for (j, k), n in f.num.items():
+            rows[k] = rows.get(k, 0.0) + (n / f.den) * xs**j
+        ks = sorted(rows, reverse=True)
+        cols = [lam * rows[k][:, None] for k in ks]
+        gaps = [hi - lo for hi, lo in zip(ks, ks[1:])]
+        for start in range(0, grid_n, _BLOCK):
+            x2 = xs[start : start + _BLOCK]
+            w2 = w[start : start + _BLOCK]
+            theta = np.empty((grid_n, len(x2)))
+            theta[:] = cols[0]
+            for gap, col in zip(gaps, cols[1:]):
+                theta *= x2**gap
+                theta += col
+            re += np.einsum("i,ij,j->", w, np.cos(theta), w2)
+            im += np.einsum("i,ij,j->", w, np.sin(theta, out=theta), w2)
+    if not math.isfinite(re + im):
+        raise GridTooCoarse(
+            f"lambda={lam:g} times the phase leaves the float range"
+        )
+    return complex(re, im) * cell * cell
 
 
 def fit_decay(
@@ -158,6 +188,8 @@ def fit_decay(
         raise ValueError("lambda_max must be finite, got inf")
     if points < 5:
         raise ValueError("need at least 5 sample points")
+    if points > MAX_POINTS:
+        raise ValueError(f"points must be at most {MAX_POINTS}, got {points}")
     if lambda_min <= 1.0:
         raise ValueError("lambda_min must exceed 1 for the log-log model")
     ratio = lambda_max / lambda_min

@@ -259,3 +259,12 @@ def test_decay_bounds_are_precondition_errors(capsys, extra, named):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err and "Traceback" not in err
+
+
+def test_decay_points_above_the_bound_are_a_precondition_error(capsys):
+    argv = ["decay", "x2^2 - x1^3", "--lambda-min", "10", "--lambda-max", "1e3"]
+    code, out, err = run(capsys, *argv, "--points", "100000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "points" in err and "Traceback" not in err

@@ -5,15 +5,18 @@ decay-exponent fit."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from adaptcoord import estimate_integral, fit_decay, parse
 from adaptcoord.errors import GridTooCoarse
+from adaptcoord import oscillatory
 from adaptcoord.oscillatory import (
     DEFAULT_RADIUS,
     MAX_GRID,
+    MAX_POINTS,
     MIN_GRID,
     bump_profile,
     default_grid_size,
@@ -156,3 +159,66 @@ def test_fit_decay_validation():
         fit_decay(f, 10.0, 100.0, points=3)
     with pytest.raises(ValueError):
         fit_decay(f, 0.5, 100.0)
+
+
+@pytest.mark.parametrize("n", [300, 333])
+@pytest.mark.parametrize(
+    "src, lam",
+    [
+        ("x1^2 + x2^2", 40.0),
+        ("(x2 - x1^2)^2", 60.0),
+        ("x2^2 - x1^3", 15.0),
+        # sparse, x2-degree 3: one Horner step goes from x2^3 to x2^1
+        ("x2^3 + x1^40*x2 + 1/3*x1^200", 30.0),
+    ],
+)
+def test_partial_last_block_matches_direct_meshgrid(src, lam, n):
+    # neither grid is a multiple of the block width, so a narrower last
+    # block of x2 columns runs
+    f = parse(src)
+    mine = estimate_integral(f, lam, grid_n=n)
+    ref = direct_estimate(f, lam, DEFAULT_RADIUS, n)
+    assert mine == pytest.approx(ref, rel=1e-10, abs=1e-13)
+
+
+def test_high_degrees_cost_one_power_per_term():
+    # a millionth power underflows to 0 on every node; the x1 rows and
+    # the Horner steps in x2 come from the two nonzero terms, not from a
+    # million dense coefficients
+    sparse = estimate_integral(parse("x2^2 + x1^1000000"), 10.0)
+    assert sparse == estimate_integral(parse("x2^2"), 10.0)
+    sparse = estimate_integral(parse("x1^2 + x2^1000000"), 10.0)
+    assert sparse == estimate_integral(parse("x1^2"), 10.0)
+
+
+def test_largest_grid_stays_within_its_memory_bound():
+    # limit fixed before the first run: a block holds two grid_n x 128
+    # float64 arrays (8 MiB at MAX_GRID) next to a few grid_n-long rows
+    limit_mb = 24.0
+    f = parse("(x2 - x1^2)^2")
+    tracemalloc.start()
+    try:
+        estimate_integral(f, 1e4, grid_n=MAX_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < limit_mb
+
+
+def test_overflowing_phase_is_refused():
+    # lambda * 10^305 is inf, so cos and sin of the constant row are nan
+    with pytest.raises(GridTooCoarse, match="float range"):
+        estimate_integral(parse("10^305 + x1^2 + x2^2"), 1e4)
+
+
+def test_points_are_bounded_above(monkeypatch):
+    f = parse("x1^2 + x2^2")
+    est = fit_decay(f, 10.0, 100.0, points=MAX_POINTS, grid_n=64)
+    assert len(est.magnitudes) == MAX_POINTS
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran before the bound was checked")
+
+    monkeypatch.setattr(oscillatory, "estimate_integral", no_quadrature)
+    with pytest.raises(ValueError, match=f"points must be at most {MAX_POINTS}"):
+        fit_decay(f, 10.0, 100.0, points=MAX_POINTS + 1)
