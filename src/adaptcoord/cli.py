@@ -13,9 +13,10 @@ parsing.MAX_NESTING); 3 precondition violations (among them a --max-steps
 below 1, a clusters --depth outside 1 to clusters.MAX_DEPTH, an --svg
 diagram whose extent exceeds svgdiagram.MAX_EXTENT, which writes no file,
 a decay lambda or radius that is not finite, a decay radius so small
-that the cell area underflows, a decay --grid above
-oscillatory.MAX_GRID, a decay --points above oscillatory.MAX_POINTS,
-refused before any quadrature, and a decay grid too coarse for the phase,
+that the cell area underflows or so large that it overflows, a decay
+--grid above oscillatory.MAX_GRID and a decay --points above
+oscillatory.MAX_POINTS, all refused before the shear iteration and any
+quadrature, and a decay grid too coarse for the phase,
 GridTooCoarse, which a gradient bound or a phase beyond the float range
 raises);
 4 iteration cap exceeded.
@@ -35,9 +36,9 @@ from .errors import (
     IterationCapExceeded,
     PolySyntaxError,
 )
-from .oscillatory import fit_decay
+from .oscillatory import _check_fit_arguments, fit_decay
 from .parsing import parse
-from .quasihomog import predict_shear_vertices
+from .quasihomog import _require_order_two, predict_shear_vertices
 from .report import AnalysisReport, _assemble, _diagram, _run
 
 
@@ -123,6 +124,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_decay(args: argparse.Namespace) -> int:
     f = parse(args.expr)
+    # a bad input, then bad fit arguments, are refused before the shear
+    # iteration runs
+    _require_order_two(f)
+    _check_fit_arguments(
+        args.lambda_min, args.lambda_max, args.points, args.radius, args.grid
+    )
     h = adapt(f, max_steps=args.max_steps).height
     est = fit_decay(
         f,

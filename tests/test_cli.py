@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from adaptcoord import report_from_dict
+from adaptcoord import cli, report_from_dict
 from adaptcoord.cli import main
 
 
@@ -219,16 +219,17 @@ def test_max_steps_below_one_is_a_precondition_error(capsys, steps):
         assert "max_steps must be at least 1" in err
 
 
-@pytest.mark.parametrize(
-    "bounds",
-    [
-        ["--lambda-max", "inf"],
-        ["--lambda-max", "1e400"],
-        ["--lambda-max", "1e3", "--radius", "1e300"],
-        ["--lambda-max", "1e3", "--radius", "nan"],
-        ["--lambda-max", "1e3", "--radius", "inf"],
-    ],
-)
+NON_FINITE_DECAY_BOUNDS = [
+    ["--lambda-max", "inf"],
+    ["--lambda-max", "1e400"],
+    ["--lambda-max", "1e3", "--radius", "1e300"],
+    ["--lambda-max", "1e3", "--radius", "nan"],
+    ["--lambda-max", "1e3", "--radius", "inf"],
+]
+DECAY_BOUNDS = [(["--grid", "100000"], "grid_n"), (["--radius", "1e-300"], "radius")]
+
+
+@pytest.mark.parametrize("bounds", NON_FINITE_DECAY_BOUNDS)
 def test_decay_non_finite_arguments_are_precondition_errors(capsys, bounds):
     argv = ["decay", "x2^2 - x1^3", "--lambda-min", "10", "--points", "5"]
     code, out, err = run(capsys, *argv, *bounds)
@@ -248,10 +249,7 @@ def test_oversized_diagram_is_refused_without_a_file(capsys, tmp_path):
     assert not target.exists()
 
 
-@pytest.mark.parametrize(
-    "extra, named",
-    [(["--grid", "100000"], "grid_n"), (["--radius", "1e-300"], "radius")],
-)
+@pytest.mark.parametrize("extra, named", DECAY_BOUNDS)
 def test_decay_bounds_are_precondition_errors(capsys, extra, named):
     argv = ["decay", "x2^2 - x1^3", "--lambda-min", "10", "--lambda-max", "1e3"]
     code, out, err = run(capsys, *argv, "--points", "5", *extra)
@@ -268,3 +266,21 @@ def test_decay_points_above_the_bound_are_a_precondition_error(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "points" in err and "Traceback" not in err
+
+
+def test_refused_decay_arguments_never_reach_the_shear_iteration(capsys, monkeypatch):
+    def no_adapt(*args, **kwargs):
+        raise AssertionError("adapt ran before the decay arguments were checked")
+
+    monkeypatch.setattr(cli, "adapt", no_adapt)
+    base = ["decay", "x2^2 - x1^3", "--lambda-min", "10"]
+    bounded = [*base, "--lambda-max", "1e3"]
+    refused = [
+        *([*base, "--points", "5", *bounds] for bounds in NON_FINITE_DECAY_BOUNDS),
+        *([*bounded, "--points", "5", *extra] for extra, _ in DECAY_BOUNDS),
+        [*bounded, "--points", "100000"],
+    ]
+    for argv in refused:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv

@@ -4,8 +4,10 @@ decay-exponent fit."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,7 +208,8 @@ def test_largest_grid_stays_within_its_memory_bound():
 
 
 def test_overflowing_phase_is_refused():
-    # lambda * 10^305 is inf, so cos and sin of the constant row are nan
+    # lambda / 2 * 10^305 is inf, so the tangent of the half phase, and
+    # with it both sums, are nan
     with pytest.raises(GridTooCoarse, match="float range"):
         estimate_integral(parse("10^305 + x1^2 + x2^2"), 1e4)
 
@@ -222,3 +225,28 @@ def test_points_are_bounded_above(monkeypatch):
     monkeypatch.setattr(oscillatory, "estimate_integral", no_quadrature)
     with pytest.raises(ValueError, match=f"points must be at most {MAX_POINTS}"):
         fit_decay(f, 10.0, 100.0, points=MAX_POINTS + 1)
+
+
+@pytest.mark.parametrize("turns", [1, 3, Fraction(1, 3)])
+def test_constant_shifts_the_estimate_by_its_phase(turns):
+    # lam * c = turns * pi as a float; at the origin node, which an odd
+    # grid has, the half phase is the float nearest an odd multiple of
+    # pi / 2, where tan has a pole, and from there the phase runs across
+    # the next poles; 257 = 2 * 128 + 1 leaves a last block of one column.
+    # A third of a turn rotates by a factor that is not real, which a sine
+    # of the wrong sign would not match
+    lam = 32.0
+    c = turns * Fraction(math.pi) / 32
+    g = parse("x1^2 + x2^2")
+    shifted = estimate_integral(parse(f"{c} + x1^2 + x2^2"), lam, grid_n=257)
+    rotated = cmath.exp(1j * lam * float(c)) * estimate_integral(g, lam, grid_n=257)
+    assert shifted == pytest.approx(rotated, rel=1e-12)
+
+
+def test_phase_of_a_thousand_radians_matches_direct_meshgrid():
+    # a phase from 1050 to 1125 radians, so tan reduces arguments far from
+    # 0; 333 is no multiple of the block width
+    f = parse("7 + x1^2 + x2^2")
+    mine = estimate_integral(f, 150.0, grid_n=333)
+    ref = direct_estimate(f, 150.0, DEFAULT_RADIUS, 333)
+    assert mine == pytest.approx(ref, rel=1e-10, abs=1e-13)
