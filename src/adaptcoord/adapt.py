@@ -29,9 +29,9 @@ tracked root cannot be a polynomial and the iteration can never stop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bipoly import (
     BiPoly,
@@ -56,8 +56,7 @@ DEFAULT_MAX_STEPS = 64
 STABILIZATION_WINDOW = 3
 
 
-@dataclass(frozen=True, slots=True)
-class PrincipalRootWitness:
+class PrincipalRootWitness(NamedTuple):
     """The root driving a non-adapted verdict: x2 = coefficient * x1^exponent
     annihilates the principal part to order `multiplicity`."""
 
@@ -66,8 +65,7 @@ class PrincipalRootWitness:
     multiplicity: int
 
 
-@dataclass(frozen=True, slots=True)
-class AdaptednessReport:
+class AdaptednessReport(NamedTuple):
     """The verdict on f.  `weight` and `witness` are taken in the
     axis-normalized orientation; `hull` is the Newton data of f as given."""
 
@@ -82,8 +80,7 @@ class AdaptednessReport:
     hull: HullAnalysis
 
 
-@dataclass(frozen=True, slots=True)
-class RootJet:
+class RootJet(NamedTuple):
     """Terms (b_l, m_l) of the shear chain y2 = x2 - sum b_l * x1^{m_l};
     exponents strictly increasing.  `truncated` marks a jet cut off at the
     step cap rather than completed."""
@@ -92,8 +89,7 @@ class RootJet:
     truncated: bool
 
 
-@dataclass(frozen=True, slots=True)
-class AdaptStep:
+class AdaptStep(NamedTuple):
     """One shear step: the multiplicity of the principal root used, the
     x1-exponent of the shear, and the distance before shearing."""
 
@@ -107,8 +103,7 @@ class AdaptStatus(Enum):
     NONTERMINATING_CERTIFIED = "nonterminating-certified"
 
 
-@dataclass(frozen=True, slots=True)
-class AdaptResult:
+class AdaptResult(NamedTuple):
     """`input_check` is check_adapted(f) on the input as given;
     `final_check` is the loop's last verdict, on `final_poly`, so its
     hull is the Newton data of `final_poly`."""

@@ -14,11 +14,10 @@ checked by the exact product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import DegenerateInX2, ZeroPolynomial
 from .unipoly import (
@@ -206,8 +205,13 @@ class BiPoly:
         return f"BiPoly({self.terms()!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class _WeightFields(NamedTuple):
+    q: int
+    p: int
+    m: int
+
+
+class Weight(_WeightFields):
     """The weight (k1, k2) = (q/m, p/m) in lowest terms: integers q, p >= 0,
     not both zero, m > 0 and gcd(q, p, m) = 1.
 
@@ -215,19 +219,23 @@ class Weight:
     and the terms of weighted degree one are those with q*j + p*k = m.
     """
 
-    q: int
-    p: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 0 or self.p < 0:
+    def __new__(cls, q: int, p: int, m: int) -> Weight:
+        if q < 0 or p < 0:
             raise ValueError("weights must be non-negative")
-        if self.q == 0 and self.p == 0:
+        if q == 0 and p == 0:
             raise ValueError("weight (0, 0) is not allowed")
-        if self.m <= 0:
+        if m <= 0:
             raise ValueError("weight denominator must be positive")
-        if int_gcd(self.q, self.p, self.m) != 1:
+        if int_gcd(q, p, m) != 1:
             raise ValueError("weight triple (q, p, m) must be coprime")
+        return super().__new__(cls, q, p, m)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> Weight:
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
     @property
     def k1(self) -> Fraction:
@@ -245,8 +253,13 @@ class ShearAxis(Enum):
     X1 = "x1"
 
 
-@dataclass(frozen=True, slots=True)
-class ShearChange:
+class _ShearChangeFields(NamedTuple):
+    axis: ShearAxis
+    coefficient: Fraction
+    exponent: int
+
+
+class ShearChange(_ShearChangeFields):
     """The substitution applied to reach the new coordinates.
 
     With axis X2 the new polynomial is f(x1, x2 + b*x1^m): this is the
@@ -254,16 +267,22 @@ class ShearChange:
     chain of shears can be read back as the root jet y2 = x2 - sum b*x1^m.
     """
 
-    axis: ShearAxis
-    coefficient: Fraction
-    exponent: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficient", _frac(self.coefficient))
-        if self.coefficient == 0:
+    def __new__(
+        cls, axis: ShearAxis, coefficient: Fraction | int, exponent: int
+    ) -> ShearChange:
+        coefficient = _frac(coefficient)
+        if coefficient == 0:
             raise ValueError("shear coefficient must be nonzero")
-        if self.exponent < 1:
+        if exponent < 1:
             raise ValueError("shear exponent must be >= 1")
+        return super().__new__(cls, axis, coefficient, exponent)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ShearChange:
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
 
 def weighted_part(f: BiPoly, w: Weight, degree: Fraction | int) -> BiPoly:

@@ -20,8 +20,8 @@ by the branch term and recurse); the rest are tallied per cluster in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bipoly import BiPoly, ShearAxis, ShearChange, Term, apply_shear
 from .errors import (
@@ -40,8 +40,7 @@ from .unipoly import rational_roots
 MAX_DEPTH = 256
 
 
-@dataclass(frozen=True, slots=True)
-class Refinement:
+class Refinement(NamedTuple):
     """Continuation data for the branches starting coefficient * x1^exponent.
 
     `count` is the number of roots (with multiplicity) whose expansions
@@ -54,8 +53,7 @@ class Refinement:
     sub: "ClusterLevel"
 
 
-@dataclass(frozen=True, slots=True)
-class Cluster:
+class Cluster(NamedTuple):
     """Roots sharing the leading exponent `exponent`, `count` of them with
     multiplicity.  `unresolved` tallies branches skipped by refinement
     because their leading terms need an algebraic extension (irrational
@@ -68,11 +66,10 @@ class Cluster:
     unresolved: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class ClusterLevel:
+class ClusterLevel(NamedTuple):
     nu1: int
     nu2: int
-    clusters: tuple[Cluster, ...] = field(default=())
+    clusters: tuple[Cluster, ...] = ()
 
     @property
     def total_roots(self) -> int:

@@ -10,11 +10,10 @@ principal face is the smallest face containing that crossing point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bipoly import BiPoly, Term, Weight, weighted_part
 from .errors import (
@@ -23,8 +22,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class NewtonPolyhedron:
+class NewtonPolyhedron(NamedTuple):
     """Vertices of the boundary staircase, ordered by increasing first
     coordinate (hence strictly decreasing second coordinate)."""
 
@@ -50,8 +48,7 @@ class FaceKind(Enum):
     VERTICAL_HALFLINE = "vertical-halfline"
 
 
-@dataclass(frozen=True, slots=True)
-class Face:
+class Face(NamedTuple):
     """A face of the boundary.  `points` holds the single vertex, the two
     endpoints of a compact edge, or the anchor vertex of a half-line."""
 
@@ -112,8 +109,7 @@ def edge_weight(a: Term, b: Term) -> Weight:
     return Weight(q, p, q * j0 + p * k0)
 
 
-@dataclass(frozen=True, slots=True)
-class HullAnalysis:
+class HullAnalysis(NamedTuple):
     """The Newton data of one polynomial, from one pass over its polyhedron:
     the distance, the principal face, and the weight of every compact edge
     in the order of `polyhedron.edges`."""

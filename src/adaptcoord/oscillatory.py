@@ -40,7 +40,7 @@ largest grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ MAX_POINTS = 64
 _BLOCK = 128
 
 
-@dataclass(frozen=True, slots=True)
-class DecayEstimate:
+class DecayEstimate(NamedTuple):
     """Fit of log|I| = intercept - fitted_exponent*log(lam) +
     fitted_log_power*log(log(lam)) over a geometric lambda grid."""
 
@@ -121,11 +120,13 @@ def estimate_integral(
     """Midpoint-rule estimate of the oscillatory integral at one lambda.
 
     Raises ValueError for a grid_n outside 64..MAX_GRID, before any
-    allocation, and for a radius so small that the cell area underflows
-    to 0.  Raises GridTooCoarse when the requested grid cannot resolve the
-    phase (more than PHASE_PER_CELL_LIMIT radians per cell per axis, or a
-    gradient bound beyond the float range), and when lambda times the
-    phase leaves the float range, so that the sum is not finite.
+    allocation, for a radius so small that the cell area underflows to 0,
+    and, once the grid resolves the phase, for a radius so large that the
+    cell area overflows.  Raises GridTooCoarse when the requested grid
+    cannot resolve the phase (more than PHASE_PER_CELL_LIMIT radians per
+    cell per axis, or a gradient bound beyond the float range), and when
+    lambda times the phase leaves the float range, so that the sum is not
+    finite.
     """
     if f.is_zero:
         raise ValueError("integrand phase must be a nonzero polynomial")
@@ -139,7 +140,8 @@ def estimate_integral(
     if not 64 <= grid_n <= MAX_GRID:
         raise ValueError(f"grid_n must be in 64..{MAX_GRID}, got {grid_n}")
     cell = 2.0 * radius / grid_n
-    if cell * cell == 0.0:
+    area = cell * cell
+    if area == 0.0:
         raise ValueError(
             f"radius {radius!r} is too small: the cell area underflows to 0"
         )
@@ -148,6 +150,10 @@ def estimate_integral(
         raise GridTooCoarse(
             f"{phase_per_cell:.2f} rad per cell at lambda={lam:g}; "
             f"needs more than {grid_n} cells per axis"
+        )
+    if area == math.inf:
+        raise ValueError(
+            f"radius {radius!r} is too large: the cell area overflows"
         )
     xs = (np.arange(grid_n) + 0.5) * cell - radius
     w = bump_profile(xs / radius)

@@ -18,8 +18,8 @@ most MAX_NESTING deep.  Errors carry 1-based line and column positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bipoly import BiPoly, Term
 from .errors import NonIntegerExponent, PolySyntaxError, UnknownVariable
@@ -32,8 +32,7 @@ _PUNCT = set("+-*^()/")
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int", "var", "end", or the punctuation character itself
     text: str
     line: int

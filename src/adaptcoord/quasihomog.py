@@ -31,10 +31,10 @@ Key quantities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, gcd
+from typing import NamedTuple
 
 from .bipoly import BiPoly, Term, Weight
 from .errors import (
@@ -89,8 +89,7 @@ def detect_weight(P: BiPoly) -> Weight | WeightDetection:
     return w
 
 
-@dataclass(frozen=True, slots=True)
-class RealRootDescriptor:
+class RealRootDescriptor(NamedTuple):
     """One real root of the root polynomial, with its multiplicity.
 
     Rational roots carry their exact value; irrational ones carry the
@@ -143,8 +142,7 @@ def root_structure(P: BiPoly) -> tuple[Weight, int, int, int, int, int, UniPoly]
     return (w, *edge_root_polynomial(P, min(P.support), max(P.support)))
 
 
-@dataclass(frozen=True, slots=True)
-class QuasiHomogData:
+class QuasiHomogData(NamedTuple):
     """Exact factorization data of a quasi-homogeneous polynomial: the
     squarefree decomposition of its root polynomial u into primitive
     integer factors, its largest real multiplicity, and deep_root's

@@ -11,9 +11,9 @@ is assembled from, so nothing the run produced is computed or parsed again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 from .adapt import (
     DEFAULT_MAX_STEPS,
@@ -31,8 +31,7 @@ IntPair = tuple[int, int]
 FracPair = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True, slots=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     source: str
     support: tuple[IntPair, ...]
     vertices: tuple[IntPair, ...]

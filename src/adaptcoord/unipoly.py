@@ -16,10 +16,9 @@ point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInvariantViolation, NotSquarefree, ZeroPolynomial
 
@@ -32,8 +31,7 @@ def _frac(x: Fraction | int) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
-class UniPoly:
+class UniPoly(NamedTuple):
     """Dense univariate polynomial in Z[y]; coeffs[i] multiplies y**i."""
 
     coeffs: tuple[int, ...]

@@ -121,6 +121,15 @@ def test_underflowing_cell_area_names_the_radius():
         fit_decay(f, 10.0, 1e3, points=5, radius=1e-300)
 
 
+def test_overflowing_cell_area_names_the_radius():
+    # the phase is resolved on 256 cells of width 7.8e297, whose area is inf
+    with pytest.raises(ValueError, match="radius 1e\\+300 is too large"):
+        estimate_integral(parse("1/10^300*x2"), 10.0, radius=1e300)
+    # an unresolved phase is refused first, as too coarse a grid
+    with pytest.raises(GridTooCoarse):
+        estimate_integral(parse("x2^2 - x1^3"), 10.0, 1e300)
+
+
 def test_grid_too_coarse_raises():
     with pytest.raises(GridTooCoarse):
         estimate_integral(parse("x1^2 + x2^2"), 1e6, grid_n=64)

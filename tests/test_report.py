@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -142,7 +141,7 @@ def test_to_json_matches_the_stdlib_encoder_on_sheared_inputs():
 @settings(max_examples=100, deadline=None)
 def test_to_json_quotes_source_text_like_the_stdlib_encoder(source):
     rep = build_report(parse("(x2 - x1^2)^2 + x1^5"))
-    rep = dataclasses.replace(rep, source=source)
+    rep = rep._replace(source=source)
     assert rep.to_json() == _stdlib_json(rep)
 
 
