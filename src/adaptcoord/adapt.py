@@ -15,8 +15,9 @@ distance.  Iterating this step either terminates in adapted coordinates or
 tracks an infinite power-series root of some fixed multiplicity N; in the
 latter case the height equals N.
 
-Condition (c) is decided without factoring the edge's root polynomial;
-the argument is at quasihomog.deep_root.
+Condition (c) is read off the last factor of the squarefree decomposition
+of the edge's root polynomial, with no root isolated; the argument is at
+quasihomog.deep_root.
 
 Non-termination is certified exactly, not guessed: once the step
 multiplicities stabilize at N, the squarefree factor F of f with

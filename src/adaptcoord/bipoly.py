@@ -369,7 +369,7 @@ def _rows_primitive(v: list[Row]) -> list[Row]:
     for row in rows[1:]:
         if len(g) == 1:
             break
-        g = _z_gcd(g, row)
+        g = _z_gcd(g, row)[0]
     if len(g) > 1:
         v = [_z_quo(row, g) if row else row for row in v]
     c = int_gcd(*(x for row in v for x in row))

@@ -8,7 +8,7 @@ Grammar, loosest binding first:
     power    := atom ['^' exponent]
     atom     := NUMBER | VARIABLE | '(' expr ')'
     exponent := NUMBER | '(' ['-'] NUMBER ')'
-    NUMBER   := digits ['/' digits]
+    NUMBER   := digits ['/' digits]      (ASCII digits 0-9 only)
 
 Variables are x1 and x2, with x and y accepted as aliases.  There is no
 implicit multiplication and no division except inside rational literals;
@@ -26,6 +26,8 @@ from .errors import NonIntegerExponent, PolySyntaxError, UnknownVariable
 
 _VARIABLES = {"x1": (1, 0), "x": (1, 0), "x2": (0, 1), "y": (0, 1)}
 _PUNCT = set("+-*^()/")
+# str.isdigit would also take "²" or "٣", which int() rejects or misreads
+_DIGITS = set("0123456789")
 
 # each '(' of an atom costs five frames of recursive descent, so this
 # keeps the deepest parse far below Python's default recursion limit
@@ -52,9 +54,9 @@ def _tokenize(src: str) -> list[_Token]:
         elif ch in " \t\r":
             col += 1
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", src[i:j], line, col))
             col += j - i

@@ -26,14 +26,14 @@ Key quantities:
 * height of P itself: max{m(P), d_h};
 * the deep root: the unique real root with multiplicity M > d_h, which
   can only exist when q = 1 and is then provably rational; deep_root
-  decides it without factoring u.
+  reads it off the last factor of u's squarefree decomposition.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import NamedTuple
 
 from .bipoly import BiPoly, Term, Weight
@@ -49,11 +49,8 @@ from .errors import (
 from .newton import edge_weight
 from .unipoly import (
     UniPoly,
-    _z_deriv,
-    _z_gcd,
     count_real_roots,
     exact_real_roots,
-    integer_row,
     rational_roots,
     squarefree_decompose,
 )
@@ -187,7 +184,7 @@ def deep_root(w: Weight, edge: Edge) -> tuple[Fraction, int] | None:
     edge_root_polynomial) whose weight is w, with k1 <= k2; None when no
     root is that deep.
 
-    No factorization is needed.  With q <= p:
+    With q <= p:
 
     * q >= 2 gives p > q >= 2, so pq >= p + q and d_h >= pqn/(p+q) >= n:
       no multiplicity exceeds d_h;
@@ -195,12 +192,10 @@ def deep_root(w: Weight, edge: Edge) -> tuple[Fraction, int] | None:
       n <= nu1 + p*nu2.
 
     Otherwise k = floor(d_h) + 1 is the least multiplicity above d_h, and
-    k > d_h >= p*n/(1+p) >= n/2.  A root of multiplicity M in u has
-    multiplicity M - i in u^(i), so G = gcd(u, u', ..., u^(k-1)) has
-    exactly the roots of multiplicity >= k, each with multiplicity
-    M - k + 1.  Two such roots would need degree 2k > n, and a root's
-    conjugates over Q have its multiplicity, so G = c*(A*y + B)^e: one
-    rational root -B/A, with M = e + k - 1.
+    k > d_h >= p*n/(1+p) >= n/2.  The squarefree factors of u are
+    pairwise coprime with deg*M summing to n, so at most one has M >= k,
+    and it is the last, of largest multiplicity; deg*M <= n < 2k makes it
+    linear: one rational root, with M its multiplicity.
     """
     nu1, nu2, q, p, n, u = edge
     if (q, p) != (w.q, w.p) or q * nu1 + p * nu2 + p * q * n != w.m:
@@ -208,18 +203,12 @@ def deep_root(w: Weight, edge: Edge) -> tuple[Fraction, int] | None:
     if q != 1 or n <= nu1 + p * nu2:
         return None
     k = w.m // (q + p) + 1
-    g = der = integer_row(u)
-    for _ in range(k - 1):
-        der = _z_deriv(der)
-        g = _z_gcd(g, der)
-        if len(g) == 1:
-            return None
-    e = len(g) - 1
-    b = Fraction(-g[e - 1], e * g[e])
-    A, B = b.denominator, -b.numerator
-    if g != [comb(e, i) * A**i * B ** (e - i) for i in range(e + 1)]:
+    g, mult = squarefree_decompose(u)[-1]
+    if mult < k:
+        return None
+    if g.degree != 1:
         raise InternalInvariantViolation("deep roots are not one rational root")
-    return b, e + k - 1
+    return Fraction(-g.coeffs[0], g.coeffs[1]), mult
 
 
 def analyze(P: BiPoly) -> QuasiHomogData:

@@ -19,6 +19,8 @@ from .adapt import (
     DEFAULT_MAX_STEPS,
     AdaptednessReport,
     AdaptResult,
+    AdaptStep,
+    PrincipalRootWitness,
     adapt,
     check_adapted,
 )
@@ -45,13 +47,13 @@ class AnalysisReport(NamedTuple):
     condition_b: bool
     condition_c: bool
     check_axis_swapped: bool
-    witness: tuple[Fraction, int, int] | None
+    witness: PrincipalRootWitness | None
     status: str
     height: Fraction | None
     jet: tuple[tuple[Fraction, int], ...]
     jet_truncated: bool
     adapt_axis_swapped: bool
-    steps: tuple[tuple[int, int, Fraction], ...]
+    steps: tuple[AdaptStep, ...]
     adapted_poly: str | None
     cluster_vertices_match: bool | None
     cluster_distance_match: bool | None
@@ -209,7 +211,7 @@ def report_from_dict(data: dict) -> AnalysisReport:
     ad = data["adaptedness"]
     witness = None
     if ad["witness"] is not None:
-        witness = (
+        witness = PrincipalRootWitness(
             Fraction(ad["witness"]["coefficient"]),
             int(ad["witness"]["exponent"]),
             int(ad["witness"]["multiplicity"]),
@@ -242,7 +244,9 @@ def report_from_dict(data: dict) -> AnalysisReport:
         jet_truncated=data["jet_truncated"],
         adapt_axis_swapped=data["adapt_axis_swapped"],
         steps=tuple(
-            (int(s["multiplicity"]), int(s["exponent"]), Fraction(s["distance"]))
+            AdaptStep(
+                int(s["multiplicity"]), int(s["exponent"]), Fraction(s["distance"])
+            )
             for s in data["steps"]
         ),
         adapted_poly=data["adapted_poly"],
@@ -283,13 +287,6 @@ def _assemble(
     """The report of one run of _run on f."""
     hull = rep.hull
     verts = tuple(hull.polyhedron.vertices)
-    witness = None
-    if rep.witness is not None:
-        witness = (
-            rep.witness.coefficient,
-            rep.witness.exponent,
-            rep.witness.multiplicity,
-        )
     vmatch, dmatch = _cluster_check(f, verts, hull.distance)
     text = str(f) if source is None else source
     adapted_poly = None
@@ -311,15 +308,13 @@ def _assemble(
         condition_b=rep.condition_b,
         condition_c=rep.condition_c,
         check_axis_swapped=rep.axis_swapped,
-        witness=witness,
+        witness=rep.witness,
         status="skipped" if result is None else result.status.value,
         height=None if result is None else result.height,
         jet=() if result is None else result.jet.terms,
         jet_truncated=False if result is None else result.jet.truncated,
         adapt_axis_swapped=False if result is None else result.axis_swapped,
-        steps=()
-        if result is None
-        else tuple((s.multiplicity, s.exponent, s.distance) for s in result.steps),
+        steps=() if result is None else result.steps,
         adapted_poly=adapted_poly,
         cluster_vertices_match=vmatch,
         cluster_distance_match=dmatch,

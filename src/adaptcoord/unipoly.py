@@ -4,7 +4,8 @@ A UniPoly is an integer row: a tuple of ints, lowest degree first, with
 no trailing zeros.  Roots, multiplicities and root counts do not change
 when a polynomial is scaled, so the kernels read the row as it is.
 Squarefree decomposition is Yun's algorithm in Z[y] with heuristic gcds
-checked by exact division, and real roots are counted (Sturm chains on
+checked by exact division; it is the one multiplicity kernel, which the
+adaptedness verdict reads too.  Real roots are counted (Sturm chains on
 half-open intervals) and isolated by bisection on one primitive
 remainder sequence, whose signs at a rational point are those of an
 integer.  Rational roots are read off isolating intervals refined below
@@ -144,10 +145,10 @@ def _z_primitive(a: Row) -> Row:
     return a if g == 1 else [c // g for c in a]
 
 
-def _z_gcd(a: Row, b: Row) -> Row:
-    """Primitive gcd in Z[x] of a and b, not both zero, leading
-    coefficient positive: the primitive part of one when the other is
-    zero, and [1] when either is a nonzero constant.
+def _z_gcd(a: Row, b: Row) -> tuple[Row, Row, Row]:
+    """(G, a/G, b/G) for the primitive gcd G in Z[x] of a and b, not both
+    zero, leading coefficient positive: the primitive part of one when
+    the other is zero, and [1] when either is a nonzero constant.
 
     Every root of a and b is below xi/2 in size (Cauchy's bound), so a
     factor Q of a of positive degree has |Q(xi)| > xi/2.  The integer
@@ -157,45 +158,54 @@ def _z_gcd(a: Row, b: Row) -> Row:
     with deg Q > 0 is impossible: Q(xi) would divide the candidate's
     content.  The integer gcd is k*G(xi), with k dividing the resultant
     of the cofactors, so P is G once xi > 2*|k*G|; xi grows until then.
+    The cofactors returned are the exact quotients that accepted G.
     """
     if not a or not b:
-        return _z_primitive(a or b)
+        g = _z_primitive(a or b)
+        unit = [(a or b)[-1] // g[-1]]
+        return (g, unit, b) if a else (g, a, unit)
     if len(a) == 1 or len(b) == 1:
-        return [1]
+        return [1], a, b
     xi = 2 * max(max(map(abs, a)), max(map(abs, b))) + 2
     while True:
         g = _z_primitive(_z_adic(gcd(_z_eval(a, xi), _z_eval(b, xi)), xi))
-        if _z_quo(a, g) is not None and _z_quo(b, g) is not None:
-            return g
+        qa = _z_quo(a, g)
+        qb = None if qa is None else _z_quo(b, g)
+        if qb is not None:
+            return g, qa, qb
         xi *= xi
 
 
 def squarefree_decompose(p: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
     """Yun's algorithm on p's primitive integer row, with heuristic gcds
-    and exact divisions in Z[y]: the pairs (factor, multiplicity) with p
-    equal to an integer times the product of factor**multiplicity.
+    in Z[y] whose exact cofactors are its divisions: the pairs (factor,
+    multiplicity) with p equal to an integer times the product of
+    factor**multiplicity.
 
     Every gcd is primitive, so by Gauss's lemma every division stays in
     Z[y]: each factor is primitive and squarefree, its leading
     coefficient positive, the factors pairwise coprime and listed with
     strictly increasing multiplicity.
+
+    b is the product of the factors not yet found and `left` the degree
+    they still account for, so once b is linear it is the last factor,
+    of multiplicity `left`, and the loop stops without peeling it.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     a = integer_row(p)
-    da = _z_deriv(a)
-    g = _z_gcd(a, da)
-    b = _z_exact_quo(a, g)
-    d = _z_sub(_z_exact_quo(da, g), _z_deriv(b))
+    g, b, c = _z_gcd(a, _z_deriv(a))
+    left = len(a) - 1
     factors = []
     i = 1
-    while len(b) > 1:
-        g = _z_gcd(b, d)
+    while len(b) > 2:
+        g, b, c = _z_gcd(b, _z_sub(c, _z_deriv(b)))
         if len(g) > 1:
             factors.append((UniPoly(tuple(g)), i))
-        b = _z_exact_quo(b, g)
-        d = _z_sub(_z_exact_quo(d, g), _z_deriv(b))
+            left -= (len(g) - 1) * i
         i += 1
+    if len(b) == 2:
+        factors.append((UniPoly(tuple(b)), left))
     return tuple(factors)
 
 

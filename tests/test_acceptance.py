@@ -435,6 +435,25 @@ def test_timed_certified_report_on_sheared_cube(capsys):
     run_timed(capsys, "certified report on a sheared cube", 2.0, body)
 
 
+@pytest.mark.parametrize(
+    "src, witness",
+    [
+        ("(x1 + x2)^300", (Fraction(-1), 1, 300)),
+        ("(3*x2 - 2*x1)^200", (Fraction(2, 3), 1, 200)),
+    ],
+)
+def test_timed_verdict_on_a_power_of_a_line(capsys, src, witness):
+    # u = c*(A*y + B)^n: one deep linear factor of multiplicity n
+    f = parse(src)
+
+    def body():
+        rep = check_adapted(f)
+        assert not rep.adapted
+        assert rep.witness == witness
+
+    run_timed(capsys, f"verdict on {src}", 0.2, body)
+
+
 def test_timed_report_on_degree_32_form_with_64_bit_coefficients(capsys):
     rng = random.Random(7)
     f = BiPoly({(32 - i, i): rng.randint(-2**64, 2**64) for i in range(33)})

@@ -341,4 +341,6 @@ def test_squarefree_part_x2_checks_the_lift_by_the_product():
 def test_gcds_retry_past_an_unlucky_evaluation_point():
     # at the first xi, the gcd of the images reads back to a candidate
     # that does not divide the inputs
-    assert _z_gcd([6, 3, -7, 3], [0, 6, -12, 8, -2]) == [3, -3, 1]
+    assert _z_gcd([6, 3, -7, 3], [0, 6, -12, 8, -2]) == (
+        [3, -3, 1], [2, 3], [0, 2, -2]
+    )

@@ -72,6 +72,10 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "(" * 250 + "x1^2" + ")" * 250)
     assert code == 2
     assert "nested deeper" in err
+    for src in ("x1^2 + 2²*x2^2", "x1^2 + x2^²", "x1^2 + ٣*x2^2"):
+        code, out, err = run(capsys, "analyze", src)
+        assert (code, out) == (2, ""), src
+        assert "unexpected character" in err and "column" in err, err
 
 
 def test_precondition_exit_code(capsys):

@@ -85,6 +85,19 @@ def test_syntax_error_positions():
         parse("x1 +")
 
 
+def test_non_ascii_digits_are_unexpected_characters():
+    # str.isdigit holds for all three; int("2²") fails and int("٣") is 3
+    for src, col, ch in [
+        ("x1^2 + 2²*x2^2", 9, "²"),
+        ("x1^2 + x2^²", 11, "²"),
+        ("x1^2 + ٣*x2^2", 8, "٣"),
+    ]:
+        with pytest.raises(PolySyntaxError) as err:
+            parse(src)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert f"unexpected character {ch!r}" in str(err.value)
+
+
 def test_multiline_positions():
     with pytest.raises(PolySyntaxError) as err:
         parse("x1^2 +\n  %x2")

@@ -218,8 +218,9 @@ COPRIME_WEIGHTS = [
 
 
 def yun_sturm_deep_root(w: Weight, edge) -> tuple[Fraction, int] | None:
-    """The deep root read off the squarefree factors and their Sturm
-    counts, the reading deep_root replaces in the verdict."""
+    """The deep root read off every squarefree factor above d_h that has
+    a real root (Sturm), without deep_root's two shortcuts or its
+    reading of the last factor alone."""
     d_h = Fraction(w.m, w.q + w.p)
     deep = [
         (factor, mult)
@@ -254,6 +255,17 @@ def yun_sturm_deep_root(w: Weight, edge) -> tuple[Fraction, int] | None:
 @example(nu1=0, nu2=0, qp=(1, 1), c=2, roots=[(Fraction(1, 2), 3)], j=1, a=1)
 # n = 4, d_h = 2, k = 3: a root of multiplicity k - 1 is not
 @example(nu1=0, nu2=0, qp=(1, 1), c=1, roots=[(Fraction(1), 2)], j=1, a=2)
+# n = 125, d_h = 125/2: Yun's loop stops at the linear factor of
+# multiplicity 121 left after the double root and the quadratic
+@example(
+    nu1=0,
+    nu2=0,
+    qp=(1, 1),
+    c=-3,
+    roots=[(Fraction(-1, 2), 2), (Fraction(2, 3), 121)],
+    j=1,
+    a=1,
+)
 @settings(max_examples=150, deadline=None)
 def test_deep_root_matches_yun_and_sturm(nu1, nu2, qp, c, roots, j, a):
     q, p = qp

@@ -17,6 +17,7 @@ from adaptcoord.errors import NotSquarefree, ZeroPolynomial
 from adaptcoord.unipoly import (
     _z_deriv,
     _z_eval,
+    _z_gcd,
     _z_sub,
     count_real_roots,
     integer_row,
@@ -112,6 +113,12 @@ def test_gcd_divides_and_catches_common_factor(a, b, c):
     assert not r1 and not r2
     assert not r3  # gcd is a multiple of every common factor
     assert g[-1] == 1  # monic normalization
+
+
+def test_gcd_cofactors_with_a_zero_or_constant_input():
+    assert _z_gcd([-4, -6], []) == ([2, 3], [-2], [])
+    assert _z_gcd([], [4, 6]) == ([2, 3], [], [2])
+    assert _z_gcd([5], [1, 2]) == ([1], [5], [1, 2])
 
 
 def test_integer_row_strips_content():
@@ -296,6 +303,27 @@ def test_sturm_queries_match_known_roots():
             assert width is None or all(hi - lo < width for lo, hi in boxes)
             for below in roots:
                 assert sum(_in_box(lo, hi, below) for lo, hi in boxes) == 1
+
+
+@pytest.mark.parametrize(
+    "powers",
+    [
+        # the loop stops at a linear b: its multiplicity is the degree left
+        [([-2, 3], 40)],
+        [([1, 0, 1], 2), ([-2, 3], 40)],
+        [([1, 1], 1), ([-3, 2], 30)],
+        [([1, 1], 3), ([-1, 2], 4), ([5, 7], 9)],
+        # the top factor is not linear, so Yun's loop peels it
+        [([-1, 1], 1), ([-2, 0, 1], 5)],
+    ],
+)
+def test_squarefree_decompose_last_factor(powers):
+    # a content of 6 and a negative sign, which the decomposition drops
+    rows = [[-6]] + [row for row, j in powers for _ in range(j)]
+    p = UniPoly.from_coeffs(_product(rows))
+    factors = squarefree_decompose(p)
+    _check_decomposition(p, factors)
+    assert factors == tuple((UniPoly(tuple(row)), j) for row, j in powers)
 
 
 def test_squarefree_decompose_products_of_powers():
