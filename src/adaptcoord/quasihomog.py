@@ -12,10 +12,10 @@ derived exactly from that factorization: the lambda_l are the roots of a
 single univariate polynomial u in Z[y], which edge_root_polynomial reads
 straight off the edge's lattice points (the one path from an edge to u,
 used by the adaptedness verdict, the cluster refinement and analyze
-alike).  Its squarefree decomposition, real-root counting (Sturm) and
-rational roots found by Sturm isolation give the full multiplicity data
-without ever leaving the rationals, in time polynomial in the
-coefficient size.
+alike).  Its squarefree decomposition (Yun) gives every multiplicity:
+Sturm counts say which factors have real roots, and a rational value
+has the multiplicity of the one factor it annihilates, tested exactly,
+without ever leaving the rationals.
 
 Key quantities:
 
@@ -26,7 +26,7 @@ Key quantities:
 * height of P itself: max{m(P), d_h};
 * the deep root: the unique real root with multiplicity M > d_h, which
   can only exist when q = 1 and is then provably rational; deep_root
-  reads it off the last factor of u's squarefree decomposition.
+  and analyze read it off the last factor of u's squarefree decomposition.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ from .errors import (
 from .newton import edge_weight
 from .unipoly import (
     UniPoly,
+    _z_eval,
     count_real_roots,
     exact_real_roots,
-    rational_roots,
     squarefree_decompose,
 )
 
@@ -142,8 +142,8 @@ def root_structure(P: BiPoly) -> tuple[Weight, int, int, int, int, int, UniPoly]
 class QuasiHomogData(NamedTuple):
     """Exact factorization data of a quasi-homogeneous polynomial: the
     squarefree decomposition of its root polynomial u into primitive
-    integer factors, its largest real multiplicity, and deep_root's
-    root paired with the shear exponent p."""
+    integer factors, its largest real multiplicity, and the deep root
+    paired with the shear exponent p."""
 
     weight: Weight
     nu1: int
@@ -179,66 +179,64 @@ def _require_order_two(P: BiPoly) -> None:
         )
 
 
-def deep_root(w: Weight, edge: Edge) -> tuple[Fraction, int] | None:
-    """(b, M) for the real root b of multiplicity M > d_h of the edge (from
-    edge_root_polynomial) whose weight is w, with k1 <= k2; None when no
-    root is that deep.
+def _deep_factor(w: Weight, last: tuple[UniPoly, int]) -> tuple[Fraction, int] | None:
+    """(b, M) for the real root b of multiplicity M > d_h of an edge of
+    weight w, from the last squarefree factor of its root polynomial u of
+    degree n; None when no root is that deep.
 
-    With q <= p:
-
-    * q >= 2 gives p > q >= 2, so pq >= p + q and d_h >= pqn/(p+q) >= n:
-      no multiplicity exceeds d_h;
-    * for q = 1, d_h = (nu1 + p*nu2 + p*n)/(1+p), so n <= d_h exactly when
-      n <= nu1 + p*nu2.
-
-    Otherwise k = floor(d_h) + 1 is the least multiplicity above d_h, and
-    k > d_h >= p*n/(1+p) >= n/2.  The squarefree factors of u are
-    pairwise coprime with deg*M summing to n, so at most one has M >= k,
-    and it is the last, of largest multiplicity; deg*M <= n < 2k makes it
-    linear: one rational root, with M its multiplicity.
+    k = floor(d_h) + 1 > d_h >= pqn/(p+q) >= n/2 is the least multiplicity
+    above d_h.  The factors are pairwise coprime with deg*M summing to n,
+    so at most one has M >= k, and it is the last, of largest
+    multiplicity; deg*M <= n < 2k makes it linear: one rational root.
     """
-    nu1, nu2, q, p, n, u = edge
-    if (q, p) != (w.q, w.p) or q * nu1 + p * nu2 + p * q * n != w.m:
-        raise InternalInvariantViolation("edge reading disagrees with its weight")
-    if q != 1 or n <= nu1 + p * nu2:
-        return None
-    k = w.m // (q + p) + 1
-    g, mult = squarefree_decompose(u)[-1]
-    if mult < k:
+    g, mult = last
+    if mult <= w.m // (w.q + w.p):
         return None
     if g.degree != 1:
         raise InternalInvariantViolation("deep roots are not one rational root")
     return Fraction(-g.coeffs[0], g.coeffs[1]), mult
 
 
+def deep_root(w: Weight, edge: Edge) -> tuple[Fraction, int] | None:
+    """_deep_factor's answer for the edge (from edge_root_polynomial)
+    whose weight is w, with k1 <= k2, after two shortcuts that need no
+    decomposition.  With q <= p:
+
+    * q >= 2 gives p > q >= 2, so pq >= p + q and d_h >= pqn/(p+q) >= n:
+      no multiplicity exceeds d_h;
+    * for q = 1, d_h = (nu1 + p*nu2 + p*n)/(1+p), so n <= d_h exactly when
+      n <= nu1 + p*nu2.
+    """
+    nu1, nu2, q, p, n, u = edge
+    if (q, p) != (w.q, w.p) or q * nu1 + p * nu2 + p * q * n != w.m:
+        raise InternalInvariantViolation("edge reading disagrees with its weight")
+    if q != 1 or n <= nu1 + p * nu2:
+        return None
+    return _deep_factor(w, squarefree_decompose(u)[-1])
+
+
 def analyze(P: BiPoly) -> QuasiHomogData:
     """Full factorization data for quasi-homogeneous P with k1 <= k2.
 
     The input must vanish to order >= 2 at the origin and must not be a
-    monomial.  The principal root is deep_root's, paired with the shear
-    exponent p; the squarefree factors and their real-root counts must
-    agree with it, or InternalInvariantViolation is raised.
+    monomial.  u is decomposed once: _deep_factor reads the principal root
+    off the last factor, paired with the shear exponent p, and it must be
+    None exactly when the Sturm counts put no real multiplicity above d_h,
+    or InternalInvariantViolation is raised.
     """
     _require_order_two(P)
-    w, *edge = root_structure(P)
+    w, nu1, nu2, _, _, n, u = root_structure(P)
     if w.q > w.p:
         raise AxesNotNormalized("expected k1 <= k2; swap the axes first")
-    nu1, nu2, _, _, n, u = edge
     d_h = Fraction(w.m, w.q + w.p)
     factors = squarefree_decompose(u)
     max_real = max(
         (mult for factor, mult in factors if count_real_roots(factor)), default=0
     )
-    deep = deep_root(w, tuple(edge))
-    if deep is None:
-        principal = None
-        agree = max_real <= d_h
-    else:
-        b, mult = deep
-        principal = (b, w.p)
-        agree = factors[-1] == (UniPoly((-b.numerator, b.denominator)), mult)
-    if not agree:
-        raise InternalInvariantViolation("deep root disagrees with the factorization")
+    deep = _deep_factor(w, factors[-1])
+    if (deep is None) != (max_real <= d_h):
+        raise InternalInvariantViolation("deep root disagrees with the Sturm counts")
+    principal = None if deep is None else (deep[0], w.p)
     return QuasiHomogData(w, nu1, nu2, n, d_h, factors, max_real, principal)
 
 
@@ -269,7 +267,8 @@ def predict_shear_vertices(P: BiPoly, b: Fraction | int) -> tuple[Term, Term]:
     prod(x2 - c_l x1^m)^{n_l} with N = sum n_l, the sheared polynomial has
     first vertex (a, B + N) unchanged, and last vertex
         (a + m(B + N - n0), n0)   with n0 the multiplicity of b among the
-    c_l (zero when b is not a root).
+    c_l: that of the one squarefree factor of u vanishing at b, as the
+    factors are pairwise coprime (zero when none does).
     """
     b = Fraction(b)
     if b == 0:
@@ -279,7 +278,8 @@ def predict_shear_vertices(P: BiPoly, b: Fraction | int) -> tuple[Term, Term]:
     w, nu1, nu2, _, _, n, u = root_structure(P)
     if w.q != 1:
         raise WrongHomogeneity(f"weight ratio {w.p}/{w.q} is not an integer")
-    mult = dict(rational_roots(u)).get(b, 0)
+    num, den, factors = b.numerator, b.denominator, squarefree_decompose(u)
+    mult = next((m for g, m in factors if not _z_eval(g.coeffs, num, den)), 0)
     first = (nu1, nu2 + n)
     last = (nu1 + w.p * (nu2 + n - mult), mult)
     return first, last

@@ -454,6 +454,23 @@ def test_timed_verdict_on_a_power_of_a_line(capsys, src, witness):
     run_timed(capsys, f"verdict on {src}", 0.2, body)
 
 
+# (x2 - 2*x1)*(2*x2 - 3*x1)*...*(40*x2 - 41*x1): u has the 40 simple roots
+# (i + 1)/i and leading coefficient 40!
+P40 = "*".join(f"({i}*x2 - {i + 1}*x1)" for i in range(1, 41))
+
+
+@pytest.mark.parametrize(
+    "b, last", [(Fraction(7), (40, 0)), (Fraction(3, 2), (39, 1))]
+)
+def test_timed_shear_vertices_of_forty_lines(capsys, b, last):
+    P = parse(P40)
+
+    def body():
+        assert predict_shear_vertices(P, b) == ((0, 40), last)
+
+    run_timed(capsys, f"shear vertices of forty lines at b = {b}", 0.5, body)
+
+
 def test_timed_report_on_degree_32_form_with_64_bit_coefficients(capsys):
     rng = random.Random(7)
     f = BiPoly({(32 - i, i): rng.randint(-2**64, 2**64) for i in range(33)})

@@ -45,6 +45,7 @@ from adaptcoord.errors import (
     WrongHomogeneity,
     ZeroPolynomial,
 )
+from adaptcoord import quasihomog, unipoly
 from adaptcoord.quasihomog import deep_root
 from adaptcoord.unipoly import _z_eval, count_real_roots, squarefree_decompose
 from conftest import random_corpus
@@ -212,6 +213,26 @@ def test_principal_root_is_unique_and_rational():
     assert got.d_h == Fraction(2)
 
 
+@pytest.mark.parametrize(
+    "src, principal, max_real",
+    [
+        ("(x2 - 3*x1^2)^3", (Fraction(3), 2), 3),
+        ("(x1 + x2)^300", (Fraction(-1), 1), 300),
+    ],
+)
+def test_analyze_decomposes_u_once(monkeypatch, src, principal, max_real):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return squarefree_decompose(p)
+
+    monkeypatch.setattr(quasihomog, "squarefree_decompose", counted)
+    got = analyze(parse(src))
+    assert (got.principal_root, got.max_real_multiplicity) == (principal, max_real)
+    assert len(calls) == 1
+
+
 COPRIME_WEIGHTS = [
     (q, p) for p in range(1, 5) for q in range(1, p + 1) if gcd(q, p) == 1
 ]
@@ -232,6 +253,23 @@ def yun_sturm_deep_root(w: Weight, edge) -> tuple[Fraction, int] | None:
     ((factor, mult),) = deep  # one real factor above d_h, and it is linear
     assert factor.degree == 1
     return Fraction(-factor.coeffs[0], factor.coeffs[1]), mult
+
+
+def tallied_deep_root(
+    roots: list[tuple[Fraction, int]], j: int, a: int, d_h: Fraction
+) -> tuple[Fraction, int] | None:
+    """The deep root of c * prod (y - r)^mult * (y^2 + a)^j counted off the
+    drawn roots alone, with no polynomial arithmetic: equal roots add
+    their multiplicities, and y^2 - 1 adds +1 and -1 j times each."""
+    total: dict[Fraction, int] = {}
+    for r, mult in roots:
+        total[r] = total.get(r, 0) + mult
+    if a == -1:
+        for r in (Fraction(1), Fraction(-1)):
+            total[r] = total.get(r, 0) + j
+    deep = [(r, mult) for r, mult in total.items() if mult > d_h]
+    assert len(deep) <= 1
+    return deep[0] if deep else None
 
 
 @given(
@@ -255,6 +293,8 @@ def yun_sturm_deep_root(w: Weight, edge) -> tuple[Fraction, int] | None:
 @example(nu1=0, nu2=0, qp=(1, 1), c=2, roots=[(Fraction(1, 2), 3)], j=1, a=1)
 # n = 4, d_h = 2, k = 3: a root of multiplicity k - 1 is not
 @example(nu1=0, nu2=0, qp=(1, 1), c=1, roots=[(Fraction(1), 2)], j=1, a=2)
+# y^2 - 1 and a drawn triple root -1: -1 is deep, 3 + 2 > d_h = 7/2
+@example(nu1=0, nu2=0, qp=(1, 1), c=1, roots=[(Fraction(-1), 3)], j=2, a=-1)
 # n = 125, d_h = 125/2: Yun's loop stops at the linear factor of
 # multiplicity 121 left after the double root and the quadratic
 @example(
@@ -279,7 +319,14 @@ def test_deep_root_matches_yun_and_sturm(nu1, nu2, qp, c, roots, j, a):
     n = u.degree
     w = Weight(q, p, q * nu1 + p * nu2 + p * q * n)
     edge = (nu1, nu2, q, p, n, u)
-    assert deep_root(w, edge) == yun_sturm_deep_root(w, edge)
+    want = tallied_deep_root(roots, j, a, Fraction(w.m, q + p))
+    assert deep_root(w, edge) == yun_sturm_deep_root(w, edge) == want
+    # analyze reads the same root without deep_root's two shortcuts
+    P = BiPoly(
+        {(nu1 + p * (n - i), nu2 + q * i): ui for i, ui in enumerate(u.coeffs) if ui}
+    )
+    if P.origin_order >= 2:
+        assert analyze(P).principal_root == (None if want is None else (want[0], p))
 
 
 def test_predict_shear_vertices_examples():
@@ -301,6 +348,35 @@ def test_predict_shear_vertices_validates_input():
         predict_shear_vertices(parse("x2^2 - x1^3"), 1)  # ratio 3/2
     with pytest.raises(NotQuasiHomogeneous):
         predict_shear_vertices(parse("x2^2 + x1^3 + x1^5"), 1)
+
+
+@pytest.mark.parametrize(
+    "src, bs",
+    [
+        # u = (y - 1)(y - 2)(y - 3)^2: 1 and 2 are roots of the quadratic
+        # squarefree factor y^2 - 3y + 2
+        ("(x2 - x1)*(x2 - 2*x1)*(x2 - 3*x1)^2", [2, 1, 3, 5]),
+        (
+            "x1*(2*x2 - x1^2)^2*(x2 + 3*x1^2)^2*(x2 - 2*x1^2)",
+            [Fraction(1, 2), -3, 2, 7],
+        ),
+        ("x2^2*(x2^2 - 2*x1^6)*(3*x2 + x1^3)^3", [Fraction(-1, 3), 1]),
+    ],
+)
+def test_predict_shear_vertices_builds_no_sturm_chain(monkeypatch, src, bs):
+    P = parse(src)
+    m = detect_weight(P).p
+    want = []
+    for b in bs:
+        g = apply_shear(P, ShearChange(ShearAxis.X2, Fraction(b), m))
+        hull = build_polyhedron(g.support)
+        want.append((hull.first, hull.last))
+
+    def no_sturm_chain(p):
+        raise AssertionError("predict_shear_vertices built a Sturm chain")
+
+    monkeypatch.setattr(unipoly, "sturm_chain", no_sturm_chain)
+    assert [predict_shear_vertices(P, b) for b in bs] == want
 
 
 @given(factored_inputs(), st.integers(min_value=0, max_value=4))
