@@ -7,9 +7,10 @@ Squarefree decomposition is Yun's algorithm in Z[y] with heuristic gcds
 checked by exact division; it is the one multiplicity kernel, which the
 adaptedness verdict reads too.  Real roots are counted (Sturm chains on
 half-open intervals) and isolated by bisection on one primitive
-remainder sequence, whose signs at a rational point are those of an
-integer.  Rational roots are read off isolating intervals refined below
-1/leading coefficient, so root finding costs time polynomial in the
+remainder sequence, evaluated once at each bisection point, whose signs
+at a rational point are those of an integer.  Rational roots are read
+off isolating intervals narrowed below 1/leading coefficient by the sign
+of the polynomial alone, so root finding costs time polynomial in the
 coefficient size.  bipoly.py reads its rows over Z[x1] with the Z[x]
 helpers here, and decomposes in x2 with the Yun loop here.  No floating
 point anywhere.
@@ -303,39 +304,31 @@ def root_bound(p: UniPoly) -> Fraction:
     return Fraction(lead + max(map(abs, p.coeffs[:-1])), lead)
 
 
-def isolate_real_roots(
-    p: UniPoly, width: Fraction | None = None
-) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint half-open intervals (lo, hi], one real root of p in each.
 
-    p must be squarefree.  Intervals are returned in increasing order, each
-    narrower than `width` when one is given.
+    p must be squarefree.  Intervals are bisected depth first, lower half
+    first, so they come out in increasing order; each carries the variation
+    counts at both its ends, so the chain is evaluated once per midpoint.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of zero")
     if p.degree == 0:
         return []
     chain = _squarefree_sturm_chain(p)
-
-    def var(x: Fraction) -> int:
-        return _variations(chain, x, True)
-
     bound = root_bound(p)
     out: list[tuple[Fraction, Fraction]] = []
-    # stack of (lo, hi, roots inside (lo, hi])
-    stack = [(-bound, bound, var(-bound) - var(bound))]
+    # stack of (lo, hi, variations at lo, variations at hi)
+    stack = [(-bound, bound, _variations(chain, -bound, True), _variations(chain, bound, True))]
     while stack:
-        lo, hi, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1 and (width is None or hi - lo < width):
+        lo, hi, vlo, vhi = stack.pop()
+        if vlo - vhi == 1:
             out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        kl = var(lo) - var(mid)
-        stack.append((mid, hi, k - kl))
-        stack.append((lo, mid, kl))
-    out.sort()
+        elif vlo - vhi > 1:
+            mid = (lo + hi) / 2
+            vmid = _variations(chain, mid, True)
+            stack.append((mid, hi, vmid, vhi))
+            stack.append((lo, mid, vlo, vmid))
     return out
 
 
@@ -347,12 +340,24 @@ def exact_real_roots(
 
     A rational root of the integer polynomial an*y^n + ... is z/an for an
     integer z, so an interval narrower than 1/an holds at most one
-    candidate, floor(an*hi)/an, which is tested exactly.
+    candidate, floor(an*hi)/an, which is tested exactly.  Each isolating
+    interval is halved until it is that narrow by the sign of p alone
+    (Collins & Loos 1982): the root is simple, so it is hi when p(hi) = 0,
+    and otherwise lies in (lo, mid] exactly when p(mid) is 0 or has the
+    sign of p(hi).  These are the halvings the Sturm chain would make.
     """
     row = integer_row(p)
     an = row[-1]
     out: list[tuple[Fraction, Fraction, Fraction | None]] = []
-    for lo, hi in isolate_real_roots(p, Fraction(1, an)):
+    for lo, hi in isolate_real_roots(p):
+        s = _z_eval(row, hi.numerator, hi.denominator)
+        while an * (hi - lo) >= 1:
+            mid = (lo + hi) / 2
+            v = _z_eval(row, mid.numerator, mid.denominator) if s else 0
+            if s and (v == 0 or (v > 0) == (s > 0)):
+                hi, s = mid, v
+            else:
+                lo = mid
         r = Fraction(an * hi.numerator // hi.denominator, an)
         hit = r > lo and _z_eval(row, r.numerator, r.denominator) == 0
         out.append((lo, hi, r if hit else None))

@@ -1,13 +1,15 @@
 """Division and Euclid's gcd over Q, on tuples of Fractions, lowest
-degree first, with no trailing zeros, and the product of integer rows
-that builds test inputs.  No kernel uses them: they are the reference
-the integer kernels are tested against."""
+degree first, with no trailing zeros, the product of integer rows that
+builds test inputs, and rational roots found by the Sturm chain alone.
+No kernel uses them: they are the reference the integer kernels are
+tested against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from adaptcoord.errors import ZeroPolynomial
+from adaptcoord.unipoly import UniPoly, _variations, _z_eval, root_bound, sturm_chain
 
 QRow = tuple[Fraction, ...]
 
@@ -53,4 +55,27 @@ def _z_mul(a: list[int], b: list[int]) -> list[int]:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
+    return out
+
+
+def chain_exact_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction, Fraction | None]]:
+    """exact_real_roots of squarefree p with every halving, those of an
+    interval that holds one root too, decided by Sturm variation counts
+    until the interval is narrower than 1/an."""
+    chain = sturm_chain(p)
+    row = chain[0]
+    an = row[-1]
+    out = []
+    bound = root_bound(p)
+    stack = [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        k = _variations(chain, lo, True) - _variations(chain, hi, True)
+        if k == 1 and an * (hi - lo) < 1:
+            r = Fraction(an * hi.numerator // hi.denominator, an)
+            hit = r > lo and _z_eval(row, r.numerator, r.denominator) == 0
+            out.append((lo, hi, r if hit else None))
+        elif k:
+            mid = (lo + hi) / 2
+            stack += [(mid, hi), (lo, mid)]
     return out

@@ -471,6 +471,23 @@ def test_timed_shear_vertices_of_forty_lines(capsys, b, last):
     run_timed(capsys, f"shear vertices of forty lines at b = {b}", 0.5, body)
 
 
+def test_timed_depth_two_clusters_and_roots_of_thirty_lines(capsys):
+    # u has leading coefficient 30!, so each isolating interval is narrowed
+    # below 1/30! by the sign of u, not by its 31-row Sturm chain
+    P = parse("*".join(f"({i}*x2 - {i + 1}*x1)" for i in range(1, 31)))
+    lines = {Fraction(i + 1, i) for i in range(1, 31)}
+
+    def body():
+        (cluster,) = top_clusters(P, depth=2).clusters
+        assert (cluster.exponent, cluster.count) == (1, 30)
+        assert sorted(r.coefficient for r in cluster.refinements) == sorted(lines)
+        assert all(r.count == 1 for r in cluster.refinements)
+        roots = analyze(P).real_roots
+        assert len(roots) == 30 and {root.value for root in roots} == lines
+
+    run_timed(capsys, "depth-2 clusters and real roots of thirty lines", 2.0, body)
+
+
 def test_timed_report_on_degree_32_form_with_64_bit_coefficients(capsys):
     rng = random.Random(7)
     f = BiPoly({(32 - i, i): rng.randint(-2**64, 2**64) for i in range(33)})

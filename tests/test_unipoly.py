@@ -9,10 +9,10 @@ from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adaptcoord import UniPoly
+from adaptcoord import UniPoly, unipoly
 from adaptcoord.errors import NotSquarefree, ZeroPolynomial
 from adaptcoord.unipoly import (
     _z_deriv,
@@ -20,6 +20,7 @@ from adaptcoord.unipoly import (
     _z_gcd,
     _z_sub,
     count_real_roots,
+    exact_real_roots,
     integer_row,
     isolate_real_roots,
     rational_roots,
@@ -28,7 +29,7 @@ from adaptcoord.unipoly import (
     squarefree_decompose,
     sturm_chain,
 )
-from q_reference import _z_mul, divmod_poly, exact_div, poly_gcd
+from q_reference import _z_mul, chain_exact_real_roots, divmod_poly, exact_div, poly_gcd
 
 coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 # tuples of Fractions with no trailing zeros: the Q reference's input
@@ -201,8 +202,7 @@ def test_isolate_real_roots_separates(roots):
     p = _from_roots(set(roots))
     boxes = isolate_real_roots(p)
     assert len(boxes) == len(set(roots))
-    for lo, hi in boxes:
-        assert lo < hi or (lo == hi and _z_eval(list(p.coeffs), lo.numerator, lo.denominator) == 0)
+    assert all(lo < hi for lo, hi in boxes)
     # each distinct root falls in exactly one half-open box (lo, hi]
     for r in set(roots):
         assert sum(1 for lo, hi in boxes if lo < r <= hi) == 1
@@ -296,13 +296,76 @@ def test_sturm_queries_match_known_roots():
                     continue
                 expected = sum(_in_box(lo, hi, below) for below in roots)
                 assert count_real_roots(p, lo, hi) == expected
-        for width in (None, Fraction(1, 1000)):
-            boxes = isolate_real_roots(p, width)
-            assert len(boxes) == len(roots)
-            assert all(a[1] <= b[0] for a, b in zip(boxes, boxes[1:]))
-            assert width is None or all(hi - lo < width for lo, hi in boxes)
-            for below in roots:
-                assert sum(_in_box(lo, hi, below) for lo, hi in boxes) == 1
+        boxes = isolate_real_roots(p)
+        assert len(boxes) == len(roots)
+        assert all(a[1] <= b[0] for a, b in zip(boxes, boxes[1:]))
+        for below in roots:
+            assert sum(_in_box(lo, hi, below) for lo, hi in boxes) == 1
+        an = integer_row(p)[-1]
+        narrow = exact_real_roots(p)
+        assert len(narrow) == len(roots)
+        for lo, hi, value in narrow:
+            assert an * (hi - lo) < 1
+            inside = [Fraction(r) for r in rational if lo < r <= hi]
+            assert value == (inside[0] if inside else None)
+        for below in roots:
+            assert sum(_in_box(lo, hi, below) for lo, hi, _ in narrow) == 1
+
+
+@given(
+    st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=5),
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=9), max_size=3),
+    st.lists(st.integers(min_value=1, max_value=40), max_size=2),
+    st.one_of(st.none(), st.integers(min_value=2**64 + 1, max_value=2**80)),
+)
+@example([0, 1], [], [], None)
+@example([0, 2], [Fraction(1, 3)], [2], 2**64 + 1)
+@settings(max_examples=50, deadline=None)
+def test_exact_real_roots_match_the_chain_reference(ints, fracs, ks, big):
+    """Halving by the sign of p makes the chain's halvings.  Integer roots
+    land on interval ends (0 on the first midpoint) and so reach p(hi) = 0;
+    k = 1, 4, 9, ... in y^2 - k adds more.  big*y - (big + 1), leading
+    coefficient above 2^64, has a root within 1/big of the integer 1."""
+    rows = [_linear(Fraction(r)) for r in set(ints) | set(fracs)] + [[-k, 0, 1] for k in ks]
+    if big is not None:
+        rows.append([-(big + 1), big])
+    for factor, _ in squarefree_decompose(UniPoly.from_coeffs(_product(rows))):
+        assert exact_real_roots(factor) == chain_exact_real_roots(factor)
+
+
+def _halvings(lo: Fraction, hi: Fraction, roots) -> int:
+    """How many intervals isolation halves inside (lo, hi]: those holding
+    two or more of the roots."""
+    if sum(lo < r <= hi for r in roots) < 2:
+        return 0
+    mid = (lo + hi) / 2
+    return 1 + _halvings(lo, mid, roots) + _halvings(mid, hi, roots)
+
+
+def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
+    points = []
+    variations = unipoly._variations
+
+    def counted(chain, x, positive_end):
+        points.append(x)
+        return variations(chain, x, positive_end)
+
+    monkeypatch.setattr(unipoly, "_variations", counted)
+    for roots in ([0, 1], [-3, Fraction(1, 2), 2, Fraction(7, 3)], list(range(-5, 6))):
+        p = _from_roots(roots)
+        bound = root_bound(p)
+        points.clear()
+        isolate_real_roots(p)
+        mids = _halvings(-bound, bound, [Fraction(r) for r in roots])
+        assert mids > 0 and len(points) == 2 + mids == len(set(points))
+    # narrowing halves by the sign of p alone: it evaluates no chain
+    p = UniPoly.from_coeffs(_product([[-3, 7], [-2, 0, 1]]))  # (7*y - 3)*(y^2 - 2)
+    points.clear()
+    isolate_real_roots(p)
+    isolated = len(points)
+    points.clear()
+    exact_real_roots(p)
+    assert len(points) == isolated
 
 
 @pytest.mark.parametrize(
