@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple
+from operator import index
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DegenerateInX2, ZeroPolynomial
+from .errors import DegenerateInX2, InternalInvariantViolation, ZeroPolynomial
 from .unipoly import (
     Row,
     UniPoly,
@@ -46,12 +48,13 @@ class BiPoly:
         data: dict[Term, Fraction | int] = {}
         if terms:
             for (j, k), c in terms.items():
+                j, k = index(j), index(k)
                 if j < 0 or k < 0:
                     raise ValueError("exponents must be non-negative")
                 if not isinstance(c, (int, Fraction)):
                     raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
                 if c != 0:
-                    data[(int(j), int(k))] = c
+                    data[(j, k)] = c
         den = lcm(*(c.denominator for c in data.values()))
         return cls._of({t: c.numerator * (den // c.denominator) for t, c in data.items()}, den)
 
@@ -130,11 +133,7 @@ class BiPoly:
         return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        den = lcm(self.den, other.den)
-        out = {t: c * (den // self.den) for t, c in self.num.items()}
-        for t, c in other.num.items():
-            out[t] = out.get(t, 0) + c * (den // other.den)
-        return BiPoly._of({t: c for t, c in out.items() if c}, den)
+        return _sum((self, other))
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + (-other)
@@ -157,21 +156,83 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
+        """self**n by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2,
+        section 4.7), which gives each coefficient of the power from the
+        terms of self alone: one small-by-large product for each pair of
+        a term of self and a term of the power.
+
+        Read exponents as (x2-degree, x1-degree) and let a0*x^e0 be the
+        first term of the integer numerators in that order.  The other
+        terms sit at offsets d_i = (dk_i, dj_i) from e0 with dk_i > 0, or
+        dk_i = 0 and dj_i > 0; dj_i may be negative.  Let s be the
+        x1-degree span of self, B = (n + 1)*s + 1 and L(dk, dj) = B*dk +
+        dj.  Then every L(d_i) > 0, since dj_i >= -s when dk_i > 0 and B >
+        s, and L is one to one on the sums of n offsets, whose x1-parts
+        lie in a range of width n*s < B.
+
+        Divide by x^e0: h = a0 + sum_i a_i*x^(d_i) and g = h^n, so the
+        numerators of self**n are x^(n*e0)*g.  The L-weighted Euler
+        operator D_L = B*x2*d/dx2 + x1*d/dx1 maps x^K to L(K)*x^K, and
+        D_L g = n*h^(n-1)*D_L h, so h*D_L g = n*g*D_L h.  Substituting
+        x1 = t, x2 = t^B, under which D_L is t*d/dt, and comparing the
+        coefficients of t^L gives, with G_L the coefficient of g at the
+        one K with L(K) = L,
+
+            a0*L*G_L = sum_i ((n + 1)*L(d_i) - L)*a_i*G_(L - L(d_i)).
+
+        G is integral, so the division by a0*L is exact; a remainder
+        raises InternalInvariantViolation.  The L visited come from a heap
+        that starts at the L(d_i), the successors of G_0 = a0^n, and
+        receives L + L(d_i) only when G_L != 0.  Each push lies above the
+        L being visited, so the L are popped in increasing order and are
+        all positive: no division is by zero.  Every nonzero G_L is
+        reached, by induction on L: for L > 0 and G_L != 0 the right side
+        has a nonzero G_(L - L(d_i)), visited earlier, which pushed L.  So
+        each G the right side reads is final, and an L never pushed has
+        G_L = 0.  A one-term base has no offsets, and g = a0^n.
+        """
+        n = index(n)
         if n < 0:
             raise ValueError("negative power")
-        if len(self.num) == 1:
-            # a monomial c/den * x1^j * x2^k is raised term by term; c and
-            # den are coprime, so their powers are too
-            [((j, k), c)] = self.num.items()
-            return BiPoly._of({(j * n, k * n): c**n}, self.den**n)
-        result = BiPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not self.num:
+            return BiPoly.constant(1) if n == 0 else self
+        k0, j0 = min((k, j) for j, k in self.num)
+        a0 = self.num[j0, k0]
+        js = [j for j, _ in self.num]
+        lo = min(js)
+        B = (n + 1) * (max(js) - lo) + 1
+        offsets = [
+            (B * (k - k0) + j - j0, c)
+            for (j, k), c in self.num.items()
+            if (j, k) != (j0, k0)
+        ]
+        g = {0: a0**n}
+        heap = [d for d, _ in offsets]
+        heapify(heap)
+        queued = set(heap)
+        while heap:
+            L = heappop(heap)
+            acc = 0
+            for d, c in offsets:
+                prev = g.get(L - d)
+                if prev:
+                    acc += ((n + 1) * d - L) * c * prev
+            q, r = divmod(acc, a0 * L)
+            if r:
+                raise InternalInvariantViolation("Miller's recurrence left a remainder")
+            if q:
+                g[L] = q
+                for d, _ in offsets:
+                    if L + d not in queued:
+                        queued.add(L + d)
+                        heappush(heap, L + d)
+        # on the sums of n offsets, the x1-part plus n*(j0 - lo) lies in [0, B)
+        shift = n * (j0 - lo)
+        out = {}
+        for L, c in g.items():
+            dk = (L + shift) // B
+            out[(n * j0 + L - B * dk, n * k0 + dk)] = c
+        return BiPoly._of(out, self.den**n)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -203,6 +264,18 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.terms()!r})"
+
+
+def _sum(polys: Sequence[BiPoly]) -> BiPoly:
+    """The sum of `polys`: their numerators over the lcm of the
+    denominators, added term by term."""
+    den = lcm(*(f.den for f in polys))
+    out: dict[Term, int] = {}
+    for f in polys:
+        scale = den // f.den
+        for t, c in f.num.items():
+            out[t] = out.get(t, 0) + c * scale
+    return BiPoly._of({t: c for t, c in out.items() if c}, den)
 
 
 class _WeightFields(NamedTuple):
@@ -275,6 +348,7 @@ class ShearChange(_ShearChangeFields):
         coefficient = _frac(coefficient)
         if coefficient == 0:
             raise ValueError("shear coefficient must be nonzero")
+        exponent = index(exponent)
         if exponent < 1:
             raise ValueError("shear exponent must be >= 1")
         return super().__new__(cls, axis, coefficient, exponent)

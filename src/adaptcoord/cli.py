@@ -36,7 +36,7 @@ from .errors import (
     IterationCapExceeded,
     PolySyntaxError,
 )
-from .oscillatory import _check_fit_arguments, fit_decay
+from .oscillatory import DEFAULT_RADIUS, _check_fit_arguments, fit_decay
 from .parsing import parse
 from .quasihomog import _require_order_two, predict_shear_vertices
 from .report import AnalysisReport, _assemble, _diagram, _run
@@ -264,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-min", type=float, required=True)
     p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--radius", type=float, default=0.5)
+    p.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
     p.add_argument("--grid", type=int, default=None, help="per-axis cell count")
     p.add_argument(
         "--max-steps",

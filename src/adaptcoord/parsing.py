@@ -21,10 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bipoly import BiPoly, Term
+from .bipoly import BiPoly, _sum
 from .errors import NonIntegerExponent, PolySyntaxError, UnknownVariable
 
-_VARIABLES = {"x1": (1, 0), "x": (1, 0), "x2": (0, 1), "y": (0, 1)}
+# a BiPoly is immutable, so each variable is built once and shared
+_X1, _X2 = BiPoly.monomial(1, 0), BiPoly.monomial(0, 1)
+_VARIABLES = {"x1": _X1, "x": _X1, "x2": _X2, "y": _X2}
 _PUNCT = set("+-*^()/")
 # str.isdigit would also take "²" or "٣", which int() rejects or misreads
 _DIGITS = set("0123456789")
@@ -117,16 +119,14 @@ class _Parser:
         return value
 
     def expr(self) -> BiPoly:
-        # one term map for the whole sum: folding `value + rhs` would copy
+        # one sum over all the summands: folding `value + rhs` would copy
         # the running sum at every summand
-        total: dict[Term, Fraction] = {}
-        sign = 1
-        while True:
-            for t, c in self.term().terms().items():
-                total[t] = total.get(t, 0) + sign * c
-            if self.peek().kind not in ("+", "-"):
-                return BiPoly(total)
-            sign = 1 if self.advance().kind == "+" else -1
+        summands = [self.term()]
+        while self.peek().kind in ("+", "-"):
+            negative = self.advance().kind == "-"
+            summand = self.term()
+            summands.append(-summand if negative else summand)
+        return _sum(summands)
 
     def term(self) -> BiPoly:
         value = self.factor()
@@ -167,8 +167,7 @@ class _Parser:
             return BiPoly.constant(self.number())
         if tok.kind == "var":
             self.advance()
-            j, k = _VARIABLES[tok.text]
-            return BiPoly.monomial(j, k)
+            return _VARIABLES[tok.text]
         if tok.kind == "(":
             if self.depth == MAX_NESTING:
                 raise PolySyntaxError(

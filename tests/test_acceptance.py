@@ -454,6 +454,23 @@ def test_timed_verdict_on_a_power_of_a_line(capsys, src, witness):
     run_timed(capsys, f"verdict on {src}", 0.2, body)
 
 
+@pytest.mark.parametrize(
+    "src, terms, limit",
+    [
+        ("(x1 + x2)^2000", 2001, 0.2),
+        ("(x2 - x1 - x1^2)^100 + x1^400", 5152, 0.1),
+    ],
+)
+def test_timed_parse_of_a_high_power(capsys, src, terms, limit):
+    # Miller's recurrence costs about (terms of the base) x (terms of the
+    # power) products; squaring through __mul__ would cost (terms of the
+    # power)^2, seconds on either input
+    def body():
+        assert len(parse(src).num) == terms
+
+    run_timed(capsys, f"parse of {src}", limit, body)
+
+
 # (x2 - 2*x1)*(2*x2 - 3*x1)*...*(40*x2 - 41*x1): u has the 40 simple roots
 # (i + 1)/i and leading coefficient 40!
 P40 = "*".join(f"({i}*x2 - {i + 1}*x1)" for i in range(1, 41))

@@ -4,7 +4,7 @@ shears, and the x2-squarefree split."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from random import Random
 
 import pytest
@@ -99,6 +99,79 @@ def test_monomial_power_equals_repeated_products(c, n):
     got = f**n
     assert got == expected
     assert (got.num, got.den) == (expected.num, expected.den)
+
+
+@given(bipolys(min_terms=1, max_terms=6), st.integers(min_value=0, max_value=12))
+@example(BiPoly.zero(), 0)
+@example(BiPoly.zero(), 5)
+@example(BiPoly.monomial(3, 5, Fraction(-7, 2)), 9)
+# the first term in (x2-degree, x1-degree) order is x1^3: the offset of x2 is (1, -3)
+@example(BiPoly({(3, 0): 1, (0, 1): 1}), 7)
+@example(BiPoly({(3, 0): 1, (0, 1): 1}), 0)
+@example(BiPoly({(8, 0): Fraction(-2, 3), (0, 1): Fraction(1, 2), (4, 4): 5, (0, 8): -1}), 12)
+@settings(max_examples=150, deadline=None)
+def test_power_equals_repeated_products(f, n):
+    expected = BiPoly.constant(1)
+    for _ in range(n):
+        expected = expected * f
+    got = f**n
+    assert (got.num, got.den) == (expected.num, expected.den)
+
+
+def test_powers_of_lines_match_the_binomial_theorem():
+    f = parse("(x1 + x2)^2000")
+    assert f.den == 1
+    assert f.num == {(2000 - k, k): comb(2000, k) for k in range(2001)}
+    g = parse("(3*x2 - 2*x1)^200")
+    assert g.den == 1
+    assert g.num == {
+        (200 - k, k): comb(200, k) * 3**k * (-2) ** (200 - k) for k in range(201)
+    }
+
+
+def _value(f: BiPoly, a: int, b: int) -> Fraction:
+    return Fraction(sum(c * a**j * b**k for (j, k), c in f.num.items()), f.den)
+
+
+@pytest.mark.parametrize(
+    "src, base, n",
+    [
+        ("(x2 - x1 - x1^2)^100", {(0, 1): 1, (1, 0): -1, (2, 0): -1}, 100),
+        ("(x2^2 + x1^3 + x1*x2 + 5)^30", {(0, 2): 1, (3, 0): 1, (1, 1): 1, (0, 0): 5}, 30),
+        (
+            "(1/2*x2 - x1^2 + 3*x1*x2^2 - 7)^25",
+            {(0, 1): Fraction(1, 2), (2, 0): -1, (1, 2): 3, (0, 0): -7},
+            25,
+        ),
+    ],
+)
+def test_large_powers_agree_with_exact_evaluation(src, base, n):
+    f = BiPoly(base)
+    g = parse(src)
+    for a, b in [(2, -3), (-5, 4), (3, 7)]:
+        assert _value(g, a, b) == _value(f, a, b) ** n, (a, b)
+
+
+def test_exponents_must_be_integers():
+    with pytest.raises(TypeError, match="float"):
+        BiPoly({(1.5, 0): 1})
+    with pytest.raises(TypeError, match="float"):
+        BiPoly.monomial(2.7, 1)
+
+
+def test_shear_exponent_must_be_an_integer():
+    with pytest.raises(TypeError, match="float"):
+        ShearChange(ShearAxis.X2, 1, 1.5)
+    shear = ShearChange(ShearAxis.X2, 1, 1)
+    with pytest.raises(TypeError, match="float"):
+        shear._replace(exponent=1.5)
+
+
+def test_power_must_be_an_integer():
+    # n is checked before any arithmetic, for a one-term base as for a sum
+    for f in (BiPoly.monomial(1, 0), parse("x1 + x2")):
+        with pytest.raises(TypeError, match="float"):
+            f**2.0
 
 
 def test_str_is_parse_compatible():

@@ -188,6 +188,16 @@ def test_decay_json_output(capsys):
     assert data["fitted_exponent"] == pytest.approx(1.0, abs=0.3)
 
 
+def test_decay_radius_defaults_to_the_module_constant(monkeypatch):
+    from adaptcoord.oscillatory import DEFAULT_RADIUS
+
+    argv = ["decay", "x2^2 - x1^3", "--lambda-min", "10", "--lambda-max", "1e3", "--points", "5"]
+    assert cli._build_parser().parse_args(argv).radius == DEFAULT_RADIUS
+    # the parser reads the constant when it is built, not a copy of its value
+    monkeypatch.setattr(cli, "DEFAULT_RADIUS", DEFAULT_RADIUS / 2)
+    assert cli._build_parser().parse_args(argv).radius == DEFAULT_RADIUS / 2
+
+
 def test_module_entry_point():
     import subprocess
     import sys
