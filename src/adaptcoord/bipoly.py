@@ -376,8 +376,11 @@ def apply_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
     diagonals never mix.  With f = N/den, b = bn/bd and K the largest
     diagonal degree, bd^K * P(t + b) = R(bd*t) for R(u) = sum N_k
     bd^(K-k) (u + bn)^k, which Horner's scheme shifts with integer adds
-    and multiplies only (von zur Gathen & Gerhard 1997).  An x1-shear is
-    the same with the roles of j and k swapped.
+    and multiplies only (von zur Gathen & Gerhard 1997), its running
+    value in one local.  One pass over f groups the diagonals, in the
+    order f's terms first reach them, and finds K; the output lists the
+    diagonals in that order, each by increasing k.  An x1-shear is the
+    same with the roles of j and k swapped.
     """
     if f.is_zero:
         return f
@@ -385,19 +388,29 @@ def apply_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
     bn, bd = shear.coefficient.numerator, shear.coefficient.denominator
     x2_axis = shear.axis is ShearAxis.X2
     diagonals: dict[int, dict[int, int]] = {}
+    K = 0
     for (j, k), c in f.num.items():
         if not x2_axis:
             j, k = k, j
-        diagonals.setdefault(j + m * k, {})[k] = c
-    K = max(max(d) for d in diagonals.values())
+        s = j + m * k
+        if s in diagonals:
+            diagonals[s][k] = c
+        else:
+            diagonals[s] = {k: c}
+        if k > K:
+            K = k
     bd_powers = [bd**i for i in range(K + 1)]
     out: dict[Term, int] = {}
     for s, diagonal in diagonals.items():
         top = max(diagonal)
-        r = [diagonal.get(k, 0) * bd_powers[K - k] for k in range(top + 1)]
+        r = [0] * (top + 1)
+        for k, c in diagonal.items():
+            r[k] = c * bd_powers[K - k]
         for i in range(top):
+            acc = r[top]
             for k in range(top - 1, i - 1, -1):
-                r[k] += bn * r[k + 1]
+                acc = r[k] + bn * acc
+                r[k] = acc
         # the coefficient of t^i is r[i] * bd^i / (den * bd^K)
         for i, c in enumerate(r):
             if c:

@@ -67,24 +67,27 @@ def _cross(o: Term, a: Term, b: Term) -> int:
 def build_polyhedron(points: Iterable[Term]) -> NewtonPolyhedron:
     """Extreme points of conv(union of (j,k) + first quadrant).
 
-    Dominated points (those >= another point componentwise) cannot be
-    extreme and are dropped first; a monotone chain over the survivors
-    keeps exactly the convex staircase corners.  Collinear interior points
-    are not vertices.
+    One pass keeps the lowest j of each row k: no other point of a row
+    can be extreme.  Going up the rows, a row's point is dominated (some
+    point is <= it componentwise) exactly when a lower row has a j no
+    larger, so a row is kept only when its j is below that of every
+    lower row.  A monotone chain over the kept points, at most one per
+    row, keeps exactly the convex staircase corners.  Collinear interior
+    points are not vertices.
     """
-    pts = set(points)
-    if not pts:
+    lowest: dict[int, int] = {}
+    for j, k in points:
+        if k not in lowest or j < lowest[k]:
+            lowest[k] = j
+    if not lowest:
         raise EmptySupport("no support points given")
-    # keep minimal points only: (j, k) survives if no other point is <= it
-    by_j = sorted(pts)
     minimal: list[Term] = []
-    best_k: int | None = None
-    for j, k in by_j:
-        # by_j is sorted by (j, k); a point is dominated iff some earlier
-        # point has k <= current k (its j is automatically <=)
-        if best_k is None or k < best_k:
+    for k in sorted(lowest):
+        j = lowest[k]
+        if not minimal or j < minimal[-1][0]:
             minimal.append((j, k))
-            best_k = k
+    # by increasing j, hence decreasing k
+    minimal.reverse()
     hull: list[Term] = []
     for p in minimal:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
@@ -96,7 +99,7 @@ def build_polyhedron(points: Iterable[Term]) -> NewtonPolyhedron:
 def newton_polyhedron(f: BiPoly) -> NewtonPolyhedron:
     if f.is_zero:
         raise ZeroPolynomial("zero polynomial has no Newton polyhedron")
-    return build_polyhedron(f.support)
+    return build_polyhedron(f.num)
 
 
 def edge_weight(a: Term, b: Term) -> Weight:

@@ -127,15 +127,47 @@ def _z_eval(a: Row, num: int, den: int = 1) -> int:
 
 
 def _z_adic(h: int, xi: int) -> Row:
-    """The digits of h in symmetric base xi, lowest first."""
+    """The digits of h in symmetric base xi > 2, lowest first: the d_i
+    with h = sum d_i*xi**i and -xi/2 < d_i <= xi/2, no trailing zeros.
+
+    Above xi**2 or so, |h| is split into unsigned digits by divide and
+    conquer on the repeated squares xi**(2**i) (Knuth, TAOCP vol. 2,
+    section 4.4): the divisions halve in size at each level, where one
+    division of all of h per digit is quadratic in its size.  The digit
+    loop then makes one carry pass from the lowest digit, with h's sign,
+    which moves every digit into (-xi/2, xi/2].  Below that size |h| is
+    one chunk, and the same loop takes its digits one at a time.
+    """
+    n = abs(h)
+    squares = [xi]
+    # n < xi**(2**(i + 1)) for the top square xi**(2**i)
+    while 2 * squares[-1].bit_length() - 1 <= n.bit_length():
+        squares.append(squares[-1] * squares[-1])
+    # highest first, so pop() gives the lowest
+    chunks = _z_digits(n, squares, len(squares) - 1) if len(squares) > 1 else [n]
+    sign = 1 if h > 0 else -1
     out: Row = []
-    while h:
-        c = h % xi
+    v = 0
+    while chunks or v:
+        if chunks:
+            v += sign * chunks.pop()
+        c = v % xi
         if c > xi // 2:
             c -= xi
         out.append(c)
-        h = (h - c) // xi
+        v = (v - c) // xi
+    while out and not out[-1]:
+        out.pop()
     return out
+
+
+def _z_digits(n: int, squares: list[int], i: int) -> Row:
+    """The 2**(i + 1) unsigned base-squares[0] digits of 0 <= n <
+    squares[i]**2, highest first, where squares[i] = squares[0]**(2**i)."""
+    hi, lo = divmod(n, squares[i])
+    if i == 0:
+        return [hi, lo]
+    return _z_digits(hi, squares, i - 1) + _z_digits(lo, squares, i - 1)
 
 
 def _z_primitive(a: Row) -> Row:
@@ -149,7 +181,10 @@ def _z_primitive(a: Row) -> Row:
 def _z_gcd(a: Row, b: Row) -> tuple[Row, Row, Row]:
     """(G, a/G, b/G) for the primitive gcd G in Z[x] of a and b, not both
     zero, leading coefficient positive: the primitive part of one when
-    the other is zero, and [1] when either is a nonzero constant.
+    the other is zero, and [1] when either is a nonzero constant.  When
+    either is linear, its primitive part is its only factor of positive
+    degree, so G is that part when one exact division shows it divides
+    the other, and [1] otherwise, with no evaluation.
 
     Every root of a and b is below xi/2 in size (Cauchy's bound), so a
     factor Q of a of positive degree has |Q(xi)| > xi/2.  The integer
@@ -167,6 +202,14 @@ def _z_gcd(a: Row, b: Row) -> tuple[Row, Row, Row]:
         return (g, unit, b) if a else (g, a, unit)
     if len(a) == 1 or len(b) == 1:
         return [1], a, b
+    if len(a) == 2 or len(b) == 2:
+        lin, other = (a, b) if len(a) == 2 else (b, a)
+        g = _z_primitive(lin)
+        q = _z_quo(other, g)
+        if q is None:
+            return [1], a, b
+        unit = [lin[-1] // g[-1]]
+        return (g, unit, q) if lin is a else (g, q, unit)
     xi = 2 * max(max(map(abs, a)), max(map(abs, b))) + 2
     while True:
         g = _z_primitive(_z_adic(gcd(_z_eval(a, xi), _z_eval(b, xi)), xi))

@@ -53,10 +53,11 @@ def frac(a: int, b: int = 1) -> Fraction:
     return Fraction(a, b)
 
 
-def sheared_inputs(n: int) -> list[tuple[BiPoly, BiPoly]]:
+def sheared_inputs(n: int, shear=apply_shear) -> list[tuple[BiPoly, BiPoly]]:
     """(base, sheared) pairs: corpus polynomials under 1..3 shears in
     either axis, coefficient +-1 and exponent 1..3, kept while the total
-    degree stays <= 10 and the coefficients fit in 16 bits."""
+    degree stays <= 10 and the coefficients fit in 16 bits.  `shear`
+    applies each shear."""
     rng = Random(7)
     out = []
     for base in random_corpus(6 * n, seed=31_000_000):
@@ -64,7 +65,7 @@ def sheared_inputs(n: int) -> list[tuple[BiPoly, BiPoly]]:
         for _ in range(rng.randint(1, 3)):
             axis = rng.choice((ShearAxis.X1, ShearAxis.X2))
             b = Fraction(rng.choice((-1, 1)))
-            f = apply_shear(f, ShearChange(axis, b, rng.randint(1, 3)))
+            f = shear(f, ShearChange(axis, b, rng.randint(1, 3)))
         if (
             max(j + k for j, k in f.support) <= 10
             and max(abs(c).bit_length() for c in f.num.values()) <= 16

@@ -1,14 +1,18 @@
 """Division and Euclid's gcd over Q, on tuples of Fractions, lowest
 degree first, with no trailing zeros, the product of integer rows that
-builds test inputs, and rational roots found by the Sturm chain alone.
-No kernel uses them: they are the reference the integer kernels are
-tested against."""
+builds test inputs, rational roots found by the Sturm chain alone, and
+the straightforward forms of three kernels: the base-xi digit loop, the
+Newton staircase from a sort of the whole support, and the Taylor shift
+of a shear as a nested loop.  No kernel uses them: they are the
+reference the integer kernels are tested against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from adaptcoord.bipoly import BiPoly, ShearAxis, ShearChange, Term
 from adaptcoord.errors import ZeroPolynomial
+from adaptcoord.newton import _cross
 from adaptcoord.unipoly import UniPoly, _variations, _z_eval, root_bound, sturm_chain
 
 QRow = tuple[Fraction, ...]
@@ -79,3 +83,61 @@ def chain_exact_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction, Fractio
             mid = (lo + hi) / 2
             stack += [(mid, hi), (lo, mid)]
     return out
+
+
+def digit_adic(h: int, xi: int) -> list[int]:
+    """The digits of h in symmetric base xi, one long division by xi per
+    digit."""
+    out = []
+    while h:
+        c = h % xi
+        if c > xi // 2:
+            c -= xi
+        out.append(c)
+        h = (h - c) // xi
+    return out
+
+
+def sorted_staircase(points) -> tuple[Term, ...]:
+    """The Newton staircase's vertices: the whole support sorted, the
+    points no earlier point dominates kept, and a monotone chain over
+    them."""
+    minimal: list[Term] = []
+    best_k = None
+    for j, k in sorted(set(points)):
+        if best_k is None or k < best_k:
+            minimal.append((j, k))
+            best_k = k
+    hull: list[Term] = []
+    for p in minimal:
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+            hull.pop()
+        hull.append(p)
+    return tuple(hull)
+
+
+def nested_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
+    """apply_shear with the Taylor shift of each diagonal as a nested
+    loop over a dense row, read and written in place."""
+    if f.is_zero:
+        return f
+    m = shear.exponent
+    bn, bd = shear.coefficient.numerator, shear.coefficient.denominator
+    x2_axis = shear.axis is ShearAxis.X2
+    diagonals: dict[int, dict[int, int]] = {}
+    for (j, k), c in f.num.items():
+        if not x2_axis:
+            j, k = k, j
+        diagonals.setdefault(j + m * k, {})[k] = c
+    K = max(max(d) for d in diagonals.values())
+    out: dict[Term, int] = {}
+    for s, diagonal in diagonals.items():
+        top = max(diagonal)
+        r = [diagonal.get(k, 0) * bd ** (K - k) for k in range(top + 1)]
+        for i in range(top):
+            for k in range(top - 1, i - 1, -1):
+                r[k] += bn * r[k + 1]
+        for i, c in enumerate(r):
+            if c:
+                out[(s - m * i, i) if x2_axis else (i, s - m * i)] = c * bd**i
+    return BiPoly._of(out, f.den * bd**K)

@@ -25,8 +25,8 @@ from adaptcoord import (
     weighted_part,
 )
 from adaptcoord.unipoly import _z_deriv, _z_gcd
-from conftest import bipolys, coefficients, random_corpus
-from q_reference import exact_div, poly_gcd
+from conftest import bipolys, coefficients, random_corpus, sheared_inputs
+from q_reference import exact_div, nested_shear, poly_gcd
 
 shear_exponents = st.integers(min_value=1, max_value=4)
 nonzero_bipolys = bipolys().filter(lambda f: not f.is_zero)
@@ -264,6 +264,52 @@ def test_shear_matches_substitution(f, b, m, axis):
     assert g == substituted(f, shear)
     assert 0 not in g.terms().values()
     assert apply_shear(g, ShearChange(axis, -b, m)) == f
+
+
+# diagonals up to height 16 in either axis, and coefficients over 1..7
+tall_bipolys = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=16), st.integers(min_value=0, max_value=16)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=7),
+    min_size=1,
+    max_size=12,
+).map(BiPoly)
+fractional_coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(
+    lambda b: b != 0
+)
+
+
+def assert_same_shear(f, shear):
+    """apply_shear and the nested loop give the same numerators, in the
+    same key order, over the same denominator; returns the sheared
+    polynomial."""
+    g, ref = apply_shear(f, shear), nested_shear(f, shear)
+    assert list(g.num.items()) == list(ref.num.items())
+    assert g.den == ref.den
+    return g
+
+
+@given(
+    tall_bipolys,
+    st.one_of(fractional_coefficients, coefficients),
+    shear_exponents,
+    st.sampled_from(list(ShearAxis)),
+)
+@settings(max_examples=100)
+@example(parse("x2^16 + 3/5*x1^7*x2^9 - x1^40"), Fraction(-5, 3), 3, ShearAxis.X2)
+@example(parse("x1^16 - 2/3*x1^2*x2^5 + x2^11"), Fraction(7, 4), 2, ShearAxis.X1)
+def test_shear_matches_the_nested_loop(f, b, m, axis):
+    assert_same_shear(f, ShearChange(axis, b, m))
+
+
+def test_shear_matches_the_nested_loop_on_sheared_inputs():
+    shears = []
+
+    def checked(f, shear):
+        shears.append(shear)
+        return assert_same_shear(f, shear)
+
+    sheared_inputs(400, shear=checked)
+    assert {s.axis for s in shears} == set(ShearAxis)
 
 
 def test_shear_matches_hand_expansion():

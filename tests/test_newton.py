@@ -33,6 +33,7 @@ from adaptcoord import (
     principal_part,
 )
 from adaptcoord.errors import EmptySupport, ZeroPolynomial
+from q_reference import sorted_staircase
 
 supports = st.sets(
     st.tuples(
@@ -111,6 +112,54 @@ def test_collinear_support_point_is_not_a_vertex():
 def test_dominated_points_are_dropped():
     hull = build_polyhedron({(0, 2), (4, 0), (5, 3), (6, 0)})
     assert hull.vertices == ((0, 2), (4, 0))
+
+
+small = st.integers(min_value=0, max_value=12)
+# few rows, many points in each
+row_supports = st.sets(
+    st.tuples(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=3)),
+    min_size=1,
+    max_size=20,
+)
+one_row = st.builds(lambda js, k: {(j, k) for j in js}, st.sets(small, min_size=1), small)
+one_column = st.builds(lambda ks, j: {(j, k) for k in ks}, st.sets(small, min_size=1), small)
+
+
+@st.composite
+def collinear_supports(draw):
+    """A run of points on one line of negative slope, with a few more
+    points anywhere."""
+    p = draw(st.integers(min_value=1, max_value=4))
+    q = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=2, max_value=6))
+    j0 = draw(small)
+    pts = {(j0 + i * p, q * (n - 1 - i)) for i in range(n)}
+    return pts | draw(st.sets(st.tuples(small, small), max_size=4))
+
+
+# build_polyhedron reads any iterable of points: a set, a list with
+# repeats, a dict's keys, or the dict itself (BiPoly.num)
+containers = st.sampled_from([
+    set,
+    lambda s: sorted(s, reverse=True) + sorted(s),
+    lambda s: dict.fromkeys(s, 1).keys(),
+    lambda s: dict.fromkeys(s, 1),
+])
+
+
+@given(
+    st.one_of(supports, wide_supports, row_supports, one_row, one_column, collinear_supports()),
+    containers,
+)
+@settings(max_examples=300)
+def test_row_minima_hull_matches_the_sorted_staircase(support, container):
+    assert build_polyhedron(container(support)).vertices == sorted_staircase(support)
+
+
+def test_row_minima_hull_on_a_column_and_a_collinear_run():
+    assert build_polyhedron({(3, 5), (3, 2), (3, 7)}).vertices == ((3, 2),)
+    assert build_polyhedron({(0, 3), (1, 2), (2, 1), (3, 0), (2, 2)}).vertices == ((0, 3), (3, 0))
+    assert build_polyhedron(dict.fromkeys([(4, 0), (0, 4), (1, 4)], 1)).vertices == ((0, 4), (4, 0))
 
 
 def test_empty_support_rejected():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from adaptcoord import UniPoly, unipoly
 from adaptcoord.errors import NotSquarefree, ZeroPolynomial
 from adaptcoord.unipoly import (
+    _z_adic,
     _z_deriv,
     _z_eval,
     _z_gcd,
@@ -29,7 +30,14 @@ from adaptcoord.unipoly import (
     squarefree_decompose,
     sturm_chain,
 )
-from q_reference import _z_mul, chain_exact_real_roots, divmod_poly, exact_div, poly_gcd
+from q_reference import (
+    _z_mul,
+    chain_exact_real_roots,
+    digit_adic,
+    divmod_poly,
+    exact_div,
+    poly_gcd,
+)
 
 coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 # tuples of Fractions with no trailing zeros: the Q reference's input
@@ -120,6 +128,52 @@ def test_gcd_cofactors_with_a_zero_or_constant_input():
     assert _z_gcd([-4, -6], []) == ([2, 3], [-2], [])
     assert _z_gcd([], [4, 6]) == ([2, 3], [], [2])
     assert _z_gcd([5], [1, 2]) == ([1], [5], [1, 2])
+
+
+nonzero_ints = st.integers(min_value=-12, max_value=12).filter(bool)
+int_rows = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6).filter(
+    lambda r: r[-1] != 0
+)
+
+
+@given(
+    st.integers(min_value=-12, max_value=12),
+    nonzero_ints,
+    nonzero_ints,
+    int_rows,
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=200)
+@example(3, 2, -3, [1, 1], True, False)
+@example(-4, -5, 2, [0, 0, 1], False, True)
+def test_gcd_with_a_linear_argument(c0, c1, content, other, divisible, linear_first):
+    # content*(c1*y + c0): content and a negative leading coefficient;
+    # `other` times its primitive part when `divisible`
+    lin = [content * c0, content * c1]
+    if divisible:
+        other = _z_mul(other, [c0 // gcd(c0, c1), c1 // gcd(c0, c1)])
+    a, b = (lin, other) if linear_first else (other, lin)
+    g, qa, qb = _z_gcd(a, b)
+    assert g[-1] > 0 and gcd(*g) == 1
+    assert _z_mul(g, qa) == a and _z_mul(g, qb) == b
+    ref = poly_gcd(_q(a), _q(b))
+    assert _q(g) == tuple(c * g[-1] for c in ref)
+    if divisible:
+        assert len(g) == 2
+
+
+@given(st.integers(min_value=3, max_value=2**70), st.integers(min_value=0, max_value=40), st.data())
+@settings(max_examples=200)
+@example(4, 3, None)
+@example(5, 3, None)
+def test_adic_digits_match_the_digit_loop(xi, width, data):
+    bound = xi**width
+    hs = [0, bound, -bound, bound // 2, -(bound // 2), xi // 2, -(xi // 2)]
+    if data is not None:
+        hs.append(data.draw(st.integers(min_value=-bound, max_value=bound)))
+    for h in hs:
+        assert _z_adic(h, xi) == digit_adic(h, xi)
 
 
 def test_integer_row_strips_content():
