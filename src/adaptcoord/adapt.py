@@ -26,6 +26,12 @@ through the origin has x1-degree at most a bound computable from the
 coefficient degrees of F, so as soon as the next jet exponent provably
 exceeds that bound while F evaluated along the jet stays nonzero, the
 tracked root cannot be a polynomial and the iteration can never stop.
+The certificate is tried after every step once the multiplicities are
+stable, not only at the cap, with F carried along the jet one shear per
+step.  From the step where it holds, F fixes every later step: each is
+read off F's two lowest rows, with its distance from the sheared
+polynomial's hull, and only the last polynomial gets a full verdict,
+which must agree with F.
 """
 
 from __future__ import annotations
@@ -49,7 +55,13 @@ from .errors import (
     InternalInvariantViolation,
     IterationCapExceeded,
 )
-from .newton import HullAnalysis, hull_analysis, newton_polyhedron
+from .newton import (
+    HullAnalysis,
+    build_polyhedron,
+    distance,
+    hull_analysis,
+    newton_polyhedron,
+)
 from .quasihomog import _require_order_two, deep_root, edge_root_polynomial
 from .unipoly import UniPoly
 
@@ -175,22 +187,6 @@ def _verdict(f: BiPoly) -> AdaptednessReport:
     )
 
 
-def _shear_by_witness(
-    g: BiPoly, rep: AdaptednessReport
-) -> tuple[ShearChange, BiPoly, AdaptednessReport]:
-    """Shear g by the witness of its non-adapted verdict `rep`, g taken in
-    the axis-normalized orientation; return the shear, the sheared
-    polynomial and its verdict.  The distance must grow."""
-    assert rep.witness is not None
-    w = rep.witness
-    shear = ShearChange(ShearAxis.X2, w.coefficient, w.exponent)
-    g_next = apply_shear(g, shear)
-    rep_next = _verdict(g_next)
-    if rep_next.distance <= rep.distance:
-        raise InternalInvariantViolation("shear failed to increase the distance")
-    return shear, g_next, rep_next
-
-
 def shear_step(f: BiPoly) -> tuple[ShearChange, BiPoly]:
     """One distance-raising shear by the principal root of f's principal part.
 
@@ -201,8 +197,12 @@ def shear_step(f: BiPoly) -> tuple[ShearChange, BiPoly]:
     report = check_adapted(f)
     if report.adapted:
         raise AlreadyAdapted("coordinates are already adapted")
+    assert report.witness is not None
     g = swap_axes(f) if report.axis_swapped else f
-    shear, g_next, _ = _shear_by_witness(g, report)
+    shear = ShearChange(ShearAxis.X2, report.witness.coefficient, report.witness.exponent)
+    g_next = apply_shear(g, shear)
+    if _verdict(g_next).distance <= report.distance:
+        raise InternalInvariantViolation("shear failed to increase the distance")
     return shear, g_next
 
 
@@ -210,7 +210,7 @@ def _x1_extremes(F: BiPoly, pick) -> dict[int, int]:
     """The smallest (pick=min) or largest (pick=max) x1-exponent of F's
     terms, for each x2-exponent that occurs."""
     out: dict[int, int] = {}
-    for j, k in F.support:
+    for j, k in F.num:
         out[k] = pick(out.get(k, j), j)
     return out
 
@@ -227,47 +227,105 @@ def _polynomial_root_degree_bound(F: BiPoly) -> int:
     return max([0] + [(deg[i] - deg[top]) // (top - i) for i in deg if i < top])
 
 
-def _certify_nonterminating(
-    start: BiPoly,
-    jet: list[tuple[Fraction, int]],
-    steps: list[AdaptStep],
-) -> int | None:
-    """Return the certified multiplicity N, or None if no certificate holds.
+def _series_term(G: BiPoly, m_last: int, bound: int) -> tuple[Fraction, int] | None:
+    """The term (b, m) of G's root past the jet, when G, a factor F sheared
+    by a jet whose last exponent is m_last, proves that root simple and no
+    polynomial; else None.
 
-    `start` is the polynomial the iteration began from (axes already
-    normalized); `jet` the shears applied so far.  The certificate checks
-    that the squarefree factor of multiplicity N carries a simple series
-    root extending the jet, and that the root provably is not a polynomial.
+    With e0 and e1 the least x1-exponents of G's rows 0 and 1 and m =
+    e0 - e1, every other point of G lying strictly above the line through
+    (e0, 0) and (e1, 1) makes G's (1, m)-initial form G[e1, 1]*x1^e1*x2 +
+    G[e0, 0]*x1^e0: G has exactly one root of order m, simple, x2 =
+    b*x1^m + ... with b = -G[e0, 0]/G[e1, 1], and its other roots have
+    smaller orders.  m > m_last makes it extend the jet, and m > `bound`
+    (_polynomial_root_degree_bound of F) rules out a polynomial root of F.
     """
-    if len(steps) < STABILIZATION_WINDOW:
-        return None
-    tail = steps[-STABILIZATION_WINDOW:]
-    N = tail[-1].multiplicity
-    if any(s.multiplicity != N for s in tail):
-        return None
-    if N < 2:
-        return None
-    matching = [F for F, j in squarefree_part_x2(start) if j == N]
-    if not matching:
-        return None
-    F = matching[0]
-    low = _x1_extremes(apply_jet(F, jet), min)
+    low = _x1_extremes(G, min)
     if 0 not in low or 1 not in low:
         return None
-    e0 = low[0]
-    m_next = e0 - low[1]
-    m_last = jet[-1][1]
-    if m_next <= m_last:
+    e0, e1 = low[0], low[1]
+    m = e0 - e1
+    if m <= m_last or m <= bound:
         return None
-    # the (i=0, i=1) edge of the series Newton polygon must dominate, so
-    # the continuation is the unique root of maximal order and is simple
-    if any(e + i * m_next <= e0 for i, e in low.items() if i >= 2):
+    if any(e + i * m <= e0 for i, e in low.items() if i >= 2):
         return None
-    if m_next <= _polynomial_root_degree_bound(F):
-        return None
-    if Fraction(N) <= steps[-1].distance:
-        raise InternalInvariantViolation("stabilized multiplicity below distance")
-    return N
+    return Fraction(-G.num[e0, 0], G.num[e1, 1]), m
+
+
+class _Certificate:
+    """The non-termination certificate of one run, tried after every step.
+
+    It holds after a step when the last STABILIZATION_WINDOW multiplicities
+    agree at some N >= 2 and the squarefree factor F of the start (axes
+    normalized) with multiplicity N, sheared by the jet, passes
+    _series_term: the iteration follows a root of F that is no polynomial,
+    so it never stops.  The squarefree factors are found at the first try,
+    F and its root-degree bound once for each N, and F is carried along the
+    jet, sheared once by each term.
+
+    Once it holds, the next verdict is read off G = F sheared by the jet:
+    witness (b, m, N) with (b, m) from _series_term, and the distance of
+    g's own hull.  This is what _verdict(g) returns.  The last step,
+    _verdict's by induction, had witness b_last*x1^m_last of multiplicity
+    N, so exactly N roots of g have order above m_last, and the others
+    have order at most m_last.  G's root, of order m > m_last, is a root
+    of multiplicity N of g = c(x1) * prod(G_i^i), so it is those N roots.
+    The (1, m)-initial form of a product is the product of the initial
+    forms, and no factor but G has a root of order m or more, so the
+    others give a monomial without x2: g's is x1^A * (G[e1, 1]*x2 +
+    G[e0, 0]*x1^m)^N.  So g's lowest edge runs from V = (j_V, N) to
+    (j_V + m*N, 0), with weight (1, m) and one root b of multiplicity N.
+    The shear by b_last*x1^m_last maps the last principal edge's terms
+    x1^L * P(x2/x1^m_last) to x1^L * P(x2/x1^m_last + b_last), whose lowest
+    power of x2 is N: g's (1, m_last)-face ends at row N on the line
+    j + m_last*k = L, where the boundary's point is V, so j_V = L -
+    m_last*N.  The last verdict crossed the diagonal at d_last = L/(1 +
+    m_last) < N, by condition (c), so j_V < d_last < N.  V lies above the
+    diagonal and (j_V + m*N, 0) below it, so the diagonal crosses the
+    lowest edge inside, below row N: that edge is the principal face,
+    q = 1 <= p = m needs no swap, and deep_root finds b, as n = N > j_V =
+    nu1 and N > d.  The certificate holds again after the shear by
+    b*x1^m: G's root keeps its terms of order above m and G's other roots
+    their orders below m, so every later step is read the same way.  If
+    it ever failed, the step would fall back to _verdict.
+    """
+
+    __slots__ = ("start", "factors", "N", "F", "bound", "applied")
+
+    def __init__(self, start: BiPoly):
+        self.start = start
+        self.factors: tuple[tuple[BiPoly, int], ...] | None = None
+        self.N = 0
+        self.F: BiPoly | None = None
+        self.bound = self.applied = 0
+
+    def witness(
+        self, jet: list[tuple[Fraction, int]], steps: list[AdaptStep]
+    ) -> PrincipalRootWitness | None:
+        """The witness of the polynomial sheared by `jet`, read off F, when
+        the certificate holds after `steps`; else None."""
+        if len(steps) < STABILIZATION_WINDOW:
+            return None
+        N = steps[-1].multiplicity
+        if N < 2 or any(s.multiplicity != N for s in steps[-STABILIZATION_WINDOW:]):
+            return None
+        if N != self.N:
+            if self.factors is None:
+                self.factors = squarefree_part_x2(self.start)
+            self.N, self.applied = N, 0
+            self.F = next((F for F, j in self.factors if j == N), None)
+            if self.F is not None:
+                self.bound = _polynomial_root_degree_bound(self.F)
+        if self.F is None:
+            return None
+        self.F = apply_jet(self.F, jet[self.applied:])
+        self.applied = len(jet)
+        term = _series_term(self.F, jet[-1][1], self.bound)
+        if term is None:
+            return None
+        if Fraction(N) <= steps[-1].distance:
+            raise InternalInvariantViolation("stabilized multiplicity below distance")
+        return PrincipalRootWitness(*term, N)
 
 
 def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
@@ -275,10 +333,14 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
 
     Runs principal-root shears until the coordinates are adapted, in which
     case the height is the final distance, or until `max_steps` shears have
-    been applied, in which case a non-termination certificate is attempted
-    (the height is then the stabilized multiplicity and the jet is marked
-    truncated).  Raises IterationCapExceeded when the cap is hit and no
-    certificate holds.
+    been applied.  The non-termination certificate is tried after every
+    step once the multiplicities are stable, not only at the cap.  From the
+    step where it holds, each later step is read off the certified factor F
+    (see _Certificate) instead of a full verdict, and the run goes on to the
+    cap: the height is then the stabilized multiplicity, the jet is marked
+    truncated, and the last polynomial's verdict, `final_check`, must agree
+    with F or InternalInvariantViolation is raised.  Raises
+    IterationCapExceeded when the cap is hit and no certificate holds.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -287,34 +349,53 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
     # verdict was read in swapped axes
     swapped = report.axis_swapped and not report.adapted
     start = swap_axes(f) if swapped else f
+    certificate = _Certificate(start)
     g = start
     rep = report
+    d = rep.distance
+    # g's witness read off the certificate; None while g has a verdict
+    read: PrincipalRootWitness | None = None
     jet: list[tuple[Fraction, int]] = []
     steps: list[AdaptStep] = []
-    while not rep.adapted and len(steps) < max_steps:
-        if steps and rep.axis_swapped:
-            raise InternalInvariantViolation(
-                "axis orientation flipped after the first shear"
-            )
-        assert rep.witness is not None
-        w = rep.witness
+    while len(steps) < max_steps:
+        if read is None:
+            if rep.adapted:
+                break
+            if steps and rep.axis_swapped:
+                raise InternalInvariantViolation(
+                    "axis orientation flipped after the first shear"
+                )
+            assert rep.witness is not None
+            w = rep.witness
+        else:
+            w = read
         if jet and w.exponent <= jet[-1][1]:
             raise InternalInvariantViolation("jet exponents failed to increase")
         if steps and w.multiplicity > steps[-1].multiplicity:
             raise InternalInvariantViolation("root multiplicity increased along the jet")
-        steps.append(AdaptStep(w.multiplicity, w.exponent, rep.distance))
+        steps.append(AdaptStep(w.multiplicity, w.exponent, d))
         jet.append((w.coefficient, w.exponent))
-        _, g, rep = _shear_by_witness(g, rep)
-    if rep.adapted:
+        g = apply_shear(g, ShearChange(ShearAxis.X2, w.coefficient, w.exponent))
+        read = certificate.witness(jet, steps)
+        if read is None or len(steps) == max_steps:
+            rep = _verdict(g)
+            d_next = rep.distance
+        else:
+            d_next = distance(build_polyhedron(g.num))
+        if d_next <= d:
+            raise InternalInvariantViolation("shear failed to increase the distance")
+        d = d_next
+    if read is not None:
+        if rep.adapted or rep.witness != read:
+            raise InternalInvariantViolation("the last verdict disagrees with the certificate")
+        status, height = AdaptStatus.NONTERMINATING_CERTIFIED, Fraction(read.multiplicity)
+    elif rep.adapted:
         status, height = AdaptStatus.TERMINATED, rep.distance
     else:
-        certified = _certify_nonterminating(start, jet, steps)
-        if certified is None:
-            raise IterationCapExceeded(
-                f"no adapted system within {max_steps} shears and no "
-                "non-termination certificate; retry with a larger max_steps"
-            )
-        status, height = AdaptStatus.NONTERMINATING_CERTIFIED, Fraction(certified)
+        raise IterationCapExceeded(
+            f"no adapted system within {max_steps} shears and no "
+            "non-termination certificate; retry with a larger max_steps"
+        )
     return AdaptResult(
         jet=RootJet(tuple(jet), truncated=not rep.adapted),
         axis_swapped=swapped,

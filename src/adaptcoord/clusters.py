@@ -139,7 +139,7 @@ def top_clusters(f: BiPoly, depth: int = 1) -> ClusterLevel:
         raise ValueError("cluster data needs f(0,0) = 0")
     if f.x2_degree < 1:
         raise DegenerateInX2("cluster data needs positive degree in x2")
-    hull = build_polyhedron(f.support)
+    hull = build_polyhedron(f.num)
     verts = hull.vertices
     nu1 = verts[0][0]
     nu2 = verts[-1][1]

@@ -296,7 +296,7 @@ def _assemble(
         adapted_poly = text if reuse else str(result.final_poly)
     return AnalysisReport(
         source=text,
-        support=tuple(sorted(f.support)),
+        support=tuple(sorted(f.num)),
         vertices=verts,
         distance=hull.distance,
         face_kind=hull.face.kind.value,

@@ -31,7 +31,7 @@ class _Panel:
         self.hull = hull
         self.d = hull.distance
         self.face = hull.face
-        support_max = max(max(j for j, _ in f.support), max(k for _, k in f.support))
+        support_max = max(map(max, f.num))
         self.extent = m = max(support_max, math.ceil(self.d)) + 1
         if m > MAX_EXTENT:
             raise ValueError(
@@ -103,7 +103,7 @@ class _Panel:
                 'stroke-linecap="round"/>'
             )
         # support and vertices
-        for j, k in sorted(self.f.support):
+        for j, k in sorted(self.f.num):
             out.append(f'<circle cx="{xs[j]}" cy="{ys[k]}" r="3.5" fill="#20639b"/>')
         for j, k in verts:
             out.append(

@@ -9,7 +9,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from adaptcoord import BiPoly, ShearAxis, ShearChange, apply_shear
+from adaptcoord import BiPoly, ShearAxis, ShearChange, apply_shear, parse
 
 # the seeded corpus is the height survey's, so the two cannot drift apart
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -74,3 +74,11 @@ def sheared_inputs(n: int, shear=apply_shear) -> list[tuple[BiPoly, BiPoly]]:
             if len(out) == n:
                 return out
     raise AssertionError(f"only {len(out)} sheared inputs kept")
+
+
+def sheared_by(expr: str, *shears: tuple[ShearAxis, int, int]) -> BiPoly:
+    """parse(expr) under the shears (axis, b, m), in order."""
+    f = parse(expr)
+    for axis, b, m in shears:
+        f = apply_shear(f, ShearChange(axis, Fraction(b), m))
+    return f

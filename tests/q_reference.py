@@ -3,15 +3,40 @@ degree first, with no trailing zeros, the product of integer rows that
 builds test inputs, rational roots found by the Sturm chain alone, and
 the straightforward forms of three kernels: the base-xi digit loop, the
 Newton staircase from a sort of the whole support, and the Taylor shift
-of a shear as a nested loop.  No kernel uses them: they are the
-reference the integer kernels are tested against."""
+of a shear as a nested loop, and the shear iteration with a full verdict
+on every polynomial.  No kernel uses them: they are the reference the
+integer kernels and adapt are tested against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from adaptcoord.bipoly import BiPoly, ShearAxis, ShearChange, Term
-from adaptcoord.errors import ZeroPolynomial
+from adaptcoord.adapt import (
+    STABILIZATION_WINDOW,
+    AdaptResult,
+    AdaptStatus,
+    AdaptStep,
+    RootJet,
+    _polynomial_root_degree_bound,
+    _verdict,
+    _x1_extremes,
+    check_adapted,
+)
+from adaptcoord.bipoly import (
+    BiPoly,
+    ShearAxis,
+    ShearChange,
+    Term,
+    apply_jet,
+    apply_shear,
+    squarefree_part_x2,
+    swap_axes,
+)
+from adaptcoord.errors import (
+    InternalInvariantViolation,
+    IterationCapExceeded,
+    ZeroPolynomial,
+)
 from adaptcoord.newton import _cross
 from adaptcoord.unipoly import UniPoly, _variations, _z_eval, root_bound, sturm_chain
 
@@ -141,3 +166,75 @@ def nested_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
             if c:
                 out[(s - m * i, i) if x2_axis else (i, s - m * i)] = c * bd**i
     return BiPoly._of(out, f.den * bd**K)
+
+
+def _certify_at_cap(
+    start: BiPoly, jet: list[tuple[Fraction, int]], steps: list[AdaptStep]
+) -> int | None:
+    """The certified multiplicity N, from the factor F of multiplicity N
+    sheared along the whole jet at once, or None."""
+    if len(steps) < STABILIZATION_WINDOW:
+        return None
+    N = steps[-1].multiplicity
+    if N < 2 or any(s.multiplicity != N for s in steps[-STABILIZATION_WINDOW:]):
+        return None
+    matching = [F for F, j in squarefree_part_x2(start) if j == N]
+    if not matching:
+        return None
+    F = matching[0]
+    low = _x1_extremes(apply_jet(F, jet), min)
+    if 0 not in low or 1 not in low:
+        return None
+    e0 = low[0]
+    m_next = e0 - low[1]
+    if m_next <= jet[-1][1]:
+        return None
+    if any(e + i * m_next <= e0 for i, e in low.items() if i >= 2):
+        return None
+    if m_next <= _polynomial_root_degree_bound(F):
+        return None
+    if Fraction(N) <= steps[-1].distance:
+        raise InternalInvariantViolation("stabilized multiplicity below distance")
+    return N
+
+
+def verdict_loop_adapt(f: BiPoly, max_steps: int) -> AdaptResult:
+    """adapt with a full _verdict on every polynomial a shear produces and
+    the non-termination certificate tried at the cap alone."""
+    report = check_adapted(f)
+    swapped = report.axis_swapped and not report.adapted
+    start = swap_axes(f) if swapped else f
+    g, rep = start, report
+    jet: list[tuple[Fraction, int]] = []
+    steps: list[AdaptStep] = []
+    while not rep.adapted and len(steps) < max_steps:
+        if steps and rep.axis_swapped:
+            raise InternalInvariantViolation("axis orientation flipped")
+        w = rep.witness
+        if jet and w.exponent <= jet[-1][1]:
+            raise InternalInvariantViolation("jet exponents failed to increase")
+        if steps and w.multiplicity > steps[-1].multiplicity:
+            raise InternalInvariantViolation("root multiplicity increased")
+        steps.append(AdaptStep(w.multiplicity, w.exponent, rep.distance))
+        jet.append((w.coefficient, w.exponent))
+        g = apply_shear(g, ShearChange(ShearAxis.X2, w.coefficient, w.exponent))
+        last, rep = rep, _verdict(g)
+        if rep.distance <= last.distance:
+            raise InternalInvariantViolation("shear failed to increase the distance")
+    if rep.adapted:
+        status, height = AdaptStatus.TERMINATED, rep.distance
+    else:
+        certified = _certify_at_cap(start, jet, steps)
+        if certified is None:
+            raise IterationCapExceeded("no certificate at the cap")
+        status, height = AdaptStatus.NONTERMINATING_CERTIFIED, Fraction(certified)
+    return AdaptResult(
+        RootJet(tuple(jet), truncated=not rep.adapted),
+        swapped,
+        height,
+        g,
+        tuple(steps),
+        status,
+        report,
+        rep,
+    )

@@ -53,7 +53,7 @@ from adaptcoord.unipoly import (
     exact_real_roots,
     squarefree_decompose,
 )
-from conftest import CORPUS_SEED, random_corpus, sheared_inputs
+from conftest import CORPUS_SEED, random_corpus, sheared_by, sheared_inputs
 from q_reference import _z_mul
 
 # polynomials whose adapted systems are reachable by x2-shears (possibly
@@ -386,15 +386,8 @@ def test_timed_depth_two_clusters_on_29_digit_input(capsys):
     run_timed(capsys, "depth-2 clusters on 29-digit input", 1.0, body)
 
 
-def _sheared_by(expr: str, *shears: tuple[ShearAxis, int, int]) -> BiPoly:
-    f = parse(expr)
-    for axis, b, m in shears:
-        f = apply_shear(f, ShearChange(axis, Fraction(b), m))
-    return f
-
-
 def test_timed_squarefree_part_of_355_term_input(capsys):
-    f = _sheared_by(
+    f = sheared_by(
         "(x2 - x1^2)^3*(3*x2^2 + x1^3)",
         (ShearAxis.X2, 1, 1), (ShearAxis.X1, 1, 2), (ShearAxis.X2, -1, 3),
     )
@@ -408,7 +401,7 @@ def test_timed_squarefree_part_of_355_term_input(capsys):
 
 
 def test_timed_squarefree_part_of_274_term_input(capsys):
-    f = _sheared_by(
+    f = sheared_by(
         "(x2 - x1^2)^2*(x2^3 + x1^5 + x1*x2)",
         (ShearAxis.X1, 1, 2), (ShearAxis.X2, 1, 3),
     )
@@ -422,7 +415,7 @@ def test_timed_squarefree_part_of_274_term_input(capsys):
 
 
 def test_timed_certified_report_on_sheared_cube(capsys):
-    f = _sheared_by(
+    f = sheared_by(
         "(x2*(1 + x1) - x1^2)^3*(x2 + x1)",
         (ShearAxis.X1, 1, 2), (ShearAxis.X2, 1, 3),
     )

@@ -3,12 +3,15 @@ step traces, and the exact non-termination certificate."""
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 
 import pytest
 
 from adaptcoord import (
+    AdaptResult,
     AdaptStatus,
+    BiPoly,
     FaceKind,
     ShearAxis,
     ShearChange,
@@ -29,7 +32,10 @@ from adaptcoord.errors import (
     NonvanishingGradient,
     ZeroPolynomial,
 )
-from conftest import random_corpus, sheared_inputs
+from conftest import random_corpus, sheared_by, sheared_inputs
+from q_reference import verdict_loop_adapt
+
+adapt_module = importlib.import_module("adaptcoord.adapt")
 
 # (input, exact height) pairs worked out by hand
 HEIGHT_CASES = [
@@ -267,3 +273,73 @@ def test_height_matches_adapt():
 def test_adapt_is_deterministic():
     f = parse("(x2*(1 + x1) - x1^2)^2")
     assert adapt(f, max_steps=8) == adapt(f, max_steps=8)
+
+
+SHEARED_CUBE = sheared_by(
+    "(x2*(1 + x1) - x1^2)^3*(x2 + x1)", (ShearAxis.X1, 1, 2), (ShearAxis.X2, 1, 3)
+)
+
+# the deep runs of the benchmark at their caps, the sheared cube, and
+# runs that reach their cap with no certificate
+EQUIVALENCE_RUNS = [
+    (parse("(x2*(1 + x1) - x1^2)^2"), 64),
+    (parse("(x2*(3 + x1) - 2*x1^2)^2"), 24),
+    (parse("x2^2 + 10000000000037*x1^2"), 64),
+    (
+        sheared_by(
+            "5*x2^4 + 2*x1^2*x2^3",
+            (ShearAxis.X2, -1, 2), (ShearAxis.X2, 1, 1), (ShearAxis.X1, 1, 2),
+        ),
+        8,
+    ),
+    (SHEARED_CUBE, 16),
+    *((parse("(x2*(1 + x1) - x1^2)^2"), cap) for cap in (1, 2, 3, 4)),
+    *((parse("(x2 - x1^2 - x1^3 - x1^4 - x1^5)^2"), cap) for cap in (3, 4, 8)),
+]
+
+
+def _outcome(run, f: BiPoly, max_steps: int) -> AdaptResult | type:
+    try:
+        return run(f, max_steps)
+    except IterationCapExceeded:
+        return IterationCapExceeded
+
+
+def test_adapt_matches_the_verdict_loop():
+    # adapt reads the steps of a certified run off the certificate; the
+    # reference runs a full verdict at every step and certifies at the cap
+    pool = random_corpus(500) + [g for _, g in sheared_inputs(400)]
+    runs = EQUIVALENCE_RUNS + [(f, cap) for cap in (3, 4, 10, 64) for f in pool]
+    outcomes = {status: 0 for status in AdaptStatus}
+    capped = 0
+    for f, cap in runs:
+        want = _outcome(verdict_loop_adapt, f, cap)
+        got = _outcome(adapt, f, cap)
+        if want is IterationCapExceeded:
+            assert got is IterationCapExceeded, (f, cap)
+            capped += 1
+            continue
+        assert isinstance(got, AdaptResult), (f, cap)
+        for name in AdaptResult._fields:
+            assert getattr(got, name) == getattr(want, name), (f, cap, name)
+        outcomes[want.status] += 1
+    assert outcomes[AdaptStatus.NONTERMINATING_CERTIFIED] == 10
+    assert capped == 3
+
+
+def test_certified_run_reads_its_steps_off_the_certificate(monkeypatch):
+    calls = {"_verdict": 0, "squarefree_part_x2": 0}
+    for name in calls:
+        original = getattr(adapt_module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(adapt_module, name, counted)
+    res = adapt(parse("(x2*(1 + x1) - x1^2)^2"))
+    assert res.status is AdaptStatus.NONTERMINATING_CERTIFIED
+    assert len(res.steps) == adapt_module.DEFAULT_MAX_STEPS
+    # the input, the shears until the multiplicities are stable, the last
+    assert calls["_verdict"] <= adapt_module.STABILIZATION_WINDOW + 2
+    assert calls["squarefree_part_x2"] == 1
