@@ -27,11 +27,15 @@ coefficient degrees of F, so as soon as the next jet exponent provably
 exceeds that bound while F evaluated along the jet stays nonzero, the
 tracked root cannot be a polynomial and the iteration can never stop.
 The certificate is tried after every step once the multiplicities are
-stable, not only at the cap, with F carried along the jet one shear per
-step.  From the step where it holds, F fixes every later step: each is
-read off F's two lowest rows, with its distance from the sheared
-polynomial's hull, and only the last polynomial gets a full verdict,
-which must agree with F.
+stable, not only at the cap, with the squarefree factors carried along
+the jet one shear per step.  From the step where it holds, F fixes every
+later step: each is read off F's two lowest rows, and the product is no
+longer sheared.  The Newton polyhedron of a product is the Minkowski sum
+of its factors' polyhedra, so each step's distance is read exactly off
+the sheared factors' polygons, even when another factor's root shares
+the jet's first terms.  The last polynomial alone is built, once, as the
+start composed with x2 -> x2 + phi (bipoly.apply_jet), and gets a full
+verdict, which must agree with F.
 """
 
 from __future__ import annotations
@@ -57,9 +61,10 @@ from .errors import (
 )
 from .newton import (
     HullAnalysis,
-    build_polyhedron,
+    NewtonPolyhedron,
     distance,
     hull_analysis,
+    minkowski_sum,
     newton_polyhedron,
 )
 from .quasihomog import _require_order_two, deep_root, edge_root_polynomial
@@ -259,17 +264,18 @@ class _Certificate:
     agree at some N >= 2 and the squarefree factor F of the start (axes
     normalized) with multiplicity N, sheared by the jet, passes
     _series_term: the iteration follows a root of F that is no polynomial,
-    so it never stops.  The squarefree factors are found at the first try,
-    F and its root-degree bound once for each N, and F is carried along the
-    jet, sheared once by each term.
+    so it never stops.  The squarefree factors are found at the first try
+    and carried along the jet from then on, each sheared once by each
+    term; F's root-degree bound is found once for each N.
 
     Once it holds, the next verdict is read off G = F sheared by the jet:
-    witness (b, m, N) with (b, m) from _series_term, and the distance of
-    g's own hull.  This is what _verdict(g) returns.  The last step,
-    _verdict's by induction, had witness b_last*x1^m_last of multiplicity
-    N, so exactly N roots of g have order above m_last, and the others
-    have order at most m_last.  G's root, of order m > m_last, is a root
-    of multiplicity N of g = c(x1) * prod(G_i^i), so it is those N roots.
+    witness (b, m, N) with (b, m) from _series_term, and the distance
+    read off the sheared factors (below).  This is what _verdict(g)
+    returns.  The last step, _verdict's by induction, had witness
+    b_last*x1^m_last of multiplicity N, so exactly N roots of g have
+    order above m_last, and the others have order at most m_last.  G's
+    root, of order m > m_last, is a root of multiplicity N of g = c(x1) *
+    prod(G_i^i), so it is those N roots.
     The (1, m)-initial form of a product is the product of the initial
     forms, and no factor but G has a root of order m or more, so the
     others give a monomial without x2: g's is x1^A * (G[e1, 1]*x2 +
@@ -288,16 +294,32 @@ class _Certificate:
     b*x1^m: G's root keeps its terms of order above m and G's other roots
     their orders below m, so every later step is read the same way.  If
     it ever failed, the step would fall back to _verdict.
+
+    g itself is not sheared while the certificate holds: its distance
+    comes from the factors.  A shear fixes x1 and is a ring map, so g =
+    c(x1) * prod(G_i^i) with G_i the factor of multiplicity i sheared by
+    the jet.  The Newton polyhedron of a product is the Minkowski sum of
+    the factors' polyhedra (newton.minkowski_sum): each vertex of the sum
+    is one sum of vertices, so no two products of terms cancel there.  c
+    adds the point (ord_x1 c, 0), and ord_x1 c is the least x1-exponent of
+    the start, as ord_x1 is additive and a primitive factor has a term
+    free of x1.  So the distance read this way is g's exactly, even when
+    another factor has a root that shares the jet's first terms and
+    reaches as deep a polygon as G's.
     """
 
-    __slots__ = ("start", "factors", "N", "F", "bound", "applied")
+    __slots__ = ("start", "factors", "sheared", "applied", "content", "N", "index", "bound")
 
     def __init__(self, start: BiPoly):
         self.start = start
         self.factors: tuple[tuple[BiPoly, int], ...] | None = None
-        self.N = 0
-        self.F: BiPoly | None = None
-        self.bound = self.applied = 0
+        # the factors sheared by the first `applied` terms of the jet
+        self.sheared: list[BiPoly] = []
+        self.applied = self.N = self.bound = 0
+        self.content: NewtonPolyhedron | None = None
+        # the position of F among the factors, None when no factor has
+        # multiplicity N
+        self.index: int | None = None
 
     def witness(
         self, jet: list[tuple[Fraction, int]], steps: list[AdaptStep]
@@ -309,23 +331,37 @@ class _Certificate:
         N = steps[-1].multiplicity
         if N < 2 or any(s.multiplicity != N for s in steps[-STABILIZATION_WINDOW:]):
             return None
-        if N != self.N:
-            if self.factors is None:
-                self.factors = squarefree_part_x2(self.start)
-            self.N, self.applied = N, 0
-            self.F = next((F for F, j in self.factors if j == N), None)
-            if self.F is not None:
-                self.bound = _polynomial_root_degree_bound(self.F)
-        if self.F is None:
-            return None
-        self.F = apply_jet(self.F, jet[self.applied:])
+        if self.factors is None:
+            self.factors = squarefree_part_x2(self.start)
+            self.sheared = [F for F, _ in self.factors]
+            # the start over prod(F**j) is c(x1), whose polygon is the
+            # point (ord_x1 c, 0)
+            self.content = NewtonPolyhedron(((min(j for j, _ in self.start.num), 0),))
+        for b, m in jet[self.applied:]:
+            shear = ShearChange(ShearAxis.X2, b, m)
+            self.sheared = [apply_shear(G, shear) for G in self.sheared]
         self.applied = len(jet)
-        term = _series_term(self.F, jet[-1][1], self.bound)
+        if N != self.N:
+            self.N = N
+            self.index = next((i for i, (_, j) in enumerate(self.factors) if j == N), None)
+            if self.index is not None:
+                self.bound = _polynomial_root_degree_bound(self.factors[self.index][0])
+        if self.index is None:
+            return None
+        term = _series_term(self.sheared[self.index], jet[-1][1], self.bound)
         if term is None:
             return None
         if Fraction(N) <= steps[-1].distance:
             raise InternalInvariantViolation("stabilized multiplicity below distance")
         return PrincipalRootWitness(*term, N)
+
+    def distance(self) -> Fraction:
+        """The distance of the start sheared by the jet the factors carry:
+        that of the Minkowski sum of (ord_x1 c, 0) and i times each
+        sheared factor's polygon."""
+        assert self.factors is not None and self.content is not None
+        parts = [(newton_polyhedron(G), i) for G, (_, i) in zip(self.sheared, self.factors)]
+        return distance(minkowski_sum([(self.content, 1), *parts]))
 
 
 def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
@@ -350,7 +386,8 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
     swapped = report.axis_swapped and not report.adapted
     start = swap_axes(f) if swapped else f
     certificate = _Certificate(start)
-    g = start
+    # start sheared by the jet; None while the certificate reads the steps
+    g: BiPoly | None = start
     rep = report
     d = rep.distance
     # g's witness read off the certificate; None while g has a verdict
@@ -375,13 +412,17 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
             raise InternalInvariantViolation("root multiplicity increased along the jet")
         steps.append(AdaptStep(w.multiplicity, w.exponent, d))
         jet.append((w.coefficient, w.exponent))
-        g = apply_shear(g, ShearChange(ShearAxis.X2, w.coefficient, w.exponent))
         read = certificate.witness(jet, steps)
         if read is None or len(steps) == max_steps:
+            if g is None:
+                g = apply_jet(start, jet)
+            else:
+                g = apply_shear(g, ShearChange(ShearAxis.X2, w.coefficient, w.exponent))
             rep = _verdict(g)
             d_next = rep.distance
         else:
-            d_next = distance(build_polyhedron(g.num))
+            g = None
+            d_next = certificate.distance()
         if d_next <= d:
             raise InternalInvariantViolation("shear failed to increase the distance")
         d = d_next
@@ -396,6 +437,8 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
             f"no adapted system within {max_steps} shears and no "
             "non-termination certificate; retry with a larger max_steps"
         )
+    # the loop ends on a verdict of g, so g is current
+    assert g is not None
     return AdaptResult(
         jet=RootJet(tuple(jet), truncated=not rep.adapted),
         axis_swapped=swapped,

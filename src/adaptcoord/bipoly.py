@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd as int_gcd, lcm
+from math import comb, gcd as int_gcd, lcm
 from operator import index
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -418,11 +418,71 @@ def apply_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
     return BiPoly._of(out, f.den * bd_powers[K])
 
 
+def _dense_product(a: list[int], b: list[int]) -> list[int]:
+    """a*b for integer rows, lowest degree first, b no longer than a: one
+    shifted multiple of a for each nonzero entry of b.  A square, a is b,
+    takes each cross term once, doubled, so it costs half the products."""
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for i, c in enumerate(b):
+        if not c:
+            continue
+        if a is b:
+            out[2 * i] += c * c
+            lo, hi, tail, c = 2 * i + 1, i + n, a[i + 1:], 2 * c
+        else:
+            lo, hi, tail = i, i + n, a
+        out[lo:hi] = [x + c * y for x, y in zip(out[lo:hi], tail)]
+    return out
+
+
 def apply_jet(f: BiPoly, jet: Iterable[tuple[Fraction, int]]) -> BiPoly:
-    """Apply a chain of x2-shears in order."""
-    for b, m in jet:
-        f = apply_shear(f, ShearChange(ShearAxis.X2, b, m))
-    return f
+    """f(x1, x2 + phi) for phi = sum b*x1^m over the terms (b, m) of
+    `jet`: the chain of x2-shears by those terms, composed once.
+
+    x2-shears commute and add, so the chain is the one substitution x2 ->
+    x2 + phi, in any order of the terms; each term must be a shear, with
+    b nonzero and m >= 1, or ValueError is raised.  With f = sum_k
+    a_k(x1)*x2^k / den of x2-degree K, D the lcm of the b's denominators
+    and P = D*phi in Z[x1],
+
+        den * D^K * f(x1, x2 + phi)
+            = sum_i x2^i * sum_(k >= i) C(k, i) * D^(K-k+i) * a_k * P^(k-i).
+
+    The K + 1 powers P^e are dense integer rows in x1, computed once,
+    each the last times P (P^2 as a square), and scaled to Q_e =
+    D^(K-e) * P^e; a term c*x1^j*x2^k of f adds C(k, e)*c*Q_e, shifted by
+    j, to row k - e for every e <= k.  So the work is one pass of shifted
+    multiples, not one shear per term of a polynomial that grows with
+    every term of the jet.
+    """
+    terms = [(_frac(b), index(m)) for b, m in jet]
+    for b, m in terms:
+        if not b or m < 1:
+            raise ValueError(f"jet term ({b}, {m}) is no shear: b must be nonzero, m >= 1")
+    if f.is_zero or not terms:
+        return f
+    D = lcm(*(b.denominator for b, _ in terms))
+    P = [0] * (max(m for _, m in terms) + 1)
+    for b, m in terms:
+        P[m] += b.numerator * (D // b.denominator)
+    while P and not P[-1]:
+        P.pop()
+    K = f.x2_degree
+    if not P or K < 1:
+        return f
+    powers = [[1], P]
+    for _ in range(K - 1):
+        powers.append(_dense_product(powers[-1], P))
+    Q = [[D ** (K - e) * y for y in row] for e, row in enumerate(powers)]
+    width = max(j for j, _ in f.num) + len(Q[-1])
+    rows = [[0] * width for _ in range(K + 1)]
+    for (j, k), c in f.num.items():
+        for e in range(k + 1):
+            q, row, cc = Q[e], rows[k - e], comb(k, e) * c
+            row[j:j + len(q)] = [x + cc * y for x, y in zip(row[j:j + len(q)], q)]
+    out = {(j, i): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
+    return BiPoly._of(out, f.den * D**K)
 
 
 def swap_axes(f: BiPoly) -> BiPoly:

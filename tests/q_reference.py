@@ -1,11 +1,12 @@
 """Division and Euclid's gcd over Q, on tuples of Fractions, lowest
 degree first, with no trailing zeros, the product of integer rows that
 builds test inputs, rational roots found by the Sturm chain alone, and
-the straightforward forms of three kernels: the base-xi digit loop, the
-Newton staircase from a sort of the whole support, and the Taylor shift
-of a shear as a nested loop, and the shear iteration with a full verdict
-on every polynomial.  No kernel uses them: they are the reference the
-integer kernels and adapt are tested against."""
+the straightforward forms of four kernels: the base-xi digit loop, the
+Newton staircase from a sort of the whole support, the Taylor shift of
+a shear as a nested loop, and a jet as one shear per term, and the
+shear iteration with a full verdict on every polynomial.  No kernel uses
+them: they are the reference the integer kernels and adapt are tested
+against."""
 
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from adaptcoord.bipoly import (
     ShearAxis,
     ShearChange,
     Term,
-    apply_jet,
     apply_shear,
     squarefree_part_x2,
     swap_axes,
@@ -168,6 +168,14 @@ def nested_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
     return BiPoly._of(out, f.den * bd**K)
 
 
+def sequential_jet(f: BiPoly, jet) -> BiPoly:
+    """apply_jet as the chain of x2-shears by the jet's terms (b, m), one
+    apply_shear per term, in order."""
+    for b, m in jet:
+        f = apply_shear(f, ShearChange(ShearAxis.X2, b, m))
+    return f
+
+
 def _certify_at_cap(
     start: BiPoly, jet: list[tuple[Fraction, int]], steps: list[AdaptStep]
 ) -> int | None:
@@ -182,7 +190,7 @@ def _certify_at_cap(
     if not matching:
         return None
     F = matching[0]
-    low = _x1_extremes(apply_jet(F, jet), min)
+    low = _x1_extremes(sequential_jet(F, jet), min)
     if 0 not in low or 1 not in low:
         return None
     e0 = low[0]

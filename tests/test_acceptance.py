@@ -428,6 +428,23 @@ def test_timed_certified_report_on_sheared_cube(capsys):
     run_timed(capsys, "certified report on a sheared cube", 2.0, body)
 
 
+def test_timed_certified_triple_at_default_cap(capsys):
+    # the certificate holds at step 4; from there the product is not
+    # sheared, and the last polynomial (8,449 terms) is composed once
+    f = sheared_by(
+        "5*x2^4 + 2*x1^2*x2^3",
+        (ShearAxis.X2, -1, 2), (ShearAxis.X2, 1, 1), (ShearAxis.X1, 1, 2),
+    )
+
+    def body():
+        res = adapt(f)
+        assert res.height == 3
+        assert res.status is AdaptStatus.NONTERMINATING_CERTIFIED
+        assert len(res.jet.terms) == 64
+
+    run_timed(capsys, "certified triple at the default cap", 0.75, body)
+
+
 @pytest.mark.parametrize(
     "src, witness",
     [

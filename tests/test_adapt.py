@@ -16,7 +16,6 @@ from adaptcoord import (
     ShearAxis,
     ShearChange,
     adapt,
-    apply_jet,
     apply_shear,
     check_adapted,
     distance,
@@ -33,7 +32,7 @@ from adaptcoord.errors import (
     ZeroPolynomial,
 )
 from conftest import random_corpus, sheared_by, sheared_inputs
-from q_reference import verdict_loop_adapt
+from q_reference import sequential_jet, verdict_loop_adapt
 
 adapt_module = importlib.import_module("adaptcoord.adapt")
 
@@ -172,7 +171,7 @@ def test_adapt_applies_jet_consistently():
     f = parse("(x2 - x1^2 + x1^4)^2 + x1^9")
     res = adapt(f)
     assert res.status is AdaptStatus.TERMINATED
-    assert apply_jet(f, res.jet.terms) == res.final_poly
+    assert sequential_jet(f, res.jet.terms) == res.final_poly
     assert distance(newton_polyhedron(res.final_poly)) == res.height
 
 
@@ -204,7 +203,7 @@ def test_adapt_swapped_input_reports_frame():
     res = adapt(f)
     assert res.axis_swapped
     assert res.height == Fraction(10, 7)
-    assert apply_jet(swap_axes(f), res.jet.terms) == res.final_poly
+    assert sequential_jet(swap_axes(f), res.jet.terms) == res.final_poly
 
 
 def test_adapt_zero_and_low_order_inputs():
@@ -279,8 +278,9 @@ SHEARED_CUBE = sheared_by(
     "(x2*(1 + x1) - x1^2)^3*(x2 + x1)", (ShearAxis.X1, 1, 2), (ShearAxis.X2, 1, 3)
 )
 
-# the deep runs of the benchmark at their caps, the sheared cube, and
-# runs that reach their cap with no certificate
+# the deep runs of the benchmark at their caps, the sheared cube, a
+# certified run with an x1 factor and another factor whose root shares
+# the jet's first term, and runs that reach their cap with no certificate
 EQUIVALENCE_RUNS = [
     (parse("(x2*(1 + x1) - x1^2)^2"), 64),
     (parse("(x2*(3 + x1) - 2*x1^2)^2"), 24),
@@ -293,6 +293,7 @@ EQUIVALENCE_RUNS = [
         8,
     ),
     (SHEARED_CUBE, 16),
+    (parse("x1*(x2*(1 + x1) - x1^2)^5*(x2 - x1^2 + x1^4)"), 16),
     *((parse("(x2*(1 + x1) - x1^2)^2"), cap) for cap in (1, 2, 3, 4)),
     *((parse("(x2 - x1^2 - x1^3 - x1^4 - x1^5)^2"), cap) for cap in (3, 4, 8)),
 ]
@@ -323,7 +324,7 @@ def test_adapt_matches_the_verdict_loop():
         for name in AdaptResult._fields:
             assert getattr(got, name) == getattr(want, name), (f, cap, name)
         outcomes[want.status] += 1
-    assert outcomes[AdaptStatus.NONTERMINATING_CERTIFIED] == 10
+    assert outcomes[AdaptStatus.NONTERMINATING_CERTIFIED] == 11
     assert capped == 3
 
 
@@ -343,3 +344,40 @@ def test_certified_run_reads_its_steps_off_the_certificate(monkeypatch):
     # the input, the shears until the multiplicities are stable, the last
     assert calls["_verdict"] <= adapt_module.STABILIZATION_WINDOW + 2
     assert calls["squarefree_part_x2"] == 1
+
+
+def test_tail_distances_read_off_the_factors(monkeypatch):
+    # while the certificate holds, each step's distance is the Minkowski
+    # sum's over the sheared factors; it must be that of the product
+    # sheared by the jet so far, one apply_shear per term
+    readings: list[tuple[int, Fraction]] = []
+    original = adapt_module._Certificate.distance
+
+    def recorded(self):
+        d = original(self)
+        readings.append((self.applied, d))
+        return d
+
+    monkeypatch.setattr(adapt_module._Certificate, "distance", recorded)
+    pool = random_corpus(500) + [g for _, g in sheared_inputs(400)]
+    runs = EQUIVALENCE_RUNS + [(f, cap) for cap in (10, 64) for f in pool]
+    certified = read = 0
+    for f, cap in runs:
+        readings.clear()
+        res = _outcome(adapt, f, cap)
+        if res is IterationCapExceeded or res.status is not AdaptStatus.NONTERMINATING_CERTIFIED:
+            assert not readings, (f, cap)
+            continue
+        certified += 1
+        read += len(readings)
+        g = swap_axes(f) if res.axis_swapped else f
+        want = {}
+        for t, (b, m) in enumerate(res.jet.terms, 1):
+            g = sequential_jet(g, [(b, m)])
+            want[t] = distance(newton_polyhedron(g))
+            if t < cap:
+                assert res.steps[t].distance == want[t], (f, cap, t)
+        for t, d in readings:
+            assert d == want[t], (f, cap, t)
+    assert certified == 9
+    assert read >= 100

@@ -16,6 +16,7 @@ from adaptcoord import (
     ShearAxis,
     ShearChange,
     Weight,
+    adapt,
     apply_jet,
     apply_shear,
     parse,
@@ -25,8 +26,8 @@ from adaptcoord import (
     weighted_part,
 )
 from adaptcoord.unipoly import _z_deriv, _z_gcd
-from conftest import bipolys, coefficients, random_corpus, sheared_inputs
-from q_reference import exact_div, nested_shear, poly_gcd
+from conftest import bipolys, coefficients, random_corpus, sheared_by, sheared_inputs
+from q_reference import exact_div, nested_shear, poly_gcd, sequential_jet
 
 shear_exponents = st.integers(min_value=1, max_value=4)
 nonzero_bipolys = bipolys().filter(lambda f: not f.is_zero)
@@ -322,6 +323,61 @@ def test_apply_jet_is_shear_composition():
     f = parse("(x2 - x1^2 - x1^3)^2")
     jet = [(Fraction(1), 2), (Fraction(1), 3)]
     assert apply_jet(f, jet) == parse("x2^2")
+
+
+jets = st.lists(st.tuples(coefficients, shear_exponents), max_size=8)
+
+
+@given(bipolys(max_terms=8), jets, st.booleans(), st.booleans())
+@settings(max_examples=150)
+def test_apply_jet_matches_the_shear_chain(h, jet, undo, opposite):
+    # undo: f is h sheared back by the jet, so the jet cancels f down to
+    # h; opposite: each term is followed by its negative, so phi = 0
+    if opposite:
+        jet = [t for b, m in jet for t in ((b, m), (-b, m))]
+    f = sequential_jet(h, [(-b, m) for b, m in jet]) if undo else h
+    g = apply_jet(f, jet)
+    assert g == sequential_jet(f, jet)
+    if undo or opposite:
+        assert g == (h if undo else f)
+
+
+def test_apply_jet_rejects_what_a_shear_rejects():
+    f = parse("x2^2 + x1^3")
+    with pytest.raises(ValueError):
+        apply_jet(f, [(Fraction(1), 2), (Fraction(0), 3)])
+    with pytest.raises(ValueError):
+        apply_jet(f, [(Fraction(1), 0)])
+
+
+DEEP_JET_STARTS = [
+    ("jet-1+x1", parse("(x2*(1 + x1) - x1^2)^2"), 64),
+    ("jet-3+x1", parse("(x2*(3 + x1) - 2*x1^2)^2"), 24),
+    ("morse-14", parse("x2^2 + 10000000000037*x1^2"), 64),
+    (
+        "sheared-triple",
+        sheared_by(
+            "5*x2^4 + 2*x1^2*x2^3",
+            (ShearAxis.X2, -1, 2), (ShearAxis.X2, 1, 1), (ShearAxis.X1, 1, 2),
+        ),
+        8,
+    ),
+    (
+        "sheared-cube",
+        sheared_by(
+            "(x2*(1 + x1) - x1^2)^3*(x2 + x1)",
+            (ShearAxis.X1, 1, 2), (ShearAxis.X2, 1, 3),
+        ),
+        64,
+    ),
+]
+
+
+@pytest.mark.parametrize("name, f, cap", DEEP_JET_STARTS, ids=[c[0] for c in DEEP_JET_STARTS])
+def test_apply_jet_matches_the_shear_chain_on_deep_jets(name, f, cap):
+    res = adapt(f, cap)
+    start = swap_axes(f) if res.axis_swapped else f
+    assert apply_jet(start, res.jet.terms) == sequential_jet(start, res.jet.terms)
 
 
 @given(nonzero_bipolys)
