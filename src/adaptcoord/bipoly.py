@@ -7,9 +7,10 @@ one positive denominator, in lowest terms, so every kernel reads
 integers and equal polynomials have equal fields.  A shear is a Taylor
 shift of each weighted diagonal of the support, done with integer adds
 and multiplies.  The squarefree decomposition with respect to x2 fixes
-x1 at one large integer, decomposes the image with unipoly.py's Yun in
-Z[x2], and lifts each factor back to coprime integer coefficients,
-checked by the exact product.
+x1 at a power of two, packing each row into one integer by Kronecker
+substitution, decomposes the image with unipoly.py's Yun in Z[x2], and
+reads each factor back from the base-2**k digits of its coefficients,
+made coprime and checked by the exact product.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, gcd as int_gcd, lcm
+from math import comb, gcd as int_gcd, lcm, prod
 from operator import index
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -26,11 +27,11 @@ from .unipoly import (
     Row,
     UniPoly,
     _frac,
-    _z_adic,
-    _z_eval,
     _z_gcd,
+    _z_pack,
     _z_primitive,
     _z_quo,
+    _z_unpack,
     squarefree_decompose,
 )
 
@@ -504,7 +505,7 @@ def scale_axes(f: BiPoly, c1: Fraction | int, c2: Fraction | int) -> BiPoly:
 # A polynomial in x2 over Z[x1] is kept as a list of rows, entry k the
 # x1-polynomial that multiplies x2^k, each row a list of integers, lowest
 # degree first, no trailing zeros ([] is zero); the top row is nonzero.
-# Rows are evaluated, read back and made primitive with unipoly.py's Z[x]
+# Rows are packed, read back and made primitive with unipoly.py's Z[x]
 # helpers.
 
 
@@ -548,19 +549,22 @@ def squarefree_part_x2(f: BiPoly) -> tuple[tuple[BiPoly, int], ...]:
     coefficients, squarefree and pairwise coprime over the rational
     functions in x1, and multiplicities are strictly increasing.
 
-    x1 is fixed at an integer xi above the Cauchy bound of the top row
-    lc, so lc(xi) != 0 and the image in Z[x2] keeps f's degree.  Each
+    x1 is fixed at xi = 2**k, k the bit length of 2*max|c| + 2 over f's
+    primitive rows, so xi is above the Cauchy bound of the top row lc,
+    lc(xi) != 0 and the image in Z[x2] keeps f's degree; each row is
+    packed into its value at xi by Kronecker substitution (_z_pack).  Each
     squarefree factor g of the image, scaled to the leading coefficient
-    lc(xi), is read back in symmetric base xi and made primitive (Geddes,
-    Czapor & Labahn 1992, ch. 7).  The factors F are accepted only when
-    prod(F**j) is f's primitive part exactly.  Then each F(xi) is a
-    multiple of its g of the same degree, and a factor h of positive
-    degree repeated in one F, or shared by two, would divide f, so
-    lc(h)(xi) != 0 and h(xi) would be repeated in, or shared by, the
-    images: F is squarefree and the F pairwise coprime, so they are the
-    decomposition.  The true factors come back once xi avoids the
+    lc(xi), is read back in symmetric base xi (_z_unpack) and made
+    primitive (Geddes, Czapor & Labahn 1992, ch. 7).  The factors F are
+    accepted only when prod(F**j) is f's primitive part exactly.  Then
+    each F(xi) is a multiple of its g of the same degree, and a factor h
+    of positive degree repeated in one F, or shared by two, would divide
+    f, so lc(h)(xi) != 0 and h(xi) would be repeated in, or shared by,
+    the images: F is squarefree and the F pairwise coprime, so they are
+    the decomposition.  The true factors come back once xi avoids the
     finitely many roots of their discriminants and resultants and
-    exceeds twice the coefficients of (lc/lc F)*F; xi squares until then.
+    exceeds twice the coefficients of (lc/lc F)*F; k doubles, squaring
+    xi, until then.
     """
     if f.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
@@ -568,19 +572,17 @@ def squarefree_part_x2(f: BiPoly) -> tuple[tuple[BiPoly, int], ...]:
         raise DegenerateInX2("input does not involve x2")
     rows = _rows_primitive(_rows_of(f))
     target = _rows_to_bipoly(rows)
-    xi = 2 * max(abs(c) for row in rows for c in row) + 2
+    k = (2 * max(abs(c) for row in rows for c in row) + 2).bit_length()
     while True:
-        lead = _z_eval(rows[-1], xi)
+        image = tuple(_z_pack(row, k) for row in rows)
         found = []
-        product = BiPoly.constant(1)
-        for g, i in squarefree_decompose(UniPoly(tuple(_z_eval(row, xi) for row in rows))):
-            scale, r = divmod(lead, g.coeffs[-1])
+        for g, i in squarefree_decompose(UniPoly(image)):
+            scale, r = divmod(image[-1], g.coeffs[-1])
             if r:
                 break
-            F = _rows_to_bipoly(_rows_primitive([_z_adic(scale * c, xi) for c in g.coeffs]))
+            F = _rows_to_bipoly(_rows_primitive([_z_unpack(scale * c, k) for c in g.coeffs]))
             found.append((F, i))
-            product = product * F**i
         else:
-            if product == target:
+            if prod((F**i for F, i in found), start=BiPoly.constant(1)) == target:
                 return tuple(found)
-        xi *= xi
+        k *= 2

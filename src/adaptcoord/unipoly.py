@@ -5,10 +5,12 @@ no trailing zeros.  Roots, multiplicities and root counts do not change
 when a polynomial is scaled, so the kernels read the row as it is.
 Squarefree decomposition is Yun's algorithm in Z[y] with heuristic gcds
 checked by exact division; it is the one multiplicity kernel, which the
-adaptedness verdict reads too.  Real roots are counted (Sturm chains on
-half-open intervals) and isolated by bisection on one primitive
-remainder sequence, evaluated once at each bisection point, whose signs
-at a rational point are those of an integer.  Rational roots are read
+adaptedness verdict reads too.  A heuristic gcd evaluates at a power of
+two by Kronecker substitution: each row is packed into one integer, and
+the integer gcd read back, by shifts and masks.  Real roots are counted
+(Sturm chains on half-open intervals) and isolated by bisection on one
+primitive remainder sequence, evaluated once at each bisection point,
+whose signs at a rational point are those of an integer.  Rational roots are read
 off isolating intervals narrowed below 1/leading coefficient by the sign
 of the polynomial alone, so root finding costs time polynomial in the
 coefficient size.  bipoly.py reads its rows over Z[x1] with the Z[x]
@@ -115,9 +117,11 @@ def _z_exact_quo(a: Row, b: Row) -> Row:
     return q
 
 
-def _z_eval(a: Row, num: int, den: int = 1) -> int:
+def _z_eval(a: Row, num: int, den: int) -> int:
     """den**deg(a) * a(num/den), which has the sign of a(num/den) for
-    den > 0: the sum of c_i * num**i * den**(deg a - i)."""
+    den > 0: the sum of c_i * num**i * den**(deg a - i).  The kernels read
+    signs at rational points with it; the heuristic gcds evaluate at a
+    power of two with _z_pack."""
     acc = 0
     scale = 1
     for c in reversed(a):
@@ -126,48 +130,57 @@ def _z_eval(a: Row, num: int, den: int = 1) -> int:
     return acc
 
 
-def _z_adic(h: int, xi: int) -> Row:
-    """The digits of h in symmetric base xi > 2, lowest first: the d_i
-    with h = sum d_i*xi**i and -xi/2 < d_i <= xi/2, no trailing zeros.
+def _z_pack(a: Row, k: int) -> int:
+    """a(2**k), the Kronecker image of a at width k: the sum of its
+    coefficients shifted by k bits per degree.
 
-    Above xi**2 or so, |h| is split into unsigned digits by divide and
-    conquer on the repeated squares xi**(2**i) (Knuth, TAOCP vol. 2,
-    section 4.4): the divisions halve in size at each level, where one
-    division of all of h per digit is quadratic in its size.  The digit
-    loop then makes one carry pass from the lowest digit, with h's sign,
-    which moves every digit into (-xi/2, xi/2].  Below that size |h| is
-    one chunk, and the same loop takes its digits one at a time.
+    Up to 16 coefficients are packed by Horner's scheme with shifts.  A
+    longer row packs as its low half plus its high half shifted onto it,
+    so each level of the split is linear in the bits, where one shift of
+    a growing accumulator per coefficient would be quadratic.
     """
-    n = abs(h)
-    squares = [xi]
-    # n < xi**(2**(i + 1)) for the top square xi**(2**i)
-    while 2 * squares[-1].bit_length() - 1 <= n.bit_length():
-        squares.append(squares[-1] * squares[-1])
-    # highest first, so pop() gives the lowest
-    chunks = _z_digits(n, squares, len(squares) - 1) if len(squares) > 1 else [n]
+    if len(a) <= 16:
+        acc = 0
+        for c in reversed(a):
+            acc = (acc << k) + c
+        return acc
+    h = len(a) // 2
+    return _z_pack(a[:h], k) + (_z_pack(a[h:], k) << k * h)
+
+
+def _z_unpack(h: int, k: int) -> Row:
+    """The digits of h in symmetric base xi = 2**k, k >= 2, lowest first:
+    the d_i with h = sum d_i*xi**i and -xi/2 < d_i <= xi/2, no trailing
+    zeros; _z_pack's inverse on rows whose coefficients are in that range.
+
+    |h| is cut into its unsigned k-bit slices by _z_slices.  One carry
+    pass from the lowest slice, with h's sign, then moves every digit into
+    (-xi/2, xi/2]; the carry out of the top slice, 0 or h's sign, is the
+    last digit when it is not 0.
+    """
     sign = 1 if h > 0 else -1
+    xi = 1 << k
     out: Row = []
     v = 0
-    while chunks or v:
-        if chunks:
-            v += sign * chunks.pop()
+    for s in _z_slices(abs(h), k, -(-h.bit_length() // k)):
+        v += sign * s
         c = v % xi
         if c > xi // 2:
             c -= xi
         out.append(c)
-        v = (v - c) // xi
-    while out and not out[-1]:
-        out.pop()
-    return out
+        v = (v - c) >> k
+    return out + [v] if v else out
 
 
-def _z_digits(n: int, squares: list[int], i: int) -> Row:
-    """The 2**(i + 1) unsigned base-squares[0] digits of 0 <= n <
-    squares[i]**2, highest first, where squares[i] = squares[0]**(2**i)."""
-    hi, lo = divmod(n, squares[i])
-    if i == 0:
-        return [hi, lo]
-    return _z_digits(hi, squares, i - 1) + _z_digits(lo, squares, i - 1)
+def _z_slices(n: int, k: int, count: int) -> Row:
+    """The `count` lowest k-bit slices of n >= 0, lowest first.  Up to 16
+    are read by shift and mask; more are cut in halves, the low half by a
+    mask and the high half by a shift, so each level is linear in the
+    bits, where one shift of all of n per slice would be quadratic."""
+    if count <= 16:
+        return [n >> k * i & (1 << k) - 1 for i in range(count)]
+    h = count // 2
+    return _z_slices(n & (1 << k * h) - 1, k, h) + _z_slices(n >> k * h, k, count - h)
 
 
 def _z_primitive(a: Row) -> Row:
@@ -186,15 +199,18 @@ def _z_gcd(a: Row, b: Row) -> tuple[Row, Row, Row]:
     degree, so G is that part when one exact division shows it divides
     the other, and [1] otherwise, with no evaluation.
 
-    Every root of a and b is below xi/2 in size (Cauchy's bound), so a
-    factor Q of a of positive degree has |Q(xi)| > xi/2.  The integer
-    gcd of a(xi) and b(xi) is read back in symmetric base xi, with digits
-    of size at most xi/2, and the primitive part P of that candidate is
-    kept when it divides a and b.  Then P divides the gcd G, and G = P*Q
-    with deg Q > 0 is impossible: Q(xi) would divide the candidate's
-    content.  The integer gcd is k*G(xi), with k dividing the resultant
-    of the cofactors, so P is G once xi > 2*|k*G|; xi grows until then.
-    The cofactors returned are the exact quotients that accepted G.
+    Otherwise both are evaluated at xi = 2**k by Kronecker substitution
+    (_z_pack), k the bit length of 2*max|c| + 2 over both rows, so every
+    root of a and b is below xi/2 in size (Cauchy's bound), and a factor
+    Q of a of positive degree has |Q(xi)| > xi/2.  The integer gcd of
+    a(xi) and b(xi) is read back in symmetric base xi (_z_unpack), with
+    digits of size at most xi/2, and the primitive part P of that
+    candidate is kept when it divides a and b.  Then P divides the gcd G,
+    and G = P*Q with deg Q > 0 is impossible: Q(xi) would divide the
+    candidate's content.  The integer gcd is c*G(xi), with c dividing the
+    resultant of the cofactors, so P is G once xi > 2*|c*G|; k doubles,
+    squaring xi, until then.  The cofactors returned are the exact
+    quotients that accepted G.
     """
     if not a or not b:
         g = _z_primitive(a or b)
@@ -210,14 +226,14 @@ def _z_gcd(a: Row, b: Row) -> tuple[Row, Row, Row]:
             return [1], a, b
         unit = [lin[-1] // g[-1]]
         return (g, unit, q) if lin is a else (g, q, unit)
-    xi = 2 * max(max(map(abs, a)), max(map(abs, b))) + 2
+    k = (2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
     while True:
-        g = _z_primitive(_z_adic(gcd(_z_eval(a, xi), _z_eval(b, xi)), xi))
+        g = _z_primitive(_z_unpack(gcd(_z_pack(a, k), _z_pack(b, k)), k))
         qa = _z_quo(a, g)
         qb = None if qa is None else _z_quo(b, g)
         if qb is not None:
             return g, qa, qb
-        xi *= xi
+        k *= 2
 
 
 def squarefree_decompose(p: UniPoly) -> tuple[tuple[UniPoly, int], ...]:

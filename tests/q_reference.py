@@ -112,7 +112,8 @@ def chain_exact_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction, Fractio
 
 def digit_adic(h: int, xi: int) -> list[int]:
     """The digits of h in symmetric base xi, one long division by xi per
-    digit."""
+    digit: the reference for unipoly._z_unpack, which reads them at
+    xi = 2**k by bit slices."""
     out = []
     while h:
         c = h % xi

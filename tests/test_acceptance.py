@@ -446,14 +446,17 @@ def test_timed_certified_triple_at_default_cap(capsys):
 
 
 @pytest.mark.parametrize(
-    "src, witness",
+    "src, witness, limit",
     [
-        ("(x1 + x2)^300", (Fraction(-1), 1, 300)),
-        ("(3*x2 - 2*x1)^200", (Fraction(2, 3), 1, 200)),
+        ("(x1 + x2)^300", (Fraction(-1), 1, 300), 0.2),
+        ("(3*x2 - 2*x1)^200", (Fraction(2, 3), 1, 200), 0.2),
+        ("(x1 + x2)^2000", (Fraction(-1), 1, 2000), 0.5),
+        ("(3*x2 - 2*x1)^1000", (Fraction(2, 3), 1, 1000), 0.5),
     ],
 )
-def test_timed_verdict_on_a_power_of_a_line(capsys, src, witness):
-    # u = c*(A*y + B)^n: one deep linear factor of multiplicity n
+def test_timed_verdict_on_a_power_of_a_line(capsys, src, witness, limit):
+    # u = c*(A*y + B)^n: one deep linear factor of multiplicity n; the
+    # heuristic gcd packs rows of n + 1 coefficients of up to n bits each
     f = parse(src)
 
     def body():
@@ -461,7 +464,7 @@ def test_timed_verdict_on_a_power_of_a_line(capsys, src, witness):
         assert not rep.adapted
         assert rep.witness == witness
 
-    run_timed(capsys, f"verdict on {src}", 0.2, body)
+    run_timed(capsys, f"verdict on {src}", limit, body)
 
 
 @pytest.mark.parametrize(

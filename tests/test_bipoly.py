@@ -25,6 +25,7 @@ from adaptcoord import (
     swap_axes,
     weighted_part,
 )
+from adaptcoord import bipoly, unipoly
 from adaptcoord.unipoly import _z_deriv, _z_gcd
 from conftest import bipolys, coefficients, random_corpus, sheared_by, sheared_inputs
 from q_reference import exact_div, nested_shear, poly_gcd, sequential_jet
@@ -457,11 +458,25 @@ def _at(F: BiPoly, a: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-# two products whose first evaluation point lifts a wrong candidate
+# two products whose first width lifts a wrong candidate
 _UNLUCKY_PRODUCTS = (
-    "(x1^2 + 3*x1^2*x2^2)^2 * (2*x2 - 3*x1^3 - 2*x1^2*x2^2 + 2*x1^3*x2^2)",
-    "(3*x1^2*x2 - 2*x1^3 - 3*x1^3*x2)^2 * (-3*x1^2 + x1^2*x2 - x1^3*x2^2)",
+    "(-x1^3 - 3*x1^3*x2)^2 * (-2*x1^2 + x1^2*x2)",
+    "(-x1 - 3*x1*x2 + 2*x1^2*x2)^2 * (-x2 - 3*x1^2 - x1^3*x2)",
 )
+
+
+def _recorded(monkeypatch, module, name: str) -> list:
+    """The arguments of every call `module` makes to its function `name`
+    from now on, recorded as it runs."""
+    calls = []
+    inner = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 def test_squarefree_part_x2_oracle():
@@ -498,24 +513,30 @@ def test_squarefree_part_x2_oracle():
                 assert min(len(poly_gcd(_at(F, a), other(a))) for a in points) == 1
 
 
-def test_squarefree_part_x2_checks_the_lift_by_the_product():
-    # at the first point, x1 = 38 and x1 = 86, the multiplicity-1 factor
-    # of the image lifts to a polynomial that does not divide the input,
-    # 18*x2 + 11*x1^3 - x1^4 - 18*x1^2*x2^2 + 18*x1^3*x2^2 for the first;
-    # only the exact product rejects it
+def test_squarefree_part_x2_checks_the_lift_by_the_product(monkeypatch):
+    # at the first width, x1 = 2^5 and x1 = 2^6, every factor of the image
+    # lifts with no remainder, but the multiplicity-1 factor lifts to a
+    # polynomial that does not divide the input, 14 - x1 + 9*x2 for the
+    # first; only the exact product rejects it, and the width doubles once
+    packs = _recorded(monkeypatch, bipoly, "_z_pack")
+    products = _recorded(monkeypatch, bipoly, "prod")
     assert squarefree_part_x2(parse(_UNLUCKY_PRODUCTS[0])) == (
-        (parse("2*x2 - 3*x1^3 - 2*x1^2*x2^2 + 2*x1^3*x2^2"), 1),
-        (parse("1 + 3*x2^2"), 2),
+        (parse("x2 - 2"), 1),
+        (parse("1 + 3*x2"), 2),
     )
+    assert (sorted({k for _, k in packs}), len(products)) == ([5, 10], 2)
+    packs.clear()
+    products.clear()
     assert squarefree_part_x2(parse(_UNLUCKY_PRODUCTS[1])) == (
-        (parse("3 - x2 + x1*x2^2"), 1),
-        (parse("2*x1 - 3*x2 + 3*x1*x2"), 2),
+        (parse("x2 + 3*x1^2 + x1^3*x2"), 1),
+        (parse("2*x1*x2 - 3*x2 - 1"), 2),
     )
+    assert (sorted({k for _, k in packs}), len(products)) == ([6, 12], 2)
 
 
-def test_gcds_retry_past_an_unlucky_evaluation_point():
-    # at the first xi, the gcd of the images reads back to a candidate
-    # that does not divide the inputs
-    assert _z_gcd([6, 3, -7, 3], [0, 6, -12, 8, -2]) == (
-        [3, -3, 1], [2, 3], [0, 2, -2]
-    )
+def test_gcds_retry_past_an_unlucky_evaluation_point(monkeypatch):
+    # at the first width, k = 5, the gcd of the images reads back to a
+    # candidate that does not divide the inputs; k doubles once
+    packs = _recorded(monkeypatch, unipoly, "_z_pack")
+    assert _z_gcd([4, 10, 8, 2], [0, -6, -9, -3]) == ([2, 3, 1], [2, 2], [0, -3])
+    assert sorted({k for _, k in packs}) == [5, 10]

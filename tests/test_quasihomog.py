@@ -47,8 +47,16 @@ from adaptcoord.errors import (
 )
 from adaptcoord import quasihomog, unipoly
 from adaptcoord.quasihomog import deep_root
-from adaptcoord.unipoly import _z_eval, count_real_roots, squarefree_decompose
-from conftest import random_corpus
+from adaptcoord.unipoly import (
+    _z_eval,
+    _z_quo,
+    count_real_roots,
+    exact_real_roots,
+    rational_roots,
+    squarefree_decompose,
+    sturm_chain,
+)
+from conftest import random_corpus, sheared_inputs
 from q_reference import _z_mul
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -327,6 +335,51 @@ def test_deep_root_matches_yun_and_sturm(nu1, nu2, qp, c, roots, j, a):
     )
     if P.origin_order >= 2:
         assert analyze(P).principal_root == (None if want is None else (want[0], p))
+
+
+def chain_rational_multiplicities(u: UniPoly) -> dict[Fraction, int]:
+    """u's rational roots with their multiplicities, through no heuristic
+    gcd and no Yun loop: u over the last entry of its Sturm chain, a
+    primitive remainder sequence that ends at gcd(u, u') up to a constant,
+    is its squarefree part; exact_real_roots reads that part's rational
+    roots, and each root n/d's multiplicity is the number of times d*y - n
+    divides u exactly."""
+    chain = sturm_chain(u)
+    part = _z_quo(chain[0], chain[-1])
+    out = {}
+    for _, _, r in exact_real_roots(UniPoly(tuple(part))):
+        if r is not None:
+            row, mult = chain[0], 0
+            while (row := _z_quo(row, [-r.numerator, r.denominator])) is not None:
+                mult += 1
+            out[r] = mult
+    return out
+
+
+def test_deep_root_matches_the_chain_multiplicities():
+    # every compact edge of the corpus, of its sheared inputs and of
+    # powers of lines, in the orientation k1 <= k2 that the verdict reads;
+    # a real root deeper than d_h >= n/2 is rational, as its conjugates
+    # would be as deep
+    lines = [f"(x1 + x2)^{n}" for n in (2, 3, 7, 40, 300)]
+    lines += [f"(3*x2 - 2*x1)^{n}" for n in (2, 5, 60)]
+    lines += ["(x2 - 2*x1^2)^5 * (3*x2 + x1^2)^2", "(x2^2 - x1^3)^4 * x1^3"]
+    polys = random_corpus(200) + [f for _, f in sheared_inputs(200)] + [parse(s) for s in lines]
+    deep = 0
+    for f in polys:
+        for a, b in newton_polyhedron(f).edges:
+            edge, w = edge_root_polynomial(f, a, b), edge_weight(a, b)
+            if w.q > w.p:
+                nu1, nu2, q, p, n, u = edge
+                edge, w = (nu2, nu1, p, q, n, UniPoly(u.coeffs[::-1])), Weight(w.p, w.q, w.m)
+            d_h = Fraction(w.m, w.q + w.p)
+            mults = chain_rational_multiplicities(edge[-1])
+            assert dict(rational_roots(edge[-1])) == mults
+            want = [(r, mult) for r, mult in mults.items() if mult > d_h]
+            assert len(want) <= 1
+            assert deep_root(w, edge) == (want[0] if want else None), (str(f), a, b)
+            deep += bool(want)
+    assert deep >= 20
 
 
 def test_predict_shear_vertices_examples():
