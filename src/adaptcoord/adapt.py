@@ -27,15 +27,16 @@ coefficient degrees of F, so as soon as the next jet exponent provably
 exceeds that bound while F evaluated along the jet stays nonzero, the
 tracked root cannot be a polynomial and the iteration can never stop.
 The certificate is tried after every step once the multiplicities are
-stable, not only at the cap, with the squarefree factors carried along
+stable, not only at the cap, with the certified factor F carried along
 the jet one shear per step.  From the step where it holds, F fixes every
 later step: each is read off F's two lowest rows, and the product is no
-longer sheared.  The Newton polyhedron of a product is the Minkowski sum
-of its factors' polyhedra, so each step's distance is read exactly off
-the sheared factors' polygons, even when another factor's root shares
-the jet's first terms.  The last polynomial alone is built, once, as the
-start composed with x2 -> x2 + phi (bipoly.apply_jet), and gets a full
-verdict, which must agree with F.
+longer sheared.  The Newton polygon then keeps one vertex V = (j_V, N),
+an integer point fixed from the last verdict before the certificate
+held, and each principal edge runs from V to (j_V + m*N, 0), so each
+step's distance is (j_V + m*N)/(1 + m), with no polygon built.  The last
+polynomial alone is built, once, as the start composed with x2 -> x2 +
+phi (bipoly.apply_jet), and gets a full verdict, whose witness and
+distance must agree with that reading.
 """
 
 from __future__ import annotations
@@ -59,14 +60,7 @@ from .errors import (
     InternalInvariantViolation,
     IterationCapExceeded,
 )
-from .newton import (
-    HullAnalysis,
-    NewtonPolyhedron,
-    distance,
-    hull_analysis,
-    minkowski_sum,
-    newton_polyhedron,
-)
+from .newton import HullAnalysis, hull_analysis, newton_polyhedron
 from .quasihomog import _require_order_two, deep_root, edge_root_polynomial
 from .unipoly import UniPoly
 
@@ -264,104 +258,98 @@ class _Certificate:
     agree at some N >= 2 and the squarefree factor F of the start (axes
     normalized) with multiplicity N, sheared by the jet, passes
     _series_term: the iteration follows a root of F that is no polynomial,
-    so it never stops.  The squarefree factors are found at the first try
-    and carried along the jet from then on, each sheared once by each
-    term; F's root-degree bound is found once for each N.
+    so it never stops.  The squarefree factors are found at the first try,
+    and F alone is carried along the jet from then on, sheared once by
+    each term; when N changes, the new F is sheared from the start.
 
     Once it holds, the next verdict is read off G = F sheared by the jet:
     witness (b, m, N) with (b, m) from _series_term, and the distance
-    read off the sheared factors (below).  This is what _verdict(g)
-    returns.  The last step, _verdict's by induction, had witness
-    b_last*x1^m_last of multiplicity N, so exactly N roots of g have
-    order above m_last, and the others have order at most m_last.  G's
-    root, of order m > m_last, is a root of multiplicity N of g = c(x1) *
-    prod(G_i^i), so it is those N roots.
-    The (1, m)-initial form of a product is the product of the initial
-    forms, and no factor but G has a root of order m or more, so the
-    others give a monomial without x2: g's is x1^A * (G[e1, 1]*x2 +
-    G[e0, 0]*x1^m)^N.  So g's lowest edge runs from V = (j_V, N) to
-    (j_V + m*N, 0), with weight (1, m) and one root b of multiplicity N.
-    The shear by b_last*x1^m_last maps the last principal edge's terms
-    x1^L * P(x2/x1^m_last) to x1^L * P(x2/x1^m_last + b_last), whose lowest
-    power of x2 is N: g's (1, m_last)-face ends at row N on the line
-    j + m_last*k = L, where the boundary's point is V, so j_V = L -
-    m_last*N.  The last verdict crossed the diagonal at d_last = L/(1 +
-    m_last) < N, by condition (c), so j_V < d_last < N.  V lies above the
-    diagonal and (j_V + m*N, 0) below it, so the diagonal crosses the
-    lowest edge inside, below row N: that edge is the principal face,
-    q = 1 <= p = m needs no swap, and deep_root finds b, as n = N > j_V =
-    nu1 and N > d.  The certificate holds again after the shear by
-    b*x1^m: G's root keeps its terms of order above m and G's other roots
-    their orders below m, so every later step is read the same way.  If
-    it ever failed, the step would fall back to _verdict.
+    (j_V + m*N)/(1 + m) (below).  This is what _verdict(g) returns.  The
+    last step, _verdict's by induction, had witness b_last*x1^m_last of
+    multiplicity N, so exactly N roots of g have order above m_last, and
+    the others have order at most m_last.  G's root, of order m > m_last,
+    is a root of multiplicity N of g = c(x1) * prod(G_i^i), so it is those
+    N roots.  The (1, m)-initial form of a product is the product of the
+    initial forms, and no factor but G has a root of order m or more, so
+    the others give a monomial without x2: g's is x1^A * (G[e1, 1]*x2 +
+    G[e0, 0]*x1^m)^N.  So g's lowest edge runs from V = (j_V, N) to (j_V +
+    m*N, 0), with weight (1, m) and one root b of multiplicity N.  The
+    shear by b_last*x1^m_last maps the last principal edge's terms x1^L *
+    P(x2/x1^m_last) to x1^L * P(x2/x1^m_last + b_last), whose lowest power
+    of x2 is N: g's (1, m_last)-face ends at row N on the line j +
+    m_last*k = L, where the boundary's point is V, so j_V = L - m_last*N.
+    The last verdict crossed the diagonal at d_last = L/(1 + m_last) < N,
+    by condition (c), so j_V < d_last < N.  V lies above the diagonal and
+    (j_V + m*N, 0) below it, so the diagonal crosses the lowest edge
+    inside, below row N: that edge is the principal face, q = 1 <= p = m
+    needs no swap, and deep_root finds b, as n = N > j_V = nu1 and N > d.
+    The certificate holds again after the shear by b*x1^m: G's root keeps
+    its terms of order above m and G's other roots their orders below m,
+    so every later step is read the same way.  If it ever failed, the step
+    would fall back to _verdict.
 
-    g itself is not sheared while the certificate holds: its distance
-    comes from the factors.  A shear fixes x1 and is a ring map, so g =
-    c(x1) * prod(G_i^i) with G_i the factor of multiplicity i sheared by
-    the jet.  The Newton polyhedron of a product is the Minkowski sum of
-    the factors' polyhedra (newton.minkowski_sum): each vertex of the sum
-    is one sum of vertices, so no two products of terms cancel there.  c
-    adds the point (ord_x1 c, 0), and ord_x1 c is the least x1-exponent of
-    the start, as ord_x1 is additive and a primitive factor has a term
-    free of x1.  So the distance read this way is g's exactly, even when
-    another factor has a root that shares the jet's first terms and
-    reaches as deep a polygon as G's.
+    So the distance is read off the fixed vertex V, with no polygon: the
+    diagonal meets the edge from (j_V, N) to (j_V + m*N, 0), on the line
+    j + m*k = j_V + m*N, at (j_V + m*N)/(1 + m).  j_V is an integer, as L
+    and m_last are, and it does not change: the shear by b*x1^m ends g's
+    (1, m)-face at row N on the line j + m*k = j_V + m*N, which meets row
+    N at j_V again.  So it is taken once, off the last verdict's weight
+    (1, m_last, L), when the certificate first holds.  g itself is not
+    sheared while the certificate holds; the last polynomial's verdict
+    checks the reading.
     """
 
-    __slots__ = ("start", "factors", "sheared", "applied", "content", "N", "index", "bound")
+    __slots__ = ("start", "factors", "F", "applied", "N", "bound", "vertex")
 
     def __init__(self, start: BiPoly):
         self.start = start
         self.factors: tuple[tuple[BiPoly, int], ...] | None = None
-        # the factors sheared by the first `applied` terms of the jet
-        self.sheared: list[BiPoly] = []
+        # the factor of multiplicity N sheared by the first `applied` terms
+        # of the jet, None when no factor has multiplicity N
+        self.F: BiPoly | None = None
         self.applied = self.N = self.bound = 0
-        self.content: NewtonPolyhedron | None = None
-        # the position of F among the factors, None when no factor has
-        # multiplicity N
-        self.index: int | None = None
+        # j_V, once the certificate has held at this N
+        self.vertex: int | None = None
 
     def witness(
-        self, jet: list[tuple[Fraction, int]], steps: list[AdaptStep]
+        self, jet: list[tuple[Fraction, int]], steps: list[AdaptStep], last: Weight
     ) -> PrincipalRootWitness | None:
         """The witness of the polynomial sheared by `jet`, read off F, when
-        the certificate holds after `steps`; else None."""
+        the certificate holds after `steps`; else None.  `last` is the
+        weight of the last verdict, whose witness gave the jet's last term."""
         if len(steps) < STABILIZATION_WINDOW:
             return None
+        # multiplicities never increase along the jet (adapt checks)
         N = steps[-1].multiplicity
-        if N < 2 or any(s.multiplicity != N for s in steps[-STABILIZATION_WINDOW:]):
+        if N < 2 or steps[-STABILIZATION_WINDOW].multiplicity != N:
             return None
         if self.factors is None:
             self.factors = squarefree_part_x2(self.start)
-            self.sheared = [F for F, _ in self.factors]
-            # the start over prod(F**j) is c(x1), whose polygon is the
-            # point (ord_x1 c, 0)
-            self.content = NewtonPolyhedron(((min(j for j, _ in self.start.num), 0),))
-        for b, m in jet[self.applied:]:
-            shear = ShearChange(ShearAxis.X2, b, m)
-            self.sheared = [apply_shear(G, shear) for G in self.sheared]
-        self.applied = len(jet)
         if N != self.N:
-            self.N = N
-            self.index = next((i for i, (_, j) in enumerate(self.factors) if j == N), None)
-            if self.index is not None:
-                self.bound = _polynomial_root_degree_bound(self.factors[self.index][0])
-        if self.index is None:
+            self.N, self.applied, self.vertex = N, 0, None
+            self.F = next((F for F, j in self.factors if j == N), None)
+            if self.F is not None:
+                self.bound = _polynomial_root_degree_bound(self.F)
+        if self.F is None:
             return None
-        term = _series_term(self.sheared[self.index], jet[-1][1], self.bound)
+        for b, m in jet[self.applied:]:
+            self.F = apply_shear(self.F, ShearChange(ShearAxis.X2, b, m))
+        self.applied = len(jet)
+        term = _series_term(self.F, jet[-1][1], self.bound)
         if term is None:
             return None
-        if Fraction(N) <= steps[-1].distance:
+        if N <= steps[-1].distance:
             raise InternalInvariantViolation("stabilized multiplicity below distance")
+        if self.vertex is None:
+            self.vertex = last.m - last.p * N
         return PrincipalRootWitness(*term, N)
 
-    def distance(self) -> Fraction:
-        """The distance of the start sheared by the jet the factors carry:
-        that of the Minkowski sum of (ord_x1 c, 0) and i times each
-        sheared factor's polygon."""
-        assert self.factors is not None and self.content is not None
-        parts = [(newton_polyhedron(G), i) for G, (_, i) in zip(self.sheared, self.factors)]
-        return distance(minkowski_sum([(self.content, 1), *parts]))
+    def distance(self, m: int) -> Fraction:
+        """The distance of the start sheared by the jet F carries, whose
+        read witness has exponent m: the diagonal's crossing with the edge
+        from (j_V, N) to (j_V + m*N, 0)."""
+        assert self.vertex is not None
+        return Fraction(self.vertex + m * self.N, 1 + m)
 
 
 def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
@@ -375,7 +363,8 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
     (see _Certificate) instead of a full verdict, and the run goes on to the
     cap: the height is then the stabilized multiplicity, the jet is marked
     truncated, and the last polynomial's verdict, `final_check`, must agree
-    with F or InternalInvariantViolation is raised.  Raises
+    with F's witness and the distance read off the fixed vertex, or
+    InternalInvariantViolation is raised.  Raises
     IterationCapExceeded when the cap is hit and no certificate holds.
     """
     if max_steps < 1:
@@ -412,7 +401,7 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
             raise InternalInvariantViolation("root multiplicity increased along the jet")
         steps.append(AdaptStep(w.multiplicity, w.exponent, d))
         jet.append((w.coefficient, w.exponent))
-        read = certificate.witness(jet, steps)
+        read = certificate.witness(jet, steps, rep.weight)
         if read is None or len(steps) == max_steps:
             if g is None:
                 g = apply_jet(start, jet)
@@ -422,12 +411,16 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
             d_next = rep.distance
         else:
             g = None
-            d_next = certificate.distance()
+            d_next = certificate.distance(read.exponent)
         if d_next <= d:
             raise InternalInvariantViolation("shear failed to increase the distance")
         d = d_next
     if read is not None:
-        if rep.adapted or rep.witness != read:
+        if (
+            rep.adapted
+            or rep.witness != read
+            or rep.distance != certificate.distance(read.exponent)
+        ):
             raise InternalInvariantViolation("the last verdict disagrees with the certificate")
         status, height = AdaptStatus.NONTERMINATING_CERTIFIED, Fraction(read.multiplicity)
     elif rep.adapted:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -95,42 +94,6 @@ def build_polyhedron(points: Iterable[Term]) -> NewtonPolyhedron:
             hull.pop()
         hull.append(p)
     return NewtonPolyhedron(tuple(hull))
-
-
-# orders edge directions (q, p) by decreasing q/p, cross-multiplied
-_steepest_first = cmp_to_key(lambda a, b: b[0] * a[1] - a[0] * b[1])
-
-
-def minkowski_sum(parts: Iterable[tuple[NewtonPolyhedron, int]]) -> NewtonPolyhedron:
-    """The sum of n times P over the pairs (P, n) in `parts`, n >= 1.
-
-    The boundary of a sum of such staircases starts at the sum of their
-    first vertices and runs through all their compact edges, each scaled
-    by its n, in order of decreasing steepness; edges of one direction
-    merge into one.  So the vertices come from one merge of the edges,
-    with no hull of the points.  By Ostrowski's theorem this is the
-    polyhedron of the product of the n-th powers of polynomials with
-    polyhedra P: each vertex of the sum is one sum of vertices, whose
-    coefficients multiply to a nonzero coefficient of the product.
-    """
-    j0 = k0 = 0
-    lengths: dict[tuple[int, int], int] = {}
-    for np_, n in parts:
-        v = np_.vertices
-        j0 += n * v[0][0]
-        k0 += n * v[0][1]
-        for (ja, ka), (jb, kb) in zip(v, v[1:]):
-            g = gcd(jb - ja, ka - kb)
-            # the edge is g steps of (p, -q), slope -q/p in lowest terms
-            key = ((ka - kb) // g, (jb - ja) // g)
-            lengths[key] = lengths.get(key, 0) + n * g
-    vertices = [(j0, k0)]
-    for q, p in sorted(lengths, key=_steepest_first):
-        length = lengths[q, p]
-        j0 += length * p
-        k0 -= length * q
-        vertices.append((j0, k0))
-    return NewtonPolyhedron(tuple(vertices))
 
 
 def newton_polyhedron(f: BiPoly) -> NewtonPolyhedron:

@@ -10,10 +10,11 @@ two by Kronecker substitution: each row is packed into one integer, and
 the integer gcd read back, by shifts and masks.  Real roots are counted
 (Sturm chains on half-open intervals) and isolated by bisection on one
 primitive remainder sequence, evaluated once at each bisection point,
-whose signs at a rational point are those of an integer.  Rational roots are read
-off isolating intervals narrowed below 1/leading coefficient by the sign
-of the polynomial alone, so root finding costs time polynomial in the
-coefficient size.  bipoly.py reads its rows over Z[x1] with the Z[x]
+whose signs at a rational point are those of an integer; bisection
+starts from a power-of-two bound, so every point is dyadic.  Rational
+roots are read off isolating intervals narrowed below 1/leading
+coefficient by the sign of the polynomial alone, so root finding costs
+time polynomial in the coefficient size.  bipoly.py reads its rows over Z[x1] with the Z[x]
 helpers here, and decomposes in x2 with the Yun loop here.  No floating
 point anywhere.
 """
@@ -356,11 +357,15 @@ def count_real_roots(
 
 
 def root_bound(p: UniPoly) -> Fraction:
-    """Cauchy bound: every real root lies in (-B, B]."""
+    """Cauchy's bound 1 + max|c|/|lc|, rounded up to a power of two B:
+    every real root lies in (-B, B), and every point that bisection from
+    -B and B reaches is dyadic, m/2^e, so evaluating there scales by a
+    power of two and not by a power of the leading coefficient."""
     if p.is_zero or p.degree == 0:
         return Fraction(1)
     lead = abs(p.coeffs[-1])
-    return Fraction(lead + max(map(abs, p.coeffs[:-1])), lead)
+    ceiling = -(-(lead + max(map(abs, p.coeffs[:-1]))) // lead)
+    return Fraction(1 << (ceiling - 1).bit_length())
 
 
 def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:

@@ -501,6 +501,22 @@ def test_timed_shear_vertices_of_forty_lines(capsys, b, last):
     run_timed(capsys, f"shear vertices of forty lines at b = {b}", 0.5, body)
 
 
+def test_timed_depth_two_clusters_on_forty_lines(capsys):
+    # root_bound is a power of two, so every bisection point of u's
+    # isolation and narrowing is dyadic and scales by a power of two, not
+    # by a power of u's leading coefficient 40!
+    P = parse(P40)
+    lines = {Fraction(i + 1, i) for i in range(1, 41)}
+
+    def body():
+        (cluster,) = top_clusters(P, depth=2).clusters
+        assert (cluster.exponent, cluster.count) == (1, 40)
+        assert {r.coefficient for r in cluster.refinements} == lines
+        assert all(r.count == 1 for r in cluster.refinements)
+
+    run_timed(capsys, "depth-2 clusters on forty lines", 1.0, body)
+
+
 def test_timed_depth_two_clusters_and_roots_of_thirty_lines(capsys):
     # u has leading coefficient 30!, so each isolating interval is narrowed
     # below 1/30! by the sign of u, not by its 31-row Sturm chain

@@ -35,6 +35,7 @@ from conftest import random_corpus, sheared_by, sheared_inputs
 from q_reference import sequential_jet, verdict_loop_adapt
 
 adapt_module = importlib.import_module("adaptcoord.adapt")
+newton_module = importlib.import_module("adaptcoord.newton")
 
 # (input, exact height) pairs worked out by hand
 HEIGHT_CASES = [
@@ -277,6 +278,10 @@ def test_adapt_is_deterministic():
 SHEARED_CUBE = sheared_by(
     "(x2*(1 + x1) - x1^2)^3*(x2 + x1)", (ShearAxis.X1, 1, 2), (ShearAxis.X2, 1, 3)
 )
+SHEARED_TRIPLE = sheared_by(
+    "5*x2^4 + 2*x1^2*x2^3",
+    (ShearAxis.X2, -1, 2), (ShearAxis.X2, 1, 1), (ShearAxis.X1, 1, 2),
+)
 
 # the deep runs of the benchmark at their caps, the sheared cube, a
 # certified run with an x1 factor and another factor whose root shares
@@ -285,13 +290,7 @@ EQUIVALENCE_RUNS = [
     (parse("(x2*(1 + x1) - x1^2)^2"), 64),
     (parse("(x2*(3 + x1) - 2*x1^2)^2"), 24),
     (parse("x2^2 + 10000000000037*x1^2"), 64),
-    (
-        sheared_by(
-            "5*x2^4 + 2*x1^2*x2^3",
-            (ShearAxis.X2, -1, 2), (ShearAxis.X2, 1, 1), (ShearAxis.X1, 1, 2),
-        ),
-        8,
-    ),
+    (SHEARED_TRIPLE, 8),
     (SHEARED_CUBE, 16),
     (parse("x1*(x2*(1 + x1) - x1^2)^5*(x2 - x1^2 + x1^4)"), 16),
     *((parse("(x2*(1 + x1) - x1^2)^2"), cap) for cap in (1, 2, 3, 4)),
@@ -329,32 +328,44 @@ def test_adapt_matches_the_verdict_loop():
 
 
 def test_certified_run_reads_its_steps_off_the_certificate(monkeypatch):
-    calls = {"_verdict": 0, "squarefree_part_x2": 0}
+    calls = {"_verdict": 0, "squarefree_part_x2": 0, "apply_shear": 0, "build_polyhedron": 0}
     for name in calls:
-        original = getattr(adapt_module, name)
+        module = newton_module if name == "build_polyhedron" else adapt_module
+        original = getattr(module, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(adapt_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     res = adapt(parse("(x2*(1 + x1) - x1^2)^2"))
     assert res.status is AdaptStatus.NONTERMINATING_CERTIFIED
     assert len(res.steps) == adapt_module.DEFAULT_MAX_STEPS
     # the input, the shears until the multiplicities are stable, the last
     assert calls["_verdict"] <= adapt_module.STABILIZATION_WINDOW + 2
     assert calls["squarefree_part_x2"] == 1
+    # one hull per verdict: the read steps build none
+    assert calls["build_polyhedron"] == 4
+    # the benchmark's sheared triple at cap 8: its certificate holds at
+    # step 4, so 3 shears of the product and one of F per jet term, and
+    # one hull for each of its 5 verdicts
+    for name in calls:
+        calls[name] = 0
+    res = adapt(SHEARED_TRIPLE, 8)
+    assert res.status is AdaptStatus.NONTERMINATING_CERTIFIED
+    assert (calls["apply_shear"], calls["build_polyhedron"]) == (11, 5)
 
 
 def test_tail_distances_read_off_the_factors(monkeypatch):
-    # while the certificate holds, each step's distance is the Minkowski
-    # sum's over the sheared factors; it must be that of the product
-    # sheared by the jet so far, one apply_shear per term
+    # while the certificate holds, each step's distance is read off the
+    # fixed vertex (j_V, N) and the exponent of F's next term; it must be
+    # that of the product sheared by the jet so far, one apply_shear per
+    # term, and so must the reading checked against the last verdict
     readings: list[tuple[int, Fraction]] = []
     original = adapt_module._Certificate.distance
 
-    def recorded(self):
-        d = original(self)
+    def recorded(self, m):
+        d = original(self, m)
         readings.append((self.applied, d))
         return d
 

@@ -33,8 +33,6 @@ from adaptcoord import (
     principal_part,
 )
 from adaptcoord.errors import EmptySupport, ZeroPolynomial
-from adaptcoord.newton import NewtonPolyhedron, minkowski_sum
-from conftest import bipolys
 from q_reference import sorted_staircase
 
 supports = st.sets(
@@ -331,32 +329,3 @@ def test_hull_analysis_weights_match_the_face_conventions(support):
     assert hull.edge_weights == tuple(edge_weight(a, b) for a, b in np_.edges)
     if hull.distance > 0:
         assert hull.weight == principal_face_weight(hull.face)
-
-
-@given(
-    st.lists(
-        st.tuples(
-            bipolys(max_terms=5).filter(lambda f: not f.is_zero),
-            st.integers(min_value=1, max_value=3),
-        ),
-        min_size=1,
-        max_size=3,
-    ),
-    st.integers(min_value=0, max_value=4),
-)
-@settings(max_examples=100)
-def test_minkowski_sum_is_the_hull_of_the_product(parts, content):
-    product = BiPoly.monomial(content, 0)
-    for f, n in parts:
-        product = product * f**n
-    polygons = [(NewtonPolyhedron(((content, 0),)), 1)]
-    polygons += [(newton_polyhedron(f), n) for f, n in parts]
-    assert minkowski_sum(polygons) == build_polyhedron(product.num)
-
-
-def test_minkowski_sum_merges_parallel_edges():
-    # two factors with an edge of slope -1/2 each, and a vertex
-    f, g = parse("x2 + x1^2"), parse("x2^2 + 3*x1^4 + x1^5*x2")
-    got = minkowski_sum([(newton_polyhedron(f), 2), (newton_polyhedron(g), 1)])
-    assert got.vertices == ((0, 4), (8, 0))
-    assert got == build_polyhedron((f**2 * g).num)
