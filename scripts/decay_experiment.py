@@ -18,6 +18,7 @@ import sys
 import time
 
 from adaptcoord import DEFAULT_MAX_STEPS, adapt, fit_decay, parse
+from adaptcoord.oscillatory import DEFAULT_RADIUS
 
 DEFAULT_CASES = [
     "x1^2 + x2^2",
@@ -62,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--lambda-min", type=float, default=10.0)
     ap.add_argument("--lambda-max", type=float, default=1.0e4)
     ap.add_argument("--points", type=int, default=7)
-    ap.add_argument("--radius", type=float, default=0.5)
+    ap.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
     ap.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args(argv)

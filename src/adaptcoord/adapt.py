@@ -33,10 +33,14 @@ later step: each is read off F's two lowest rows, and the product is no
 longer sheared.  The Newton polygon then keeps one vertex V = (j_V, N),
 an integer point fixed from the last verdict before the certificate
 held, and each principal edge runs from V to (j_V + m*N, 0), so each
-step's distance is (j_V + m*N)/(1 + m), with no polygon built.  The last
-polynomial alone is built, once, as the start composed with x2 -> x2 +
-phi (bipoly.apply_jet), and gets a full verdict, whose witness and
-distance must agree with that reading.
+step's distance is (j_V + m*N)/(1 + m), with no polygon built.  Once the
+certificate holds it holds at every later step, so a run has two phases:
+a verdict on every sheared polynomial until the certificate holds, then
+readings off F to the cap, where a failing certificate is an
+InternalInvariantViolation.  After the loop the last polynomial alone is
+built, once, as the start composed with x2 -> x2 + phi
+(bipoly.apply_jet), and gets a full verdict, whose witness and distance
+must agree with that reading.
 """
 
 from __future__ import annotations
@@ -117,8 +121,10 @@ class AdaptStatus(Enum):
 
 class AdaptResult(NamedTuple):
     """`input_check` is check_adapted(f) on the input as given;
-    `final_check` is the loop's last verdict, on `final_poly`, so its
-    hull is the Newton data of `final_poly`."""
+    `final_check` is the verdict on `final_poly`, so its hull is the
+    Newton data of `final_poly`: the last verdict of the shear loop, or,
+    in a certified run, the one verdict on the polynomial composed after
+    the loop, which agrees with the certificate's reading."""
 
     jet: RootJet
     axis_swapped: bool
@@ -196,13 +202,27 @@ def shear_step(f: BiPoly) -> tuple[ShearChange, BiPoly]:
     report = check_adapted(f)
     if report.adapted:
         raise AlreadyAdapted("coordinates are already adapted")
-    assert report.witness is not None
-    g = swap_axes(f) if report.axis_swapped else f
-    shear = ShearChange(ShearAxis.X2, report.witness.coefficient, report.witness.exponent)
-    g_next = apply_shear(g, shear)
-    if _verdict(g_next).distance <= report.distance:
+    shear, g, _ = _shear(swap_axes(f) if report.axis_swapped else f, report)
+    return shear, g
+
+
+def _shear(g: BiPoly, rep: AdaptednessReport) -> tuple[ShearChange, BiPoly, AdaptednessReport]:
+    """The shear by the witness of rep, the verdict on g (axes normalized),
+    with g sheared by it and the result's verdict; raises
+    InternalInvariantViolation unless the distance grew."""
+    assert rep.witness is not None
+    shear = ShearChange(ShearAxis.X2, rep.witness.coefficient, rep.witness.exponent)
+    g = apply_shear(g, shear)
+    rep_next = _verdict(g)
+    _grown(rep_next.distance, rep.distance)
+    return shear, g, rep_next
+
+
+def _grown(d_next: Fraction, d: Fraction) -> Fraction:
+    """d_next, the distance after a shear, when it exceeds d, the one before."""
+    if d_next <= d:
         raise InternalInvariantViolation("shear failed to increase the distance")
-    return shear, g_next
+    return d_next
 
 
 def _x1_extremes(F: BiPoly, pick) -> dict[int, int]:
@@ -285,8 +305,9 @@ class _Certificate:
     needs no swap, and deep_root finds b, as n = N > j_V = nu1 and N > d.
     The certificate holds again after the shear by b*x1^m: G's root keeps
     its terms of order above m and G's other roots their orders below m,
-    so every later step is read the same way.  If it ever failed, the step
-    would fall back to _verdict.
+    so every later step is read the same way, and the certificate never
+    fails once it has held: adapt raises InternalInvariantViolation if it
+    does.
 
     So the distance is read off the fixed vertex V, with no polygon: the
     diagonal meets the edge from (j_V, N) to (j_V + m*N, 0), on the line
@@ -303,10 +324,10 @@ class _Certificate:
 
     def __init__(self, start: BiPoly):
         self.start = start
-        self.factors: tuple[tuple[BiPoly, int], ...] | None = None
-        # the factor of multiplicity N sheared by the first `applied` terms
-        # of the jet, None when no factor has multiplicity N
-        self.F: BiPoly | None = None
+        # start's squarefree factors by multiplicity, found at the first try
+        self.factors: dict[int, BiPoly] | None = None
+        # N is 0 until a factor has the stable multiplicity N; then F is
+        # that factor sheared by the first `applied` terms of the jet
         self.applied = self.N = self.bound = 0
         # j_V, once the certificate has held at this N
         self.vertex: int | None = None
@@ -324,14 +345,12 @@ class _Certificate:
         if N < 2 or steps[-STABILIZATION_WINDOW].multiplicity != N:
             return None
         if self.factors is None:
-            self.factors = squarefree_part_x2(self.start)
+            self.factors = {j: F for F, j in squarefree_part_x2(self.start)}
         if N != self.N:
-            self.N, self.applied, self.vertex = N, 0, None
-            self.F = next((F for F, j in self.factors if j == N), None)
-            if self.F is not None:
-                self.bound = _polynomial_root_degree_bound(self.F)
-        if self.F is None:
-            return None
+            if N not in self.factors:
+                return None
+            self.N, self.F, self.applied, self.vertex = N, self.factors[N], 0, None
+            self.bound = _polynomial_root_degree_bound(self.F)
         for b, m in jet[self.applied:]:
             self.F = apply_shear(self.F, ShearChange(ShearAxis.X2, b, m))
         self.applied = len(jet)
@@ -352,6 +371,18 @@ class _Certificate:
         return Fraction(self.vertex + m * self.N, 1 + m)
 
 
+def _extend(
+    jet: list[tuple[Fraction, int]], steps: list[AdaptStep], w: PrincipalRootWitness, d: Fraction
+) -> None:
+    """Record the step by w from a polynomial at distance d."""
+    if jet and w.exponent <= jet[-1][1]:
+        raise InternalInvariantViolation("jet exponents failed to increase")
+    if steps and w.multiplicity > steps[-1].multiplicity:
+        raise InternalInvariantViolation("root multiplicity increased along the jet")
+    steps.append(AdaptStep(w.multiplicity, w.exponent, d))
+    jet.append((w.coefficient, w.exponent))
+
+
 def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
     """Construct an adapted coordinate system by iterated shears.
 
@@ -359,13 +390,15 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
     case the height is the final distance, or until `max_steps` shears have
     been applied.  The non-termination certificate is tried after every
     step once the multiplicities are stable, not only at the cap.  From the
-    step where it holds, each later step is read off the certified factor F
-    (see _Certificate) instead of a full verdict, and the run goes on to the
-    cap: the height is then the stabilized multiplicity, the jet is marked
-    truncated, and the last polynomial's verdict, `final_check`, must agree
-    with F's witness and the distance read off the fixed vertex, or
-    InternalInvariantViolation is raised.  Raises
-    IterationCapExceeded when the cap is hit and no certificate holds.
+    step where it holds, it holds at every later step (see _Certificate),
+    and each of them is read off the certified factor F instead of a full
+    verdict; if it ever failed again, InternalInvariantViolation would be
+    raised.  The run goes on to the cap: the height is then the stabilized
+    multiplicity, the jet is marked truncated, and the last polynomial,
+    composed once from the start, gets a verdict, `final_check`, that must
+    agree with F's witness and the distance read off the fixed vertex, or
+    InternalInvariantViolation is raised.  Raises IterationCapExceeded when
+    the cap is hit and no certificate holds.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -375,63 +408,42 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
     swapped = report.axis_swapped and not report.adapted
     start = swap_axes(f) if swapped else f
     certificate = _Certificate(start)
-    # start sheared by the jet; None while the certificate reads the steps
-    g: BiPoly | None = start
-    rep = report
-    d = rep.distance
-    # g's witness read off the certificate; None while g has a verdict
+    g, rep = start, report
+    # the next step's witness read off the certificate, once it holds
     read: PrincipalRootWitness | None = None
     jet: list[tuple[Fraction, int]] = []
     steps: list[AdaptStep] = []
-    while len(steps) < max_steps:
-        if read is None:
-            if rep.adapted:
-                break
-            if steps and rep.axis_swapped:
-                raise InternalInvariantViolation(
-                    "axis orientation flipped after the first shear"
-                )
-            assert rep.witness is not None
-            w = rep.witness
-        else:
-            w = read
-        if jet and w.exponent <= jet[-1][1]:
-            raise InternalInvariantViolation("jet exponents failed to increase")
-        if steps and w.multiplicity > steps[-1].multiplicity:
-            raise InternalInvariantViolation("root multiplicity increased along the jet")
-        steps.append(AdaptStep(w.multiplicity, w.exponent, d))
-        jet.append((w.coefficient, w.exponent))
+    # verdict phase: g is start sheared by the jet, and rep its verdict
+    while not rep.adapted and len(steps) < max_steps:
+        if steps and rep.axis_swapped:
+            raise InternalInvariantViolation("axis orientation flipped after the first shear")
+        assert rep.witness is not None
+        _extend(jet, steps, rep.witness, rep.distance)
         read = certificate.witness(jet, steps, rep.weight)
-        if read is None or len(steps) == max_steps:
-            if g is None:
-                g = apply_jet(start, jet)
-            else:
-                g = apply_shear(g, ShearChange(ShearAxis.X2, w.coefficient, w.exponent))
-            rep = _verdict(g)
-            d_next = rep.distance
-        else:
-            g = None
-            d_next = certificate.distance(read.exponent)
-        if d_next <= d:
-            raise InternalInvariantViolation("shear failed to increase the distance")
-        d = d_next
-    if read is not None:
-        if (
-            rep.adapted
-            or rep.witness != read
-            or rep.distance != certificate.distance(read.exponent)
-        ):
-            raise InternalInvariantViolation("the last verdict disagrees with the certificate")
-        status, height = AdaptStatus.NONTERMINATING_CERTIFIED, Fraction(read.multiplicity)
-    elif rep.adapted:
+        if read is not None:
+            break
+        _, g, rep = _shear(g, rep)
+    if read is None:
+        if not rep.adapted:
+            raise IterationCapExceeded(
+                f"no adapted system within {max_steps} shears and no "
+                "non-termination certificate; retry with a larger max_steps"
+            )
         status, height = AdaptStatus.TERMINATED, rep.distance
     else:
-        raise IterationCapExceeded(
-            f"no adapted system within {max_steps} shears and no "
-            "non-termination certificate; retry with a larger max_steps"
-        )
-    # the loop ends on a verdict of g, so g is current
-    assert g is not None
+        # read phase: each step is read off the certificate, g is not sheared
+        d = _grown(certificate.distance(read.exponent), rep.distance)
+        while len(steps) < max_steps:
+            _extend(jet, steps, read, d)
+            read = certificate.witness(jet, steps, rep.weight)
+            if read is None:
+                raise InternalInvariantViolation("the certificate failed after it held")
+            d = _grown(certificate.distance(read.exponent), d)
+        g = apply_jet(start, jet)
+        rep = _verdict(g)
+        if rep.adapted or rep.witness != read or rep.distance != d:
+            raise InternalInvariantViolation("the last verdict disagrees with the certificate")
+        status, height = AdaptStatus.NONTERMINATING_CERTIFIED, Fraction(read.multiplicity)
     return AdaptResult(
         jet=RootJet(tuple(jet), truncated=not rep.adapted),
         axis_swapped=swapped,

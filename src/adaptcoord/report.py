@@ -268,13 +268,13 @@ def _cluster_check(f: BiPoly, verts: tuple[IntPair, ...], d: Fraction):
 
 
 def _run(
-    f: BiPoly, max_steps: int | None, run_adapt: bool
+    f: BiPoly, max_steps: int, run_adapt: bool
 ) -> tuple[AdaptednessReport, AdaptResult | None]:
     """The verdict on f and the shear iteration's result (None with
     run_adapt=False); the verdict is the result's input_check."""
     if not run_adapt:
         return check_adapted(f), None
-    result = adapt(f, DEFAULT_MAX_STEPS if max_steps is None else max_steps)
+    result = adapt(f, max_steps)
     return result.input_check, result
 
 
@@ -324,15 +324,15 @@ def _assemble(
 def build_report(
     f: BiPoly,
     source: str | None = None,
-    max_steps: int | None = None,
+    max_steps: int = DEFAULT_MAX_STEPS,
     run_adapt: bool = True,
 ) -> AnalysisReport:
     """Run the full pipeline on f and assemble the report.
 
     With run_adapt=False the shear iteration is skipped and the report
-    carries status "skipped" with no height; max_steps=None means
-    DEFAULT_MAX_STEPS.  IterationCapExceeded from the iteration propagates
-    to the caller.
+    carries status "skipped" with no height; `max_steps` is the cap of
+    the shear iteration.  IterationCapExceeded from the iteration
+    propagates to the caller.
     """
     return _assemble(f, source, *_run(f, max_steps, run_adapt))
 

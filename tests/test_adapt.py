@@ -27,6 +27,7 @@ from adaptcoord import (
 )
 from adaptcoord.errors import (
     AlreadyAdapted,
+    InternalInvariantViolation,
     IterationCapExceeded,
     NonvanishingGradient,
     ZeroPolynomial,
@@ -285,12 +286,15 @@ SHEARED_TRIPLE = sheared_by(
 
 # the deep runs of the benchmark at their caps, the sheared cube, a
 # certified run with an x1 factor and another factor whose root shares
-# the jet's first term, and runs that reach their cap with no certificate
+# the jet's first term, runs whose certificate first holds at the cap
+# (the triple at 4, the first input at 3) and runs that reach their cap
+# with no certificate
 EQUIVALENCE_RUNS = [
     (parse("(x2*(1 + x1) - x1^2)^2"), 64),
     (parse("(x2*(3 + x1) - 2*x1^2)^2"), 24),
     (parse("x2^2 + 10000000000037*x1^2"), 64),
     (SHEARED_TRIPLE, 8),
+    (SHEARED_TRIPLE, 4),
     (SHEARED_CUBE, 16),
     (parse("x1*(x2*(1 + x1) - x1^2)^5*(x2 - x1^2 + x1^4)"), 16),
     *((parse("(x2*(1 + x1) - x1^2)^2"), cap) for cap in (1, 2, 3, 4)),
@@ -323,7 +327,7 @@ def test_adapt_matches_the_verdict_loop():
         for name in AdaptResult._fields:
             assert getattr(got, name) == getattr(want, name), (f, cap, name)
         outcomes[want.status] += 1
-    assert outcomes[AdaptStatus.NONTERMINATING_CERTIFIED] == 11
+    assert outcomes[AdaptStatus.NONTERMINATING_CERTIFIED] == 12
     assert capped == 3
 
 
@@ -354,6 +358,27 @@ def test_certified_run_reads_its_steps_off_the_certificate(monkeypatch):
     res = adapt(SHEARED_TRIPLE, 8)
     assert res.status is AdaptStatus.NONTERMINATING_CERTIFIED
     assert (calls["apply_shear"], calls["build_polyhedron"]) == (11, 5)
+
+
+def test_certificate_failing_after_it_held_is_an_invariant_violation(monkeypatch):
+    # once the certificate holds it holds at every later step; a reading
+    # that fails after it held is a broken invariant, not a reason to go
+    # back to verdicts
+    original = adapt_module._series_term
+    state = {"held": False, "failed": False}
+
+    def fails_once_after_holding(G, m_last, bound):
+        if state["held"] and not state["failed"]:
+            state["failed"] = True
+            return None
+        term = original(G, m_last, bound)
+        state["held"] |= term is not None
+        return term
+
+    monkeypatch.setattr(adapt_module, "_series_term", fails_once_after_holding)
+    with pytest.raises(InternalInvariantViolation, match="after it held"):
+        adapt(parse("(x2*(1 + x1) - x1^2)^2"))
+    assert state["failed"]
 
 
 def test_tail_distances_read_off_the_factors(monkeypatch):
@@ -390,5 +415,5 @@ def test_tail_distances_read_off_the_factors(monkeypatch):
                 assert res.steps[t].distance == want[t], (f, cap, t)
         for t, d in readings:
             assert d == want[t], (f, cap, t)
-    assert certified == 9
+    assert certified == 10
     assert read >= 100

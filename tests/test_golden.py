@@ -36,7 +36,7 @@ CERTIFIED = "(x2*(1 + x1) - x1^2)^2"
 GOLDEN_SHA256 = "8761ae174936b15bcbdb85d80189469641f8218fc2674cb8864d2fbfb95639bf"
 
 
-def _parts(f, source=None, max_steps=None):
+def _parts(f, source=None, max_steps=DEFAULT_MAX_STEPS):
     # one run, reported and drawn exactly as `adaptcoord analyze --svg` does
     check, result = _run(f, max_steps, True)
     rep = _assemble(f, source, check, result)
@@ -48,9 +48,9 @@ def _parts(f, source=None, max_steps=None):
 
 def _cases():
     for expr in CURATED:
-        yield parse(expr), expr, None
+        yield parse(expr), expr, DEFAULT_MAX_STEPS
     for f in random_corpus(500):
-        yield f, None, None
+        yield f, None, DEFAULT_MAX_STEPS
     for cap in (8, DEFAULT_MAX_STEPS):
         yield parse(CERTIFIED), None, cap
 
@@ -66,9 +66,9 @@ def _public_svg(f, max_steps):
 
 def _equality_cases():
     for expr in CURATED:
-        yield parse(expr), None
+        yield parse(expr), DEFAULT_MAX_STEPS
     for f in random_corpus(500):
-        yield f, None
+        yield f, DEFAULT_MAX_STEPS
     for _, f in sheared_inputs(200):
         yield f, 10
     for cap in (8, DEFAULT_MAX_STEPS):

@@ -200,7 +200,7 @@ def _count_calls(monkeypatch, module: str, name: str) -> list:
 
 @pytest.mark.parametrize(
     "expr, max_steps, max_hulls",
-    [("(x2 - x1^2)^2 + x1^5", None, 4), ("(x2*(1 + x1) - x1^2)^2", 8, None)],
+    [("(x2 - x1^2)^2 + x1^5", DEFAULT_MAX_STEPS, 4), ("(x2*(1 + x1) - x1^2)^2", 8, None)],
 )
 def test_report_analyses_each_polynomial_once(monkeypatch, expr, max_steps, max_hulls):
     verdicts = _count_calls(monkeypatch, "adapt", "_verdict")
