@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from adaptcoord import DEFAULT_MAX_STEPS, adapt, fit_decay, parse
+from adaptcoord import DEFAULT_MAX_STEPS, AdaptcoordError, adapt, fit_decay, parse
 from adaptcoord.oscillatory import DEFAULT_RADIUS
 
 DEFAULT_CASES = [
@@ -67,7 +67,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args(argv)
-    rows = [run_case(src, args) for src in args.expressions]
+    try:
+        rows = [run_case(src, args) for src in args.expressions]
+    except (AdaptcoordError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
         return 0

@@ -21,6 +21,7 @@ from random import Random
 
 from adaptcoord import (
     DEFAULT_MAX_STEPS,
+    AdaptcoordError,
     BiPoly,
     IterationCapExceeded,
     adapt,
@@ -92,7 +93,11 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     t0 = time.perf_counter()
     corpus = random_corpus(args.count, args.seed)
-    rows = [survey_one(f, args.max_steps) for f in corpus]
+    try:
+        rows = [survey_one(f, args.max_steps) for f in corpus]
+    except (AdaptcoordError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     elapsed = time.perf_counter() - t0
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))

@@ -190,12 +190,13 @@ class BiPoly:
         reached, by induction on L: for L > 0 and G_L != 0 the right side
         has a nonzero G_(L - L(d_i)), visited earlier, which pushed L.  So
         each G the right side reads is final, and an L never pushed has
-        G_L = 0.  A one-term base has no offsets, and g = a0^n.
+        G_L = 0.  A one-term base has no offsets, and g = a0^n.  BiPoly is
+        immutable, so self**1 is self.
         """
         n = index(n)
         if n < 0:
             raise ValueError("negative power")
-        if not self.num:
+        if n == 1 or not self.num:
             return BiPoly.constant(1) if n == 0 else self
         k0, j0 = min((k, j) for j, k in self.num)
         a0 = self.num[j0, k0]
@@ -421,19 +422,12 @@ def apply_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
 
 def _dense_product(a: list[int], b: list[int]) -> list[int]:
     """a*b for integer rows, lowest degree first, b no longer than a: one
-    shifted multiple of a for each nonzero entry of b.  A square, a is b,
-    takes each cross term once, doubled, so it costs half the products."""
+    shifted multiple of a for each nonzero entry of b."""
     n = len(a)
     out = [0] * (n + len(b) - 1)
     for i, c in enumerate(b):
-        if not c:
-            continue
-        if a is b:
-            out[2 * i] += c * c
-            lo, hi, tail, c = 2 * i + 1, i + n, a[i + 1:], 2 * c
-        else:
-            lo, hi, tail = i, i + n, a
-        out[lo:hi] = [x + c * y for x, y in zip(out[lo:hi], tail)]
+        if c:
+            out[i:i + n] = [x + c * y for x, y in zip(out[i:i + n], a)]
     return out
 
 
@@ -450,12 +444,12 @@ def apply_jet(f: BiPoly, jet: Iterable[tuple[Fraction, int]]) -> BiPoly:
         den * D^K * f(x1, x2 + phi)
             = sum_i x2^i * sum_(k >= i) C(k, i) * D^(K-k+i) * a_k * P^(k-i).
 
-    The K + 1 powers P^e are dense integer rows in x1, computed once,
-    each the last times P (P^2 as a square), and scaled to Q_e =
-    D^(K-e) * P^e; a term c*x1^j*x2^k of f adds C(k, e)*c*Q_e, shifted by
-    j, to row k - e for every e <= k.  So the work is one pass of shifted
-    multiples, not one shear per term of a polynomial that grows with
-    every term of the jet.
+    The K + 1 powers P^e are dense integer rows in x1, each the last
+    times P, and the K + 1 powers of D are taken once; a term c*x1^j*x2^k
+    of f adds C(k, e)*c*D^(K-e) times P^e, shifted by j, to row k - e
+    for every e <= k.  So the work is one pass of shifted multiples, not
+    one shear per term of a polynomial that grows with every term of the
+    jet.
     """
     terms = [(_frac(b), index(m)) for b, m in jet]
     for b, m in terms:
@@ -475,15 +469,15 @@ def apply_jet(f: BiPoly, jet: Iterable[tuple[Fraction, int]]) -> BiPoly:
     powers = [[1], P]
     for _ in range(K - 1):
         powers.append(_dense_product(powers[-1], P))
-    Q = [[D ** (K - e) * y for y in row] for e, row in enumerate(powers)]
-    width = max(j for j, _ in f.num) + len(Q[-1])
+    D_powers = [D**i for i in range(K + 1)]
+    width = max(j for j, _ in f.num) + len(powers[-1])
     rows = [[0] * width for _ in range(K + 1)]
     for (j, k), c in f.num.items():
         for e in range(k + 1):
-            q, row, cc = Q[e], rows[k - e], comb(k, e) * c
-            row[j:j + len(q)] = [x + cc * y for x, y in zip(row[j:j + len(q)], q)]
+            p, row, cc = powers[e], rows[k - e], comb(k, e) * c * D_powers[K - e]
+            row[j:j + len(p)] = [x + cc * y for x, y in zip(row[j:j + len(p)], p)]
     out = {(j, i): c for i, row in enumerate(rows) for j, c in enumerate(row) if c}
-    return BiPoly._of(out, f.den * D**K)
+    return BiPoly._of(out, f.den * D_powers[K])
 
 
 def swap_axes(f: BiPoly) -> BiPoly:

@@ -114,30 +114,29 @@ def edge_weight(a: Term, b: Term) -> Weight:
 
 class HullAnalysis(NamedTuple):
     """The Newton data of one polynomial, from one pass over its polyhedron:
-    the distance, the principal face, and the weight of every compact edge
-    in the order of `polyhedron.edges`."""
+    the distance and the principal face.  The weights are read off the
+    faces when they are asked for."""
 
     polyhedron: NewtonPolyhedron
     distance: Fraction
     face: Face
-    edge_weights: tuple[Weight, ...]
 
     @property
     def weight(self) -> Weight:
         """principal_face_weight of the principal face."""
-        if self.face.is_compact_edge:
-            # edge i runs from vertex i to vertex i + 1
-            i = self.polyhedron.vertices.index(self.face.points[0])
-            return self.edge_weights[i]
         return principal_face_weight(self.face)
+
+    @property
+    def edge_weights(self) -> tuple[Weight, ...]:
+        """The weight of every compact edge, in the order of
+        `polyhedron.edges`."""
+        return tuple(edge_weight(a, b) for a, b in self.polyhedron.edges)
 
 
 def hull_analysis(np_: NewtonPolyhedron) -> HullAnalysis:
-    """Distance, principal face and weights of np_, each edge weight
-    computed once."""
+    """Distance and principal face of np_, from one diagonal crossing."""
     num, den, face = _diagonal_crossing(np_)
-    weights = tuple(edge_weight(a, b) for a, b in np_.edges)
-    return HullAnalysis(np_, Fraction(num, den), face, weights)
+    return HullAnalysis(np_, Fraction(num, den), face)
 
 
 def _diagonal_crossing(np_: NewtonPolyhedron) -> tuple[int, int, Face]:

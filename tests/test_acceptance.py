@@ -445,6 +445,20 @@ def test_timed_certified_triple_at_default_cap(capsys):
     run_timed(capsys, "certified triple at the default cap", 0.75, body)
 
 
+def test_timed_adapt_on_a_perturbed_power(capsys):
+    # the squarefree factor of multiplicity one is the input itself, and
+    # the lift check takes its first power as it is, without a recurrence
+    f = parse("(x2 - x1 - x1^2 - x1^3)^40 + x1^200")
+
+    def body():
+        res = adapt(f)
+        assert res.status is AdaptStatus.TERMINATED
+        assert res.height == Fraction(100, 3)
+        assert len(res.jet.terms) == 3
+
+    run_timed(capsys, "adapt on a perturbed 40th power", 0.5, body)
+
+
 @pytest.mark.parametrize(
     "src, witness, limit",
     [

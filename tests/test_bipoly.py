@@ -131,6 +131,13 @@ def test_powers_of_lines_match_the_binomial_theorem():
     }
 
 
+def test_first_power_is_the_base_itself():
+    # BiPoly is immutable: f**1 runs no recurrence over f's 1,682 terms
+    f = parse("(x2 - x1 - x1^2 - x1^3)^40 + x1^200")
+    assert len(f.num) == 1682
+    assert f**1 is f
+
+
 def _value(f: BiPoly, a: int, b: int) -> Fraction:
     return Fraction(sum(c * a**j * b**k for (j, k), c in f.num.items()), f.den)
 

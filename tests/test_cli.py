@@ -3,6 +3,7 @@ emission."""
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
@@ -298,3 +299,20 @@ def test_refused_decay_arguments_never_reach_the_shear_iteration(capsys, monkeyp
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize(
+    "script, argv, named",
+    [
+        ("height_survey", ["--count", "5", "--max-steps", "0"], "max_steps"),
+        ("decay_experiment", ["x2^2 - x1^3", "--points", "3"], "points"),
+        ("decay_experiment", ["x2^^2"], "expected"),
+    ],
+)
+def test_scripts_report_errors_without_a_traceback(capsys, script, argv, named):
+    # scripts/ is on the path: conftest imports the survey's corpus
+    assert importlib.import_module(script).main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
