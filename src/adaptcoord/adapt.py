@@ -28,19 +28,23 @@ exceeds that bound while F evaluated along the jet stays nonzero, the
 tracked root cannot be a polynomial and the iteration can never stop.
 The certificate is tried after every step once the multiplicities are
 stable, not only at the cap, with the certified factor F carried along
-the jet one shear per step.  From the step where it holds, F fixes every
-later step: each is read off F's two lowest rows, and the product is no
-longer sheared.  The Newton polygon then keeps one vertex V = (j_V, N),
-an integer point fixed from the last verdict before the certificate
-held, and each principal edge runs from V to (j_V + m*N, 0), so each
-step's distance is (j_V + m*N)/(1 + m), with no polygon built.  Once the
-certificate holds it holds at every later step, so a run has two phases:
-a verdict on every sheared polynomial until the certificate holds, then
-readings off F to the cap, where a failing certificate is an
-InternalInvariantViolation.  After the loop the last polynomial alone is
-built, once, as the start composed with x2 -> x2 + phi
-(bipoly.apply_jet), and gets a full verdict, whose witness and distance
-must agree with that reading.
+the jet one shear per step.  Before it decomposes the start, it
+decomposes the start's image at one integer x1 where the leading
+coefficient in x2 does not vanish: no factor of the start has a
+multiplicity above the image's largest, so a start that cannot have a
+factor of multiplicity N is never decomposed.  From the step where the
+certificate holds, F fixes every later step: each is read off F's two
+lowest rows, and the product is no longer sheared.  The Newton polygon
+then keeps one vertex V = (j_V, N), an integer point fixed from the last
+verdict before the certificate held, and each principal edge runs from V
+to (j_V + m*N, 0), so each step's distance is (j_V + m*N)/(1 + m), with
+no polygon built.  Once the certificate holds it holds at every later
+step, so a run has two phases: a verdict on every sheared polynomial
+until the certificate holds, then readings off F to the cap, where a
+failing certificate is an InternalInvariantViolation.  After the loop the
+last polynomial alone is built, once, as the start composed with x2 ->
+x2 + phi (bipoly.apply_jet), and gets a full verdict, whose witness and
+distance must agree with that reading.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .bipoly import (
     ShearAxis,
     ShearChange,
     Weight,
+    _rows_of,
     apply_jet,
     apply_shear,
     squarefree_part_x2,
@@ -66,7 +71,7 @@ from .errors import (
 )
 from .newton import HullAnalysis, hull_analysis, newton_polyhedron
 from .quasihomog import _require_order_two, deep_root, edge_root_polynomial
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _z_pack, squarefree_decompose
 
 DEFAULT_MAX_STEPS = 64
 STABILIZATION_WINDOW = 3
@@ -278,9 +283,21 @@ class _Certificate:
     agree at some N >= 2 and the squarefree factor F of the start (axes
     normalized) with multiplicity N, sheared by the jet, passes
     _series_term: the iteration follows a root of F that is no polynomial,
-    so it never stops.  The squarefree factors are found at the first try,
-    and F alone is carried along the jet from then on, sheared once by
-    each term; when N changes, the new F is sheared from the start.
+    so it never stops.  The squarefree factors are found at the first try
+    that passes a pre-test, and F alone is carried along the jet from then
+    on, sheared once by each term; when N changes, the new F is sheared
+    from the start.
+
+    The pre-test decomposes the start's image in Z[x2] at the first x1 = a
+    = 2**i (i = 0, 1, ...) where the top row lc does not vanish, and the
+    certificate fails while N exceeds the image's largest multiplicity.
+    That is a proof that the start has no factor of multiplicity N: write
+    the start as c(x1) * prod(F_i^i).  Then lc(a) = c(a) * prod(lc(F_i)(a))
+    != 0, so each F_i(a, x2) keeps its x2-degree, at least 1, and
+    F_i(a, x2)^i divides the image: no multiplicity of the start exceeds
+    the image's largest.  The image has the start's x2-degree, so it is
+    decomposed once and cheaply, where the start's own decomposition
+    lifts and checks many-term factors.
 
     Once it holds, the next verdict is read off G = F sheared by the jet:
     witness (b, m, N) with (b, m) from _series_term, and the distance
@@ -320,10 +337,12 @@ class _Certificate:
     checks the reading.
     """
 
-    __slots__ = ("start", "factors", "F", "applied", "N", "bound", "vertex")
+    __slots__ = ("start", "most", "factors", "F", "applied", "N", "bound", "vertex")
 
     def __init__(self, start: BiPoly):
         self.start = start
+        # the largest multiplicity of the start's image, once it is taken
+        self.most: int | None = None
         # start's squarefree factors by multiplicity, found at the first try
         self.factors: dict[int, BiPoly] | None = None
         # N is 0 until a factor has the stable multiplicity N; then F is
@@ -343,6 +362,14 @@ class _Certificate:
         # multiplicities never increase along the jet (adapt checks)
         N = steps[-1].multiplicity
         if N < 2 or steps[-STABILIZATION_WINDOW].multiplicity != N:
+            return None
+        if self.most is None:
+            rows = _rows_of(self.start)
+            # the top row has fewer roots than entries, so one of these is no root
+            a = next(i for i in range(len(rows[-1])) if _z_pack(rows[-1], i))
+            image = UniPoly(tuple(_z_pack(row, a) for row in rows))
+            self.most = max(i for _, i in squarefree_decompose(image))
+        if N > self.most:
             return None
         if self.factors is None:
             self.factors = {j: F for F, j in squarefree_part_x2(self.start)}

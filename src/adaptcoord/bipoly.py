@@ -382,18 +382,16 @@ def apply_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
     value in one local.  One pass over f groups the diagonals, in the
     order f's terms first reach them, and finds K; the output lists the
     diagonals in that order, each by increasing k.  An x1-shear is the
-    same with the roles of j and k swapped.
+    x2-shear in swapped axes: swap_axes keeps the order of the terms, so
+    the output's is the same as for a shear of the swapped f.
     """
-    if f.is_zero:
-        return f
+    if shear.axis is ShearAxis.X1:
+        return swap_axes(apply_shear(swap_axes(f), shear._replace(axis=ShearAxis.X2)))
     m = shear.exponent
     bn, bd = shear.coefficient.numerator, shear.coefficient.denominator
-    x2_axis = shear.axis is ShearAxis.X2
     diagonals: dict[int, dict[int, int]] = {}
     K = 0
     for (j, k), c in f.num.items():
-        if not x2_axis:
-            j, k = k, j
         s = j + m * k
         if s in diagonals:
             diagonals[s][k] = c
@@ -416,7 +414,7 @@ def apply_shear(f: BiPoly, shear: ShearChange) -> BiPoly:
         # the coefficient of t^i is r[i] * bd^i / (den * bd^K)
         for i, c in enumerate(r):
             if c:
-                out[(s - m * i, i) if x2_axis else (i, s - m * i)] = c * bd_powers[i]
+                out[(s - m * i, i)] = c * bd_powers[i]
     return BiPoly._of(out, f.den * bd_powers[K])
 
 
@@ -449,16 +447,15 @@ def apply_jet(f: BiPoly, jet: Iterable[tuple[Fraction, int]]) -> BiPoly:
     of f adds C(k, e)*c*D^(K-e) times P^e, shifted by j, to row k - e
     for every e <= k.  So the work is one pass of shifted multiples, not
     one shear per term of a polynomial that grows with every term of the
-    jet.
+    jet.  f itself is returned when P is zero (an empty jet, or terms
+    that cancel) or f has no x2, the zero polynomial included.
     """
     terms = [(_frac(b), index(m)) for b, m in jet]
     for b, m in terms:
         if not b or m < 1:
             raise ValueError(f"jet term ({b}, {m}) is no shear: b must be nonzero, m >= 1")
-    if f.is_zero or not terms:
-        return f
     D = lcm(*(b.denominator for b, _ in terms))
-    P = [0] * (max(m for _, m in terms) + 1)
+    P = [0] * (max((m for _, m in terms), default=0) + 1)
     for b, m in terms:
         P[m] += b.numerator * (D // b.denominator)
     while P and not P[-1]:
@@ -507,7 +504,7 @@ def _rows_primitive(v: list[Row]) -> list[Row]:
     """v over its content in Z[x1], the top row's leading coefficient
     positive: coprime integer coefficients, no x1-factor in common."""
     rows = sorted((row for row in v if row), key=len)
-    g = rows[0] if len(rows[0]) == 1 else _z_primitive(rows[0])
+    g = _z_primitive(rows[0])
     for row in rows[1:]:
         if len(g) == 1:
             break

@@ -195,10 +195,11 @@ def _z_primitive(a: Row) -> Row:
 def _z_gcd(a: Row, b: Row) -> tuple[Row, Row, Row]:
     """(G, a/G, b/G) for the primitive gcd G in Z[x] of a and b, not both
     zero, leading coefficient positive: the primitive part of one when
-    the other is zero, and [1] when either is a nonzero constant.  When
-    either is linear, its primitive part is its only factor of positive
-    degree, so G is that part when one exact division shows it divides
-    the other, and [1] otherwise, with no evaluation.
+    the other is zero.  When either is linear, its primitive part is its
+    only factor of positive degree, so G is that part when one exact
+    division shows it divides the other, and [1] otherwise, with no
+    evaluation; a nonzero constant has no such factor, so the division
+    fails and G is [1].
 
     Otherwise both are evaluated at xi = 2**k by Kronecker substitution
     (_z_pack), k the bit length of 2*max|c| + 2 over both rows, so every
@@ -210,15 +211,15 @@ def _z_gcd(a: Row, b: Row) -> tuple[Row, Row, Row]:
     and G = P*Q with deg Q > 0 is impossible: Q(xi) would divide the
     candidate's content.  The integer gcd is c*G(xi), with c dividing the
     resultant of the cofactors, so P is G once xi > 2*|c*G|; k doubles,
-    squaring xi, until then.  The cofactors returned are the exact
-    quotients that accepted G.
+    squaring xi, until then.  A nonzero constant c of size below xi/2
+    makes the integer gcd a divisor of c, one digit, whose primitive part
+    is [1].  The cofactors returned are the exact quotients that accepted
+    G.
     """
     if not a or not b:
         g = _z_primitive(a or b)
         unit = [(a or b)[-1] // g[-1]]
         return (g, unit, b) if a else (g, a, unit)
-    if len(a) == 1 or len(b) == 1:
-        return [1], a, b
     if len(a) == 2 or len(b) == 2:
         lin, other = (a, b) if len(a) == 2 else (b, a)
         g = _z_primitive(lin)
@@ -374,11 +375,11 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     p must be squarefree.  Intervals are bisected depth first, lower half
     first, so they come out in increasing order; each carries the variation
     counts at both its ends, so the chain is evaluated once per midpoint.
+    A constant's chain is one entry with no sign change, so it has no
+    interval.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of zero")
-    if p.degree == 0:
-        return []
     chain = _squarefree_sturm_chain(p)
     bound = root_bound(p)
     out: list[tuple[Fraction, Fraction]] = []

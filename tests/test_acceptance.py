@@ -446,8 +446,8 @@ def test_timed_certified_triple_at_default_cap(capsys):
 
 
 def test_timed_adapt_on_a_perturbed_power(capsys):
-    # the squarefree factor of multiplicity one is the input itself, and
-    # the lift check takes its first power as it is, without a recurrence
+    # the input's image at x1 = 1 is squarefree, so the certificate's
+    # pre-test rules out a factor of multiplicity 40 without decomposing
     f = parse("(x2 - x1 - x1^2 - x1^3)^40 + x1^200")
 
     def body():
@@ -457,6 +457,36 @@ def test_timed_adapt_on_a_perturbed_power(capsys):
         assert len(res.jet.terms) == 3
 
     run_timed(capsys, "adapt on a perturbed 40th power", 0.5, body)
+
+
+def test_timed_adapt_on_a_perturbed_100th_power(capsys):
+    # decomposing this 10,202-term start took seconds of multi-megabit
+    # integer gcds; its squarefree image at x1 = 1 takes milliseconds
+    f = parse("(x2 - x1 - x1^2 - x1^3)^100 + x1^500")
+
+    def body():
+        res = adapt(f)
+        assert res.status is AdaptStatus.TERMINATED
+        assert res.height == Fraction(250, 3)
+        assert len(res.jet.terms) == 3
+
+    run_timed(capsys, "adapt on a perturbed 100th power", 2.0, body)
+
+
+def test_timed_adapt_on_a_squared_perturbed_power(capsys):
+    # the steps have multiplicity 60 and the image's largest multiplicity
+    # is 2, so no factor is lifted and none raised to its power; the
+    # square is taken by one product, as parsing it takes seconds
+    base = parse("(x2 - x1 - x1^2 - x1^3)^30 + x1^150")
+    f = base * base
+
+    def body():
+        res = adapt(f)
+        assert res.status is AdaptStatus.TERMINATED
+        assert res.height == 50
+        assert [s.multiplicity for s in res.steps] == [60, 60, 60]
+
+    run_timed(capsys, "adapt on a squared perturbed power", 0.5, body)
 
 
 @pytest.mark.parametrize(

@@ -360,6 +360,35 @@ def test_certified_run_reads_its_steps_off_the_certificate(monkeypatch):
     assert (calls["apply_shear"], calls["build_polyhedron"]) == (11, 5)
 
 
+def test_the_image_pre_test_decomposes_only_when_a_factor_can_have_the_multiplicity(monkeypatch):
+    # no squarefree factor of the start has a multiplicity above the
+    # largest of its image at x1 = 2**i; the perturbed powers' images
+    # reach 1, 1 and 2 against steps of multiplicity 40, 100 and 60, so
+    # they are not decomposed, and the certified start (N = 2, image [2])
+    # is, once
+    calls = []
+    original = adapt_module.squarefree_part_x2
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(adapt_module, "squarefree_part_x2", counted)
+    base = parse("(x2 - x1 - x1^2 - x1^3)^30 + x1^150")
+    for f in (
+        parse("(x2 - x1 - x1^2 - x1^3)^40 + x1^200"),
+        parse("(x2 - x1 - x1^2 - x1^3)^100 + x1^500"),
+        base * base,
+    ):
+        res = adapt(f)
+        assert res.status is AdaptStatus.TERMINATED
+        assert res.steps[-1].multiplicity >= 40
+        assert calls == []
+    res = adapt(parse("(x2*(1 + x1) - x1^2)^2"))
+    assert res.status is AdaptStatus.NONTERMINATING_CERTIFIED
+    assert len(calls) == 1
+
+
 def test_certificate_failing_after_it_held_is_an_invariant_violation(monkeypatch):
     # once the certificate holds it holds at every later step; a reading
     # that fails after it held is a broken invariant, not a reason to go

@@ -263,6 +263,7 @@ def substituted(f: BiPoly, shear: ShearChange) -> BiPoly:
 )
 @settings(max_examples=150)
 @example(BiPoly.zero(), Fraction(-3, 2), 2, ShearAxis.X2)
+@example(BiPoly.zero(), Fraction(2, 5), 3, ShearAxis.X1)
 @example(BiPoly.constant(Fraction(-7, 3)), Fraction(5, 4), 4, ShearAxis.X1)
 # (x2 + 3/2*x1^2)^2 and (x1 - 2/3*x2)^3: every term but one cancels
 @example(parse("4*x2^2 + 12*x1^2*x2 + 9*x1^4"), Fraction(-3, 2), 2, ShearAxis.X2)
@@ -331,6 +332,11 @@ def test_apply_jet_is_shear_composition():
     f = parse("(x2 - x1^2 - x1^3)^2")
     jet = [(Fraction(1), 2), (Fraction(1), 3)]
     assert apply_jet(f, jet) == parse("x2^2")
+    # an empty jet, a zero f and a cancelling jet all return f itself
+    assert apply_jet(f, []) is f
+    zero = BiPoly.zero()
+    assert apply_jet(zero, jet) is zero
+    assert apply_jet(f, jet + [(-b, m) for b, m in jet]) is f
 
 
 jets = st.lists(st.tuples(coefficients, shear_exponents), max_size=8)

@@ -129,6 +129,10 @@ def test_gcd_cofactors_with_a_zero_or_constant_input():
     assert _z_gcd([-4, -6], []) == ([2, 3], [-2], [])
     assert _z_gcd([], [4, 6]) == ([2, 3], [], [2])
     assert _z_gcd([5], [1, 2]) == ([1], [5], [1, 2])
+    # constants past the linear case: the Kronecker lift reads back [1]
+    assert _z_gcd([-6], [4]) == ([1], [-6], [4])
+    assert _z_gcd([1, 0, 1], [3]) == ([1], [1, 0, 1], [3])
+    assert _z_gcd([-7], [2, 0, -3, 1]) == ([1], [-7], [2, 0, -3, 1])
 
 
 nonzero_ints = st.integers(min_value=-12, max_value=12).filter(bool)
@@ -257,6 +261,7 @@ def test_root_bound_dominates_rational_roots(roots):
 
 @given(small_roots)
 @settings(max_examples=60)
+@example([])  # the constant 1: no root, no interval
 def test_isolate_real_roots_separates(roots):
     p = _from_roots(set(roots))
     boxes = isolate_real_roots(p)
