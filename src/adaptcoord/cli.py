@@ -14,9 +14,9 @@ below 1, a clusters --depth outside 1 to clusters.MAX_DEPTH, an --svg
 diagram whose extent exceeds svgdiagram.MAX_EXTENT, which writes no file,
 a decay lambda or radius that is not finite, a decay radius so small
 that the cell area underflows or so large that it overflows, a decay
---grid above oscillatory.MAX_GRID and a decay --points above
-oscillatory.MAX_POINTS, all refused before the shear iteration and any
-quadrature, and a decay grid too coarse for the phase,
+--grid outside 64 to oscillatory.MAX_GRID and a decay --points outside
+5 to oscillatory.MAX_POINTS, all refused before the shear iteration and
+any quadrature, and a decay grid too coarse for the phase,
 GridTooCoarse, which a gradient bound or a phase beyond the float range
 raises);
 4 iteration cap exceeded.

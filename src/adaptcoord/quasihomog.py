@@ -31,7 +31,6 @@ Key quantities:
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -56,33 +55,24 @@ from .unipoly import (
 )
 
 
-class WeightDetection(Enum):
-    """Non-weight outcomes of detect_weight."""
+def detect_weight(P: BiPoly) -> Weight:
+    """The unique degree-one weight of P's support.
 
-    MONOMIAL = "monomial"
-    NOT_QUASI_HOMOGENEOUS = "not-quasi-homogeneous"
-
-
-def detect_weight(P: BiPoly) -> Weight | WeightDetection:
-    """The unique degree-one weight, or the reason there is none.
-
-    Returns MONOMIAL for single-term input and NOT_QUASI_HOMOGENEOUS when
-    the support is not collinear or the supporting line does not have
-    negative slope (both weight components must be positive).
+    Raises MonomialInput for single-term input and NotQuasiHomogeneous
+    when the support is not collinear or the supporting line does not
+    have negative slope (both weight components must be positive).
     """
     if P.is_zero:
         raise ZeroPolynomial("zero polynomial has no weight")
     pts = sorted(P.support)
     if len(pts) == 1:
-        return WeightDetection.MONOMIAL
+        raise MonomialInput("root structure needs at least two terms")
     # pts is sorted by j, so the line through its ends has negative slope
     # exactly when j rises and k falls from a to b
     a, b = pts[0], pts[-1]
-    if a[0] == b[0] or a[1] <= b[1]:
-        return WeightDetection.NOT_QUASI_HOMOGENEOUS
-    w = edge_weight(a, b)
-    if any(w.q * j + w.p * k != w.m for j, k in pts):
-        return WeightDetection.NOT_QUASI_HOMOGENEOUS
+    w = None if a[0] == b[0] or a[1] <= b[1] else edge_weight(a, b)
+    if w is None or any(w.q * j + w.p * k != w.m for j, k in pts):
+        raise NotQuasiHomogeneous("support is not on one positively-weighted line")
     return w
 
 
@@ -128,14 +118,10 @@ def root_structure(P: BiPoly) -> tuple[Weight, int, int, int, int, int, UniPoly]
     """(weight, nu1, nu2, q, p, n, u) with u the root polynomial.
 
     P's support is the edge between its two extreme points, read by
-    edge_root_polynomial.  Requires at least two support points (use the
-    monomial conventions upstream otherwise).
+    edge_root_polynomial.  detect_weight raises its typed errors for a
+    monomial and for a support that is not on one weighted line.
     """
     w = detect_weight(P)
-    if w is WeightDetection.MONOMIAL:
-        raise MonomialInput("root structure needs at least two terms")
-    if w is WeightDetection.NOT_QUASI_HOMOGENEOUS:
-        raise NotQuasiHomogeneous("support is not on one positively-weighted line")
     return (w, *edge_root_polynomial(P, min(P.support), max(P.support)))
 
 

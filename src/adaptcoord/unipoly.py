@@ -194,41 +194,30 @@ def _z_primitive(a: Row) -> Row:
 
 def _z_gcd(a: Row, b: Row) -> tuple[Row, Row, Row]:
     """(G, a/G, b/G) for the primitive gcd G in Z[x] of a and b, not both
-    zero, leading coefficient positive: the primitive part of one when
-    the other is zero.  When either is linear, its primitive part is its
-    only factor of positive degree, so G is that part when one exact
-    division shows it divides the other, and [1] otherwise, with no
-    evaluation; a nonzero constant has no such factor, so the division
-    fails and G is [1].
+    zero, leading coefficient positive (G is [1] when either is a nonzero
+    constant), by the heuristic lift (Char, Geddes & Gonnet 1989).
 
-    Otherwise both are evaluated at xi = 2**k by Kronecker substitution
+    Both rows are evaluated at xi = 2**k by Kronecker substitution
     (_z_pack), k the bit length of 2*max|c| + 2 over both rows, so every
-    root of a and b is below xi/2 in size (Cauchy's bound), and a factor
-    Q of a of positive degree has |Q(xi)| > xi/2.  The integer gcd of
-    a(xi) and b(xi) is read back in symmetric base xi (_z_unpack), with
-    digits of size at most xi/2, and the primitive part P of that
-    candidate is kept when it divides a and b.  Then P divides the gcd G,
-    and G = P*Q with deg Q > 0 is impossible: Q(xi) would divide the
-    candidate's content.  The integer gcd is c*G(xi), with c dividing the
-    resultant of the cofactors, so P is G once xi > 2*|c*G|; k doubles,
-    squaring xi, until then.  A nonzero constant c of size below xi/2
-    makes the integer gcd a divisor of c, one digit, whose primitive part
-    is [1].  The cofactors returned are the exact quotients that accepted
-    G.
+    coefficient, and every root of a and b (Cauchy's bound), is below
+    xi/2 in size, and a factor Q of a or b of positive degree has
+    |Q(xi)| > xi/2.  The integer gcd of a(xi) and b(xi) is read back in
+    symmetric base xi (_z_unpack), with digits of size at most xi/2, and
+    the primitive part P of that candidate is kept when it divides a and
+    b.  Then P divides the gcd G, and G = P*Q with deg Q > 0 is
+    impossible: Q(xi) would divide the candidate's content.  The integer
+    gcd is c*G(xi), with c dividing the resultant of the cofactors, so P
+    is G once xi > 2*|c*G|; k doubles, squaring xi, until then.
+
+    Zero and constant rows need no reading of their own.  A zero row
+    packs to 0, so the integer gcd is |b(xi)| (or |a(xi)|), which reads
+    back as the other row up to sign, and P is its primitive part, which
+    divides 0 with quotient [].  A nonzero constant c has |c| < xi/2, so
+    the integer gcd divides c and reads back as one digit, whose
+    primitive part is [1].  The cofactors returned are the exact
+    quotients that accepted G.
     """
-    if not a or not b:
-        g = _z_primitive(a or b)
-        unit = [(a or b)[-1] // g[-1]]
-        return (g, unit, b) if a else (g, a, unit)
-    if len(a) == 2 or len(b) == 2:
-        lin, other = (a, b) if len(a) == 2 else (b, a)
-        g = _z_primitive(lin)
-        q = _z_quo(other, g)
-        if q is None:
-            return [1], a, b
-        unit = [lin[-1] // g[-1]]
-        return (g, unit, q) if lin is a else (g, q, unit)
-    k = (2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
+    k = (2 * max(map(abs, a + b)) + 2).bit_length()
     while True:
         g = _z_primitive(_z_unpack(gcd(_z_pack(a, k), _z_pack(b, k)), k))
         qa = _z_quo(a, g)
@@ -347,8 +336,6 @@ def count_real_roots(
     """Number of real roots of squarefree p in (lo, hi]; None means infinite."""
     if p.is_zero:
         raise ZeroPolynomial("root counting needs a nonzero polynomial")
-    if p.degree == 0:
-        return 0
     chain = _squarefree_sturm_chain(p)
     lo_f = None if lo is None else _frac(lo)
     hi_f = None if hi is None else _frac(hi)

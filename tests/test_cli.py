@@ -151,6 +151,15 @@ def test_predict_shear_bad_coefficient(capsys):
     assert "rational" in err
 
 
+def test_predict_shear_refuses_inputs_without_an_integer_weight(capsys):
+    code, out, err = run(capsys, "predict-shear", "x1*x2", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: a single monomial does not determine the weight\n"
+    code, out, err = run(capsys, "predict-shear", "x2^2 + x1^3 + x1*x2^2", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: support is not on one positively-weighted line\n"
+
+
 def test_decay_text_output(capsys):
     code, out, _ = run(
         capsys,

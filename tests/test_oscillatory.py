@@ -107,7 +107,7 @@ def test_estimate_validation():
 
 
 def test_grid_is_bounded_above():
-    # refused before the grid_n x 512 blocks are allocated
+    # refused before the grid_n x 128 blocks are allocated
     f = parse("x1^2 + x2^2")
     with pytest.raises(ValueError, match=f"64..{MAX_GRID}"):
         estimate_integral(f, 10.0, grid_n=MAX_GRID + 1)

@@ -9,7 +9,7 @@ from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adaptcoord import UniPoly, unipoly
@@ -129,10 +129,34 @@ def test_gcd_cofactors_with_a_zero_or_constant_input():
     assert _z_gcd([-4, -6], []) == ([2, 3], [-2], [])
     assert _z_gcd([], [4, 6]) == ([2, 3], [], [2])
     assert _z_gcd([5], [1, 2]) == ([1], [5], [1, 2])
-    # constants past the linear case: the Kronecker lift reads back [1]
+    # a nonzero constant: the integer gcd divides it, one digit, read back as [1]
     assert _z_gcd([-6], [4]) == ([1], [-6], [4])
     assert _z_gcd([1, 0, 1], [3]) == ([1], [1, 0, 1], [3])
     assert _z_gcd([-7], [2, 0, -3, 1]) == ([1], [-7], [2, 0, -3, 1])
+
+
+z_rows = st.lists(st.integers(min_value=-9, max_value=9), max_size=7).filter(
+    lambda r: not r or r[-1] != 0
+)
+
+
+@given(z_rows, z_rows, z_rows.filter(bool))
+@settings(max_examples=300)
+@example([], [3], [1])
+@example([-6], [], [1])
+@example([0, -2], [0, 0, -4], [1])
+@example([1, 1], [2, -1], [-3, 0, 1])
+@example([-5], [4], [-2, 2])
+def test_gcd_lift_matches_euclid_on_every_pair(a, b, common):
+    # one lift for every pair: zero rows, constants, negative leading
+    # coefficients, a common factor of either sign and any content
+    a, b = _z_mul(a, common), _z_mul(b, common)
+    assume(a or b)
+    g, qa, qb = _z_gcd(a, b)
+    assert g[-1] > 0 and gcd(*g) == 1
+    assert _z_mul(g, qa) == a and _z_mul(g, qb) == b
+    ref = poly_gcd(_q(a), _q(b))
+    assert _q(g) == tuple(c * g[-1] for c in ref)
 
 
 nonzero_ints = st.integers(min_value=-12, max_value=12).filter(bool)
@@ -239,6 +263,16 @@ def test_count_real_roots_on_intervals():
     assert count_real_roots(p, Fraction(0), Fraction(5)) == 2  # 0 excluded
     assert count_real_roots(p, None, Fraction(0)) == 1
     assert count_real_roots(UniPoly.from_coeffs([1, 0, 1])) == 0
+
+
+def test_count_real_roots_of_a_constant_goes_through_its_chain():
+    # one chain entry: no sign change anywhere, and the interval is
+    # checked as for every other polynomial
+    c = UniPoly((3,))
+    assert count_real_roots(c) == 0
+    assert count_real_roots(c, Fraction(-1), Fraction(2)) == 0
+    with pytest.raises(ValueError, match="empty interval"):
+        count_real_roots(c, Fraction(1), Fraction(1))
 
 
 def test_sturm_queries_reject_repeated_roots():
