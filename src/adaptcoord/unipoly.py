@@ -72,16 +72,16 @@ Row = list[int]
 
 def integer_row(p: UniPoly) -> Row:
     """p's primitive integer row: p over the gcd of its coefficients, the
-    leading one positive."""
+    leading one positive.  Every root and decomposition entry below reads
+    p through here before any other work, so this is their one check that
+    p is not zero."""
     if p.is_zero:
         raise ZeroPolynomial("the zero polynomial has no primitive row")
     return _z_primitive(list(p.coeffs))
 
 
 def _z_sub(a: Row, b: Row) -> Row:
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    out = list(a)
+    out = a + [0] * (len(b) - len(a))
     for i, y in enumerate(b):
         out[i] -= y
     while out and not out[-1]:
@@ -242,8 +242,6 @@ def squarefree_decompose(p: UniPoly) -> tuple[tuple[UniPoly, int], ...]:
     they still account for, so once b is linear it is the last factor,
     of multiplicity `left`, and the loop stops without peeling it.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("cannot decompose the zero polynomial")
     a = integer_row(p)
     g, b, c = _z_gcd(a, _z_deriv(a))
     left = len(a) - 1
@@ -275,8 +273,7 @@ def _sturm_next(a: Row, b: Row) -> Row:
     # rem -> |lc b| * rem - c * y^off * sign(lc b) * b cancels the top term c
     for top in range(len(rem) - 1, db - 1, -1):
         c = rem.pop()
-        if lead != 1:
-            rem = [lead * x for x in rem]
+        rem = [lead * x for x in rem]
         if c:
             off = top - db
             for j, y in enumerate(tail):
@@ -334,8 +331,6 @@ def count_real_roots(
     hi: Fraction | int | None = None,
 ) -> int:
     """Number of real roots of squarefree p in (lo, hi]; None means infinite."""
-    if p.is_zero:
-        raise ZeroPolynomial("root counting needs a nonzero polynomial")
     chain = _squarefree_sturm_chain(p)
     lo_f = None if lo is None else _frac(lo)
     hi_f = None if hi is None else _frac(hi)
@@ -348,11 +343,12 @@ def root_bound(p: UniPoly) -> Fraction:
     """Cauchy's bound 1 + max|c|/|lc|, rounded up to a power of two B:
     every real root lies in (-B, B), and every point that bisection from
     -B and B reaches is dyadic, m/2^e, so evaluating there scales by a
-    power of two and not by a power of the leading coefficient."""
-    if p.is_zero or p.degree == 0:
-        return Fraction(1)
-    lead = abs(p.coeffs[-1])
-    ceiling = -(-(lead + max(map(abs, p.coeffs[:-1]))) // lead)
+    power of two and not by a power of the leading coefficient.  The
+    ratio is read off p's primitive row, which does not change it; a
+    nonzero constant has no other coefficient, so its bound is 1."""
+    row = integer_row(p)
+    lead = row[-1]
+    ceiling = -(-(lead + max(map(abs, row[:-1]), default=0)) // lead)
     return Fraction(1 << (ceiling - 1).bit_length())
 
 
@@ -365,8 +361,6 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     A constant's chain is one entry with no sign change, so it has no
     interval.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("cannot isolate roots of zero")
     chain = _squarefree_sturm_chain(p)
     bound = root_bound(p)
     out: list[tuple[Fraction, Fraction]] = []
@@ -419,8 +413,6 @@ def exact_real_roots(
 def rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
     """Rational roots of p with multiplicities, sorted increasing; each
     root's multiplicity is that of its squarefree factor."""
-    if p.is_zero:
-        raise ZeroPolynomial("zero polynomial has every root")
     return sorted(
         (r, mult)
         for factor, mult in squarefree_decompose(p)

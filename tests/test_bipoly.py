@@ -28,7 +28,7 @@ from adaptcoord import (
 from adaptcoord import bipoly, unipoly
 from adaptcoord.unipoly import _z_deriv, _z_gcd
 from conftest import bipolys, coefficients, random_corpus, sheared_by, sheared_inputs
-from q_reference import exact_div, nested_shear, poly_gcd, sequential_jet
+from q_reference import _z_mul, exact_div, nested_shear, poly_gcd, sequential_jet
 
 shear_exponents = st.integers(min_value=1, max_value=4)
 nonzero_bipolys = bipolys().filter(lambda f: not f.is_zero)
@@ -545,6 +545,18 @@ def test_squarefree_part_x2_checks_the_lift_by_the_product(monkeypatch):
         (parse("2*x1*x2 - 3*x2 - 1"), 2),
     )
     assert (sorted({k for _, k in packs}), len(products)) == ([6, 12], 2)
+
+
+def test_rows_primitive_divides_an_x1_content_out_past_an_empty_row():
+    # -2*(x1 + x1^2) times the rows of (1 + 2*x1) + (x1^2 - 3)*x2^2
+    primitive = [[1, 2], [], [-3, 0, 1]]
+    content = [0, -2, -2]
+    assert bipoly._rows_primitive([_z_mul(row, content) for row in primitive]) == primitive
+
+
+def test_squarefree_part_x2_divides_out_the_start_content():
+    f = parse("(x1 + x1^2)*(x2*(1 + x1) - x1^2)^2")
+    assert squarefree_part_x2(f) == ((parse("x2 + x1*x2 - x1^2"), 2),)
 
 
 def test_gcds_retry_past_an_unlucky_evaluation_point(monkeypatch):

@@ -250,7 +250,13 @@ NON_FINITE_DECAY_BOUNDS = [
     ["--lambda-max", "1e3", "--radius", "nan"],
     ["--lambda-max", "1e3", "--radius", "inf"],
 ]
-DECAY_BOUNDS = [(["--grid", "100000"], "grid_n"), (["--radius", "1e-300"], "radius")]
+# the later --points overrides the tests' --points 5
+DECAY_BOUNDS = [
+    (["--grid", "100000"], "grid_n"),
+    (["--radius", "1e-300"], "radius"),
+    (["--grid", "32"], "grid_n"),
+    (["--points", "4"], "points"),
+]
 
 
 @pytest.mark.parametrize("bounds", NON_FINITE_DECAY_BOUNDS)

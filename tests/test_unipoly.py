@@ -293,6 +293,76 @@ def test_root_bound_dominates_rational_roots(roots):
     assert all(abs(r) <= bound for r in roots)
 
 
+def test_root_bound_of_zero_is_refused_by_its_row():
+    with pytest.raises(ZeroPolynomial):
+        root_bound(UniPoly(()))
+
+
+def _cauchy_bound_of_the_coefficients(p: UniPoly) -> Fraction:
+    """The bound off p's own coefficients, content and all."""
+    lead = abs(p.coeffs[-1])
+    ceiling = -(-(lead + max(map(abs, p.coeffs[:-1]), default=0)) // lead)
+    return Fraction(1 << (ceiling - 1).bit_length())
+
+
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=6).filter(
+        lambda r: r[-1] != 0
+    ),
+    st.integers(min_value=-12, max_value=12).filter(bool),
+)
+@settings(max_examples=100)
+@example([1], 1)
+@example([-3], 7)
+@example([10**30], -1)
+def test_root_bound_reads_the_primitive_row(row, content):
+    # the ratio max|c|/|lc| does not change when the content is divided out,
+    # and a nonzero constant has no other coefficient: its bound is 1
+    p = UniPoly.from_coeffs(row)
+    scaled = UniPoly.from_coeffs(content * c for c in row)
+    assert root_bound(p) == root_bound(scaled) == _cauchy_bound_of_the_coefficients(p)
+    if len(row) == 1:
+        assert root_bound(p) == 1
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        squarefree_decompose,
+        count_real_roots,
+        isolate_real_roots,
+        exact_real_roots,
+        rational_roots,
+        sturm_chain,
+    ],
+)
+def test_root_and_decomposition_entries_refuse_zero(entry):
+    # integer_row is the one zero check, reached before any other work
+    with pytest.raises(ZeroPolynomial):
+        entry(UniPoly(()))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1, 2], [3, 4, 5]),
+        ([1, 2, 3], [1, 2, 3]),
+        ([4, 5, 6], [4, 5]),
+        ([0, 1, 7], [5]),
+        ([], [2, -1]),
+        ([3], []),
+    ],
+)
+def test_z_sub_pads_the_shorter_row_and_leaves_a_alone(a, b):
+    before = list(a)
+    n = max(len(a), len(b))
+    expected = [x - y for x, y in zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))]
+    while expected and not expected[-1]:
+        expected.pop()
+    assert _z_sub(a, b) == expected
+    assert a == before
+
+
 @given(small_roots)
 @settings(max_examples=60)
 @example([])  # the constant 1: no root, no interval
