@@ -34,7 +34,7 @@ from .newton import build_polyhedron
 from .quasihomog import edge_root_polynomial
 from .unipoly import rational_roots
 
-# each level of refinement recurses through top_clusters and _refine_edge,
+# each level of refinement recurses through _clusters and _refine_edge,
 # so this keeps the deepest refinement far below Python's default
 # recursion limit
 MAX_DEPTH = 256
@@ -109,7 +109,7 @@ def _refine_edge(
     resolved = 0
     for value, mult in rational_roots(u):
         g = apply_shear(f, ShearChange(ShearAxis.X2, value, a))
-        sub_full = top_clusters(g, depth=depth - 1)
+        sub_full = _clusters(g, depth - 1, exponent)
         continuations = tuple(
             c for c in sub_full.clusters if c.exponent > exponent
         )
@@ -139,6 +139,14 @@ def top_clusters(f: BiPoly, depth: int = 1) -> ClusterLevel:
         raise ValueError("cluster data needs f(0,0) = 0")
     if f.x2_degree < 1:
         raise DegenerateInX2("cluster data needs positive degree in x2")
+    return _clusters(f, depth, Fraction(0))
+
+
+def _clusters(f: BiPoly, depth: int, above: Fraction) -> ClusterLevel:
+    """top_clusters of a valid f, refining only the edges of exponent
+    above `above`.  Under the shear by a branch b*x1^a, the edges of
+    exponent at most a hold the other branches of the edge being refined,
+    which the caller drops, so each branch is refined once."""
     hull = build_polyhedron(f.num)
     verts = hull.vertices
     nu1 = verts[0][0]
@@ -150,7 +158,7 @@ def top_clusters(f: BiPoly, depth: int = 1) -> ClusterLevel:
         count = k0 - k1
         refinements: tuple[Refinement, ...] = ()
         unresolved = 0
-        if depth >= 2:
+        if depth >= 2 and exponent > above:
             refinements, unresolved = _refine_edge(f, edge, exponent, count, depth)
         clusters.append(Cluster(exponent, count, refinements, unresolved))
     return ClusterLevel(nu1=nu1, nu2=nu2, clusters=tuple(clusters))

@@ -293,7 +293,11 @@ def sturm_chain(p: UniPoly) -> list[Row]:
     positive multiple of the entry the Euclidean chain of that row has:
     the signs, and with them the variation counts, are the same.
     """
-    a = integer_row(p)
+    return _sturm_chain(integer_row(p))
+
+
+def _sturm_chain(a: Row) -> list[Row]:
+    """sturm_chain of the polynomial whose primitive row is a."""
     b = _z_deriv(a)
     chain = [a]
     if b:
@@ -304,9 +308,10 @@ def sturm_chain(p: UniPoly) -> list[Row]:
     return chain
 
 
-def _squarefree_sturm_chain(p: UniPoly) -> list[Row]:
-    """Sturm chain of p, whose last entry is gcd(p, p') up to a constant."""
-    chain = sturm_chain(p)
+def _squarefree_sturm_chain(row: Row) -> list[Row]:
+    """Sturm chain of the primitive row, whose last entry is gcd(p, p') up
+    to a constant."""
+    chain = _sturm_chain(row)
     if len(chain[-1]) > 1:
         raise NotSquarefree("input has a repeated root")
     return chain
@@ -331,7 +336,7 @@ def count_real_roots(
     hi: Fraction | int | None = None,
 ) -> int:
     """Number of real roots of squarefree p in (lo, hi]; None means infinite."""
-    chain = _squarefree_sturm_chain(p)
+    chain = _squarefree_sturm_chain(integer_row(p))
     lo_f = None if lo is None else _frac(lo)
     hi_f = None if hi is None else _frac(hi)
     if lo_f is not None and hi_f is not None and lo_f >= hi_f:
@@ -346,7 +351,11 @@ def root_bound(p: UniPoly) -> Fraction:
     power of two and not by a power of the leading coefficient.  The
     ratio is read off p's primitive row, which does not change it; a
     nonzero constant has no other coefficient, so its bound is 1."""
-    row = integer_row(p)
+    return _root_bound(integer_row(p))
+
+
+def _root_bound(row: Row) -> Fraction:
+    """root_bound of the polynomial whose primitive row is row."""
     lead = row[-1]
     ceiling = -(-(lead + max(map(abs, row[:-1]), default=0)) // lead)
     return Fraction(1 << (ceiling - 1).bit_length())
@@ -361,8 +370,13 @@ def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
     A constant's chain is one entry with no sign change, so it has no
     interval.
     """
-    chain = _squarefree_sturm_chain(p)
-    bound = root_bound(p)
+    return _isolate(integer_row(p))
+
+
+def _isolate(row: Row) -> list[tuple[Fraction, Fraction]]:
+    """isolate_real_roots of the polynomial whose primitive row is row."""
+    chain = _squarefree_sturm_chain(row)
+    bound = _root_bound(row)
     out: list[tuple[Fraction, Fraction]] = []
     # stack of (lo, hi, variations at lo, variations at hi)
     stack = [(-bound, bound, _variations(chain, -bound, True), _variations(chain, bound, True))]
@@ -395,7 +409,7 @@ def exact_real_roots(
     row = integer_row(p)
     an = row[-1]
     out: list[tuple[Fraction, Fraction, Fraction | None]] = []
-    for lo, hi in isolate_real_roots(p):
+    for lo, hi in _isolate(row):
         s = _z_eval(row, hi.numerator, hi.denominator)
         while an * (hi - lo) >= 1:
             mid = (lo + hi) / 2

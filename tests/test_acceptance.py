@@ -21,6 +21,7 @@ import pytest
 from adaptcoord import (
     AdaptStatus,
     BiPoly,
+    ClusterLevel,
     FaceKind,
     ShearAxis,
     ShearChange,
@@ -559,6 +560,21 @@ def test_timed_depth_two_clusters_on_forty_lines(capsys):
         assert all(r.count == 1 for r in cluster.refinements)
 
     run_timed(capsys, "depth-2 clusters on forty lines", 1.0, body)
+
+
+def test_timed_depth_four_clusters_on_forty_lines(capsys):
+    # limit fixed before the first run; each refinement refines only the
+    # edges above the exponent it shears by, so the 40 simple branches
+    # are not refined again under each other's shears
+    P = parse(P40)
+    lines = {Fraction(i + 1, i) for i in range(1, 41)}
+
+    def body():
+        (cluster,) = top_clusters(P, depth=4).clusters
+        assert {r.coefficient for r in cluster.refinements} == lines
+        assert all(r.sub == ClusterLevel(0, 1) for r in cluster.refinements)
+
+    run_timed(capsys, "depth-4 clusters on forty lines", 2.0, body)
 
 
 def test_timed_depth_two_clusters_and_roots_of_thirty_lines(capsys):

@@ -24,12 +24,14 @@ from adaptcoord import (
     vertices_from_clusters,
     weighted_part,
 )
+from adaptcoord import clusters
 from adaptcoord.clusters import MAX_DEPTH
 from adaptcoord.errors import (
     DegenerateInX2,
     NonIntegerVertex,
     ZeroPolynomial,
 )
+from adaptcoord.unipoly import rational_roots
 from conftest import analyzable_bipolys
 
 
@@ -122,6 +124,22 @@ def test_depth_three_refinement():
     (sub_c,) = ref.sub.clusters
     assert (sub_c.exponent, sub_c.count) == (2, 2)
     assert {r.coefficient for r in sub_c.refinements} == {1, -1}
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_each_branch_is_refined_once(monkeypatch, depth):
+    # under the shear by one of the forty lines, the other 39 sit on the
+    # edge being refined, and only edges above it are refined again: the
+    # 40 simple branches stop there, so u's roots are taken once
+    calls = []
+    monkeypatch.setattr(
+        clusters, "rational_roots", lambda u: calls.append(u) or rational_roots(u)
+    )
+    f = parse("*".join(f"({i}*x2 - {i + 1}*x1)" for i in range(1, 41)))
+    (c,) = top_clusters(f, depth=depth).clusters
+    assert len(c.refinements) == 40
+    assert all(r.sub == ClusterLevel(0, 1) for r in c.refinements)
+    assert len(calls) == 1
 
 
 def test_fractional_exponent_is_left_unresolved():

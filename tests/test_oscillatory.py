@@ -181,11 +181,17 @@ def test_fit_decay_validation():
         ("x2^2 - x1^3", 15.0),
         # sparse, x2-degree 3: one Horner step goes from x2^3 to x2^1
         ("x2^3 + x1^40*x2 + 1/3*x1^200", 30.0),
+        # even under (x1, x2) -> (-x1, -x2) only: the x1 rows fold, the
+        # x2 columns do not
+        ("x1*x2 + x1^3*x2^3", 40.0),
+        # no parity: no fold
+        ("(x2 - x1^2)^2 + x1^5", 60.0),
     ],
 )
 def test_partial_last_block_matches_direct_meshgrid(src, lam, n):
     # neither grid is a multiple of the block width, so a narrower last
-    # block of x2 columns runs
+    # block of x2 columns runs; on the odd grid a folded axis keeps its
+    # middle node once
     f = parse(src)
     mine = estimate_integral(f, lam, grid_n=n)
     ref = direct_estimate(f, lam, DEFAULT_RADIUS, n)

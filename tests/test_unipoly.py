@@ -342,6 +342,18 @@ def test_root_and_decomposition_entries_refuse_zero(entry):
         entry(UniPoly(()))
 
 
+def test_exact_real_roots_reads_the_primitive_row_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        unipoly, "integer_row", lambda p: calls.append(p) or integer_row(p)
+    )
+    assert exact_real_roots(UniPoly((-6, 1, 1))) == [
+        (Fraction(-7, 2), -3, -3),
+        (Fraction(3, 2), 2, 2),
+    ]
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "a, b",
     [
