@@ -29,7 +29,6 @@ from .bipoly import (
     Weight,
     apply_jet,
     apply_shear,
-    scale_axes,
     squarefree_part_x2,
     swap_axes,
     weighted_part,
@@ -39,7 +38,6 @@ from .clusters import (
     ClusterLevel,
     Refinement,
     distance_from_clusters,
-    edge_principal_part_from_clusters,
     top_clusters,
     vertices_from_clusters,
 )
@@ -87,11 +85,9 @@ from .quasihomog import (
     QuasiHomogData,
     RealRootDescriptor,
     analyze,
-    circle_vanishing_order,
     detect_weight,
     edge_root_polynomial,
     predict_shear_vertices,
-    quasihomogeneous_height,
     root_structure,
 )
 from .report import AnalysisReport, build_report, report_from_dict
@@ -149,11 +145,9 @@ __all__ = [
     "build_polyhedron",
     "build_report",
     "check_adapted",
-    "circle_vanishing_order",
     "detect_weight",
     "distance",
     "distance_from_clusters",
-    "edge_principal_part_from_clusters",
     "edge_root_polynomial",
     "edge_weight",
     "estimate_integral",
@@ -166,11 +160,9 @@ __all__ = [
     "principal_face",
     "principal_face_weight",
     "principal_part",
-    "quasihomogeneous_height",
     "render_svg",
     "report_from_dict",
     "root_structure",
-    "scale_axes",
     "shear_step",
     "squarefree_part_x2",
     "swap_axes",

@@ -1,6 +1,6 @@
 """Bivariate polynomials over the rationals, with the coordinate changes
 used throughout the package: shears x2 -> x2 + b*x1^m (and the mirrored
-x1-shear), axis swaps, and axis scalings.
+x1-shear) and axis swaps.
 
 A BiPoly is a sparse map (j, k) -> integer numerator of x1^j * x2^k over
 one positive denominator, in lowest terms, so every kernel reads
@@ -476,16 +476,6 @@ def apply_jet(f: BiPoly, jet: Iterable[tuple[Fraction, int]]) -> BiPoly:
 
 def swap_axes(f: BiPoly) -> BiPoly:
     return BiPoly._of({(k, j): c for (j, k), c in f.num.items()}, f.den)
-
-
-def scale_axes(f: BiPoly, c1: Fraction | int, c2: Fraction | int) -> BiPoly:
-    """Substitute x1 -> c1*x1, x2 -> c2*x2 (both scalars nonzero)."""
-    c1, c2 = _frac(c1), _frac(c2)
-    if c1 == 0 or c2 == 0:
-        raise ValueError("axis scalings must be invertible")
-    return BiPoly({
-        (j, k): c * c1**j * c2**k for (j, k), c in f.terms().items()
-    })
 
 
 # --- squarefree structure with respect to x2 -------------------------------

@@ -209,18 +209,3 @@ def _distance_from_vertices(
     return Fraction(num, den)
 
 
-def edge_principal_part_from_clusters(f: BiPoly, l: int) -> BiPoly:
-    """Terms of f on the supporting line of the l-th edge (1-based).
-
-    The line is t1 + a_l t2 = A_l + a_l B_l with vertex data taken from
-    the cluster reconstruction; the result carries the prefactor
-    x1^{A_{l-1}} x2^{B_l} visible in its extreme terms.
-    """
-    cl = top_clusters(f)
-    if l < 1 or l > len(cl.clusters):
-        raise IndexError(f"no compact edge with index {l}")
-    verts = vertices_from_clusters(cl)
-    a = cl.clusters[l - 1].exponent
-    A, B = verts[l]
-    line_level = A + a * B
-    return f.select(lambda t: t[0] + a * t[1] == line_level)

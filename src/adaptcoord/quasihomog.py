@@ -23,7 +23,6 @@ Key quantities:
   m = nu1*q + nu2*p + p*q*n;
 * circle vanishing order m(P): the maximal order of vanishing of P along
   the unit circle, max{nu1, nu2, max real n_l};
-* height of P itself: max{m(P), d_h};
 * the deep root: the unique real root with multiplicity M > d_h, which
   can only exist when q = 1 and is then provably rational; deep_root
   and analyze read it off the last factor of u's squarefree decomposition.
@@ -224,25 +223,6 @@ def analyze(P: BiPoly) -> QuasiHomogData:
         raise InternalInvariantViolation("deep root disagrees with the Sturm counts")
     principal = None if deep is None else (deep[0], w.p)
     return QuasiHomogData(w, nu1, nu2, n, d_h, factors, max_real, principal)
-
-
-def circle_vanishing_order(P: BiPoly) -> int:
-    """Maximal order of vanishing of P along the unit circle.
-
-    Monomials are handled directly (the order is max(nu1, nu2) at the axis
-    points); otherwise this is the m_order of the factorization data.
-    """
-    _require_order_two(P)
-    if len(P.support) == 1:
-        ((j, k),) = P.support
-        return max(j, k)
-    return analyze(P).m_order
-
-
-def quasihomogeneous_height(P: BiPoly) -> Fraction:
-    """Height of a quasi-homogeneous polynomial: max{m(P), d_h}."""
-    data = analyze(P)
-    return max(Fraction(data.m_order), data.d_h)
 
 
 def predict_shear_vertices(P: BiPoly, b: Fraction | int) -> tuple[Term, Term]:

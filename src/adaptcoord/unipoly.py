@@ -284,20 +284,16 @@ def _sturm_next(a: Row, b: Row) -> Row:
     return [-x // g for x in rem]
 
 
-def sturm_chain(p: UniPoly) -> list[Row]:
-    """Sturm chain of nonzero p as a primitive remainder sequence (Collins
-    1967; Brown & Traub 1971) on integer rows.
-
-    The chain starts at p's primitive integer row, and each pseudo-division
-    scales by |lc| and divides by a positive content, so every entry is a
-    positive multiple of the entry the Euclidean chain of that row has:
-    the signs, and with them the variation counts, are the same.
-    """
-    return _sturm_chain(integer_row(p))
-
-
 def _sturm_chain(a: Row) -> list[Row]:
-    """sturm_chain of the polynomial whose primitive row is a."""
+    """Sturm chain of the polynomial whose primitive row is a, as a
+    primitive remainder sequence (Collins 1967; Brown & Traub 1971) on
+    integer rows.
+
+    The chain starts at a, and each pseudo-division scales by |lc| and
+    divides by a positive content, so every entry is a positive multiple
+    of the entry the Euclidean chain of that row has: the signs, and with
+    them the variation counts, are the same.
+    """
     b = _z_deriv(a)
     chain = [a]
     if b:
@@ -344,18 +340,14 @@ def count_real_roots(
     return _variations(chain, lo_f, False) - _variations(chain, hi_f, True)
 
 
-def root_bound(p: UniPoly) -> Fraction:
-    """Cauchy's bound 1 + max|c|/|lc|, rounded up to a power of two B:
-    every real root lies in (-B, B), and every point that bisection from
-    -B and B reaches is dyadic, m/2^e, so evaluating there scales by a
-    power of two and not by a power of the leading coefficient.  The
-    ratio is read off p's primitive row, which does not change it; a
-    nonzero constant has no other coefficient, so its bound is 1."""
-    return _root_bound(integer_row(p))
-
-
 def _root_bound(row: Row) -> Fraction:
-    """root_bound of the polynomial whose primitive row is row."""
+    """Cauchy's bound 1 + max|c|/|lc| of the polynomial whose primitive
+    row is row, rounded up to a power of two B: every real root lies in
+    (-B, B), and every point that bisection from -B and B reaches is
+    dyadic, m/2^e, so evaluating there scales by a power of two and not
+    by a power of the leading coefficient.  The ratio is read off the
+    primitive row, which does not change it; a nonzero constant has no
+    other coefficient, so its bound is 1."""
     lead = row[-1]
     ceiling = -(-(lead + max(map(abs, row[:-1]), default=0)) // lead)
     return Fraction(1 << (ceiling - 1).bit_length())

@@ -6,7 +6,13 @@ Newton staircase from a sort of the whole support, the Taylor shift of
 a shear as a nested loop, and a jet as one shear per term, and the
 shear iteration with a full verdict on every polynomial.  No kernel uses
 them: they are the reference the integer kernels and adapt are tested
-against."""
+against.
+
+Three oracles the acceptance and cluster tests check the pipeline with,
+which no pipeline path computes: the height max{m(P), d_h} of a
+quasi-homogeneous P (quasihomogeneous_height), the substitution
+x1 -> c1*x1, x2 -> c2*x2 (scale_axes), and an edge's principal part
+read off the cluster vertices (edge_principal_part_from_clusters)."""
 
 from __future__ import annotations
 
@@ -32,13 +38,22 @@ from adaptcoord.bipoly import (
     squarefree_part_x2,
     swap_axes,
 )
+from adaptcoord.clusters import top_clusters, vertices_from_clusters
 from adaptcoord.errors import (
     InternalInvariantViolation,
     IterationCapExceeded,
     ZeroPolynomial,
 )
 from adaptcoord.newton import _cross
-from adaptcoord.unipoly import UniPoly, _variations, _z_eval, root_bound, sturm_chain
+from adaptcoord.quasihomog import analyze
+from adaptcoord.unipoly import (
+    UniPoly,
+    _root_bound,
+    _sturm_chain,
+    _variations,
+    _z_eval,
+    integer_row,
+)
 
 QRow = tuple[Fraction, ...]
 
@@ -91,11 +106,11 @@ def chain_exact_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction, Fractio
     """exact_real_roots of squarefree p with every halving, those of an
     interval that holds one root too, decided by Sturm variation counts
     until the interval is narrower than 1/an."""
-    chain = sturm_chain(p)
-    row = chain[0]
+    row = integer_row(p)
+    chain = _sturm_chain(row)
     an = row[-1]
     out = []
-    bound = root_bound(p)
+    bound = _root_bound(row)
     stack = [(-bound, bound)]
     while stack:
         lo, hi = stack.pop()
@@ -247,3 +262,36 @@ def verdict_loop_adapt(f: BiPoly, max_steps: int) -> AdaptResult:
         report,
         rep,
     )
+
+
+def quasihomogeneous_height(P: BiPoly) -> Fraction:
+    """Height of a quasi-homogeneous polynomial: max{m(P), d_h}."""
+    data = analyze(P)
+    return max(Fraction(data.m_order), data.d_h)
+
+
+def scale_axes(f: BiPoly, c1: Fraction | int, c2: Fraction | int) -> BiPoly:
+    """Substitute x1 -> c1*x1, x2 -> c2*x2 (both scalars nonzero)."""
+    c1, c2 = Fraction(c1), Fraction(c2)
+    if c1 == 0 or c2 == 0:
+        raise ValueError("axis scalings must be invertible")
+    return BiPoly({
+        (j, k): c * c1**j * c2**k for (j, k), c in f.terms().items()
+    })
+
+
+def edge_principal_part_from_clusters(f: BiPoly, l: int) -> BiPoly:
+    """Terms of f on the supporting line of the l-th edge (1-based).
+
+    The line is t1 + a_l t2 = A_l + a_l B_l with vertex data taken from
+    the cluster reconstruction; the result carries the prefactor
+    x1^{A_{l-1}} x2^{B_l} visible in its extreme terms.
+    """
+    cl = top_clusters(f)
+    if l < 1 or l > len(cl.clusters):
+        raise IndexError(f"no compact edge with index {l}")
+    verts = vertices_from_clusters(cl)
+    a = cl.clusters[l - 1].exponent
+    A, B = verts[l]
+    line_level = A + a * B
+    return f.select(lambda t: t[0] + a * t[1] == line_level)

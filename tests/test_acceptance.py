@@ -41,8 +41,6 @@ from adaptcoord import (
     predict_shear_vertices,
     principal_face,
     principal_part,
-    quasihomogeneous_height,
-    scale_axes,
     squarefree_part_x2,
     swap_axes,
     top_clusters,
@@ -55,7 +53,7 @@ from adaptcoord.unipoly import (
     squarefree_decompose,
 )
 from conftest import CORPUS_SEED, random_corpus, sheared_by, sheared_inputs
-from q_reference import _z_mul
+from q_reference import _z_mul, quasihomogeneous_height, scale_axes
 
 # polynomials whose adapted systems are reachable by x2-shears (possibly
 # after an axis swap) with coefficients in {-2..2} and exponents <= 4;
@@ -547,7 +545,7 @@ def test_timed_shear_vertices_of_forty_lines(capsys, b, last):
 
 
 def test_timed_depth_two_clusters_on_forty_lines(capsys):
-    # root_bound is a power of two, so every bisection point of u's
+    # _root_bound is a power of two, so every bisection point of u's
     # isolation and narrowing is dyadic and scales by a power of two, not
     # by a power of u's leading coefficient 40!
     P = parse(P40)

@@ -20,7 +20,6 @@ from adaptcoord import (
     apply_jet,
     apply_shear,
     parse,
-    scale_axes,
     squarefree_part_x2,
     swap_axes,
     weighted_part,
@@ -28,7 +27,14 @@ from adaptcoord import (
 from adaptcoord import bipoly, unipoly
 from adaptcoord.unipoly import _z_deriv, _z_gcd
 from conftest import bipolys, coefficients, random_corpus, sheared_by, sheared_inputs
-from q_reference import _z_mul, exact_div, nested_shear, poly_gcd, sequential_jet
+from q_reference import (
+    _z_mul,
+    exact_div,
+    nested_shear,
+    poly_gcd,
+    scale_axes,
+    sequential_jet,
+)
 
 shear_exponents = st.integers(min_value=1, max_value=4)
 nonzero_bipolys = bipolys().filter(lambda f: not f.is_zero)

@@ -16,7 +16,6 @@ from adaptcoord import (
     ClusterLevel,
     distance,
     distance_from_clusters,
-    edge_principal_part_from_clusters,
     edge_weight,
     newton_polyhedron,
     parse,
@@ -33,6 +32,7 @@ from adaptcoord.errors import (
 )
 from adaptcoord.unipoly import rational_roots
 from conftest import analyzable_bipolys
+from q_reference import edge_principal_part_from_clusters
 
 
 def exponents_and_counts(level: ClusterLevel):

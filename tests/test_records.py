@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import types
 from fractions import Fraction
 
 import pytest
@@ -175,3 +176,16 @@ def test_record_is_a_slotless_tuple(name):
     # every class between the record and tuple adds no slots either
     for base in cls.__mro__[: cls.__mro__.index(tuple)]:
         assert vars(base).get("__slots__") == (), base
+
+
+def test_all_is_the_public_surface_once():
+    # __init__.py names each export twice, once imported and once in
+    # __all__: the two lists agree, and no name is listed twice
+    names = adaptcoord.__all__
+    assert len(names) == len(set(names))
+    public = {
+        n
+        for n, v in vars(adaptcoord).items()
+        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    assert set(names) == public
