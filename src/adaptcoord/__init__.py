@@ -37,9 +37,8 @@ from .clusters import (
     Cluster,
     ClusterLevel,
     Refinement,
-    distance_from_clusters,
+    polygon_from_clusters,
     top_clusters,
-    vertices_from_clusters,
 )
 from .errors import (
     AdaptcoordError,
@@ -147,7 +146,6 @@ __all__ = [
     "check_adapted",
     "detect_weight",
     "distance",
-    "distance_from_clusters",
     "edge_root_polynomial",
     "edge_weight",
     "estimate_integral",
@@ -156,6 +154,7 @@ __all__ = [
     "hull_analysis",
     "newton_polyhedron",
     "parse",
+    "polygon_from_clusters",
     "predict_shear_vertices",
     "principal_face",
     "principal_face_weight",
@@ -167,6 +166,5 @@ __all__ = [
     "squarefree_part_x2",
     "swap_axes",
     "top_clusters",
-    "vertices_from_clusters",
     "weighted_part",
 ]

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 from .bipoly import (
@@ -335,8 +336,10 @@ class _Certificate:
     j + m*k = j_V + m*N, at (j_V + m*N)/(1 + m).  j_V is an integer, as L
     and m_last are, and it does not change: the shear by b*x1^m ends g's
     (1, m)-face at row N on the line j + m*k = j_V + m*N, which meets row
-    N at j_V again.  So it is taken once, off the last verdict's weight
-    (1, m_last, L), when the certificate first holds.  g itself is not
+    N at j_V again.  So it is taken once, when the certificate first
+    holds, off the last step: its distance d_last and exponent m_last give
+    L = d_last * (1 + m_last), and j_V = L - m_last*N.  L is an integer,
+    or InternalInvariantViolation is raised.  g itself is not
     sheared while the certificate holds; the last polynomial's verdict
     checks the reading.
     """
@@ -356,11 +359,10 @@ class _Certificate:
         self.vertex: int | None = None
 
     def witness(
-        self, jet: list[tuple[Fraction, int]], steps: list[AdaptStep], last: Weight
+        self, jet: list[tuple[Fraction, int]], steps: list[AdaptStep]
     ) -> PrincipalRootWitness | None:
         """The witness of the polynomial sheared by `jet`, read off F, when
-        the certificate holds after `steps`; else None.  `last` is the
-        weight of the last verdict, whose witness gave the jet's last term."""
+        the certificate holds after `steps`; else None."""
         if len(steps) < STABILIZATION_WINDOW:
             return None
         # multiplicities never increase along the jet (adapt checks)
@@ -388,10 +390,14 @@ class _Certificate:
         term = _series_term(self.F, jet[-1][1], self.bound)
         if term is None:
             return None
-        if N <= steps[-1].distance:
+        _, m_last, d_last = steps[-1]
+        if N <= d_last:
             raise InternalInvariantViolation("stabilized multiplicity below distance")
         if self.vertex is None:
-            self.vertex = last.m - last.p * N
+            L = d_last * (1 + m_last)
+            if L.denominator != 1:
+                raise InternalInvariantViolation("the last principal edge is off the lattice")
+            self.vertex = int(L) - m_last * N
         return PrincipalRootWitness(*term, N)
 
     def distance(self, m: int) -> Fraction:
@@ -429,8 +435,10 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
     composed once from the start, gets a verdict, `final_check`, that must
     agree with F's witness and the distance read off the fixed vertex, or
     InternalInvariantViolation is raised.  Raises IterationCapExceeded when
-    the cap is hit and no certificate holds.
+    the cap is hit and no certificate holds.  `max_steps` is read through
+    operator.index, so a float raises TypeError.
     """
+    max_steps = index(max_steps)
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     report = check_adapted(f)
@@ -450,7 +458,7 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
             raise InternalInvariantViolation("axis orientation flipped after the first shear")
         assert rep.witness is not None
         _extend(jet, steps, rep.witness, rep.distance)
-        read = certificate.witness(jet, steps, rep.weight)
+        read = certificate.witness(jet, steps)
         if read is not None:
             break
         _, g, rep = _shear(g, rep)
@@ -466,7 +474,7 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
         d = _grown(certificate.distance(read.exponent), rep.distance)
         while len(steps) < max_steps:
             _extend(jet, steps, read, d)
-            read = certificate.witness(jet, steps, rep.weight)
+            read = certificate.witness(jet, steps)
             if read is None:
                 raise InternalInvariantViolation("the certificate failed after it held")
             d = _grown(certificate.distance(read.exponent), d)

@@ -8,9 +8,13 @@ factors as
 where each nontrivial root r_i has a positive rational leading exponent.
 Grouping roots by that exponent gives the depth-1 clusters: one cluster per
 compact edge of the Newton polygon, with exponent the reduced inverse slope
-a_l and count the x2-drop N_l along the edge.  The vertices, the distance,
-and the edge principal parts are all recoverable from (nu1, nu2, clusters)
-alone, which makes this module an independent oracle for the hull geometry.
+a_l and count the x2-drop N_l along the edge.  The depth-1 level is read
+off a Newton polygon its caller built: top_clusters builds f's, and the
+report passes the verdict's, so no polygon is built twice.  The vertices
+and the distance are recoverable from (nu1, nu2, clusters) alone
+(polygon_from_clusters), through the intercepts of the edge lines rather
+than the diagonal crossing newton.py walks, which makes the reconstruction
+a cross-check of the hull geometry.
 
 Deeper levels group roots by leading coefficient as well.  Only branches
 with integer exponent and rational leading coefficient are followed (shear
@@ -21,6 +25,7 @@ by the branch term and recurse); the rest are tallied per cluster in
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 from .bipoly import BiPoly, ShearAxis, ShearChange, Term, apply_shear
@@ -30,7 +35,7 @@ from .errors import (
     NonIntegerVertex,
     ZeroPolynomial,
 )
-from .newton import build_polyhedron
+from .newton import NewtonPolyhedron, build_polyhedron
 from .quasihomog import edge_root_polynomial
 from .unipoly import rational_roots
 
@@ -109,7 +114,7 @@ def _refine_edge(
     resolved = 0
     for value, mult in rational_roots(u):
         g = apply_shear(f, ShearChange(ShearAxis.X2, value, a))
-        sub_full = _clusters(g, depth - 1, exponent)
+        sub_full = _clusters(g, build_polyhedron(g.num), depth - 1, exponent)
         continuations = tuple(
             c for c in sub_full.clusters if c.exponent > exponent
         )
@@ -129,8 +134,9 @@ def top_clusters(f: BiPoly, depth: int = 1) -> ClusterLevel:
     arithmetic happens at all.  With depth >= 2, branches with integer
     exponent and rational leading coefficient are refined recursively;
     everything else is counted in the clusters' `unresolved` fields.
-    The depth runs from 1 to MAX_DEPTH.
+    The depth, read through operator.index, runs from 1 to MAX_DEPTH.
     """
+    depth = index(depth)
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be between 1 and {MAX_DEPTH}")
     if f.is_zero:
@@ -139,20 +145,19 @@ def top_clusters(f: BiPoly, depth: int = 1) -> ClusterLevel:
         raise ValueError("cluster data needs f(0,0) = 0")
     if f.x2_degree < 1:
         raise DegenerateInX2("cluster data needs positive degree in x2")
-    return _clusters(f, depth, Fraction(0))
+    return _clusters(f, build_polyhedron(f.num), depth, Fraction(0))
 
 
-def _clusters(f: BiPoly, depth: int, above: Fraction) -> ClusterLevel:
-    """top_clusters of a valid f, refining only the edges of exponent
-    above `above`.  Under the shear by a branch b*x1^a, the edges of
-    exponent at most a hold the other branches of the edge being refined,
-    which the caller drops, so each branch is refined once."""
-    hull = build_polyhedron(f.num)
-    verts = hull.vertices
-    nu1 = verts[0][0]
-    nu2 = verts[-1][1]
+def _clusters(
+    f: BiPoly, polygon: NewtonPolyhedron, depth: int, above: Fraction
+) -> ClusterLevel:
+    """top_clusters of a valid f, read off `polygon`, f's Newton polygon as
+    the caller built it, refining only the edges of exponent above
+    `above`.  Under the shear by a branch b*x1^a, the edges of exponent at
+    most a hold the other branches of the edge being refined, which the
+    caller drops, so each branch is refined once."""
     clusters: list[Cluster] = []
-    for edge in hull.edges:
+    for edge in polygon.edges:
         (j0, k0), (j1, k1) = edge
         exponent = Fraction(j1 - j0, k0 - k1)
         count = k0 - k1
@@ -161,51 +166,36 @@ def _clusters(f: BiPoly, depth: int, above: Fraction) -> ClusterLevel:
         if depth >= 2 and exponent > above:
             refinements, unresolved = _refine_edge(f, edge, exponent, count, depth)
         clusters.append(Cluster(exponent, count, refinements, unresolved))
-    return ClusterLevel(nu1=nu1, nu2=nu2, clusters=tuple(clusters))
+    return ClusterLevel(polygon.first[0], polygon.last[1], tuple(clusters))
 
 
-def vertices_from_clusters(cl: ClusterLevel) -> list[tuple[int, int]]:
-    """Reconstruct the Newton-polygon vertices from cluster data alone.
+def polygon_from_clusters(cl: ClusterLevel) -> tuple[list[tuple[int, int]], Fraction]:
+    """The Newton-polygon vertices and the distance, from cluster data alone.
 
     A_l = nu1 + sum_{mu <= l} a_mu * N_mu and B_l = B_0 - sum_{mu <= l}
     N_mu, starting from (nu1, nu2 + total count).  The A_l must come out
-    integral; NonIntegerVertex flags inconsistent data.
+    integral; NonIntegerVertex flags inconsistent data.  The distance is
+    the largest of nu1 = A_0, nu2 = B_n, and the bisectrix intercepts
+    (A_l + a_l B_l) / (1 + a_l) of the edge lines: with a_l = p/q the
+    intercept is (A_l q + p B_l) / (q + p), and intercepts are compared
+    as integer cross products.
     """
     _validate(cl)
-    a = cl.nu1
-    b = cl.total_roots
-    out = [(a, b)]
+    a, b = cl.nu1, cl.total_roots
+    verts = [(a, b)]
+    num, den = max(a, cl.nu2), 1
     for c in cl.clusters:
+        p, q = c.exponent.numerator, c.exponent.denominator
         # A_{l-1} is an integer, so A_l is one exactly when a_l * N_l is
-        step, rest = divmod(c.exponent.numerator * c.count, c.exponent.denominator)
+        step, rest = divmod(p * c.count, q)
         if rest:
             raise NonIntegerVertex(
                 f"vertex abscissa {a + c.exponent * c.count} is not an integer"
             )
         a += step
         b -= c.count
-        out.append((a, b))
-    return out
-
-
-def distance_from_clusters(cl: ClusterLevel) -> Fraction:
-    """Newton distance from cluster data: the largest of A_0, B_n, and the
-    bisectrix intercepts (A_l + a_l B_l) / (1 + a_l) of the edge lines."""
-    return _distance_from_vertices(cl, vertices_from_clusters(cl))
-
-
-def _distance_from_vertices(
-    cl: ClusterLevel, verts: list[tuple[int, int]]
-) -> Fraction:
-    """distance_from_clusters on the vertices reconstructed from cl: with
-    a_l = p/q the intercept is (A_l q + p B_l) / (q + p), and intercepts
-    are compared as integer cross products."""
-    num, den = max(verts[0][0], verts[-1][1]), 1
-    for c, (A, B) in zip(cl.clusters, verts[1:]):
-        p, q = c.exponent.numerator, c.exponent.denominator
-        t_num, t_den = A * q + p * B, q + p
+        verts.append((a, b))
+        t_num, t_den = a * q + p * b, q + p
         if t_num * den > num * t_den:
             num, den = t_num, t_den
-    return Fraction(num, den)
-
-
+    return verts, Fraction(num, den)

@@ -25,8 +25,8 @@ from .adapt import (
     check_adapted,
 )
 from .bipoly import BiPoly
-from .clusters import _distance_from_vertices, top_clusters, vertices_from_clusters
-from .errors import DegenerateInX2
+from .clusters import _clusters, polygon_from_clusters
+from .newton import HullAnalysis
 from .svgdiagram import _render
 
 IntPair = tuple[int, int]
@@ -255,16 +255,14 @@ def report_from_dict(data: dict) -> AnalysisReport:
     )
 
 
-def _cluster_check(f: BiPoly, verts: tuple[IntPair, ...], d: Fraction):
-    try:
-        cl = top_clusters(f)
-    except DegenerateInX2:
+def _cluster_check(f: BiPoly, hull: HullAnalysis) -> tuple[bool | None, bool | None]:
+    """(vertices_match, distance_match) of the depth-1 clusters read off
+    the verdict's polygon; (None, None) when f does not involve x2."""
+    if f.x2_degree < 1:
         return None, None
-    cluster_verts = vertices_from_clusters(cl)
-    return (
-        tuple(cluster_verts) == verts,
-        _distance_from_vertices(cl, cluster_verts) == d,
-    )
+    polygon = hull.polyhedron
+    verts, d = polygon_from_clusters(_clusters(f, polygon, 1, Fraction(0)))
+    return tuple(verts) == polygon.vertices, d == hull.distance
 
 
 def _run(
@@ -286,8 +284,7 @@ def _assemble(
 ) -> AnalysisReport:
     """The report of one run of _run on f."""
     hull = rep.hull
-    verts = tuple(hull.polyhedron.vertices)
-    vmatch, dmatch = _cluster_check(f, verts, hull.distance)
+    vmatch, dmatch = _cluster_check(f, hull)
     text = str(f) if source is None else source
     adapted_poly = None
     if result is not None:
@@ -297,7 +294,7 @@ def _assemble(
     return AnalysisReport(
         source=text,
         support=tuple(sorted(f.num)),
-        vertices=verts,
+        vertices=hull.polyhedron.vertices,
         distance=hull.distance,
         face_kind=hull.face.kind.value,
         face_points=tuple(hull.face.points),

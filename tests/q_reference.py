@@ -38,7 +38,7 @@ from adaptcoord.bipoly import (
     squarefree_part_x2,
     swap_axes,
 )
-from adaptcoord.clusters import top_clusters, vertices_from_clusters
+from adaptcoord.clusters import polygon_from_clusters, top_clusters
 from adaptcoord.errors import (
     InternalInvariantViolation,
     IterationCapExceeded,
@@ -290,7 +290,7 @@ def edge_principal_part_from_clusters(f: BiPoly, l: int) -> BiPoly:
     cl = top_clusters(f)
     if l < 1 or l > len(cl.clusters):
         raise IndexError(f"no compact edge with index {l}")
-    verts = vertices_from_clusters(cl)
+    verts, _ = polygon_from_clusters(cl)
     a = cl.clusters[l - 1].exponent
     A, B = verts[l]
     line_level = A + a * B

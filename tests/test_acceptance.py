@@ -32,19 +32,18 @@ from adaptcoord import (
     build_report,
     check_adapted,
     distance,
-    distance_from_clusters,
     edge_weight,
     fit_decay,
     height,
     newton_polyhedron,
     parse,
+    polygon_from_clusters,
     predict_shear_vertices,
     principal_face,
     principal_part,
     squarefree_part_x2,
     swap_axes,
     top_clusters,
-    vertices_from_clusters,
 )
 from adaptcoord.unipoly import (
     UniPoly,
@@ -158,9 +157,9 @@ def test_criterion_3_cluster_hull_equivalence(capsys, corpus):
         assert len(corpus) >= 500
         for f in corpus:
             hull = newton_polyhedron(f)
-            cl = top_clusters(f)
-            assert tuple(vertices_from_clusters(cl)) == hull.vertices, f
-            assert distance_from_clusters(cl) == distance(hull), f
+            verts, d = polygon_from_clusters(top_clusters(f))
+            assert tuple(verts) == hull.vertices, f
+            assert d == distance(hull), f
 
     run_criterion(capsys, "3 cluster/hull equivalence (500 random)", 10.0, body)
 

@@ -266,6 +266,16 @@ def test_terminating_decoy_is_not_certified():
     assert res.height == 2
 
 
+def test_max_steps_is_read_as_an_index():
+    # operator.index refuses a float cap rather than running a step past it;
+    # a bool is an int, so True is a cap of 1
+    f = parse("(x2*(1 + x1) - x1^2)^2")
+    with pytest.raises(TypeError):
+        adapt(f, max_steps=2.5)
+    with pytest.raises(IterationCapExceeded, match="within 1 shears"):
+        adapt(f, max_steps=True)
+
+
 def test_height_matches_adapt():
     f = parse("(x2 - x1^2)^2 + x1^5")
     assert height(f) == adapt(f).height

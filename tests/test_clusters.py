@@ -14,13 +14,13 @@ from adaptcoord import (
     BiPoly,
     Cluster,
     ClusterLevel,
+    build_report,
     distance,
-    distance_from_clusters,
     edge_weight,
     newton_polyhedron,
     parse,
+    polygon_from_clusters,
     top_clusters,
-    vertices_from_clusters,
     weighted_part,
 )
 from adaptcoord import clusters
@@ -65,21 +65,21 @@ def test_total_roots_counts_x2_degree():
 
 def test_vertices_from_clusters_examples():
     cl = top_clusters(parse("x1*x2^2 - x1^3*x2"))
-    assert vertices_from_clusters(cl) == [(1, 2), (3, 1)]
+    assert polygon_from_clusters(cl)[0] == [(1, 2), (3, 1)]
     cl = top_clusters(parse("x2^2 + x1*x2 + x1^3"))
-    assert vertices_from_clusters(cl) == [(0, 2), (1, 1), (3, 0)]
+    assert polygon_from_clusters(cl)[0] == [(0, 2), (1, 1), (3, 0)]
 
 
 def test_distance_from_clusters_examples():
-    assert distance_from_clusters(
+    assert polygon_from_clusters(
         top_clusters(parse("x1*x2^2 - x1^3*x2"))
-    ) == Fraction(5, 3)
-    assert distance_from_clusters(
+    )[1] == Fraction(5, 3)
+    assert polygon_from_clusters(
         top_clusters(parse("(x2 - x1^2)^2 + x1^5"))
-    ) == Fraction(4, 3)
-    assert distance_from_clusters(
+    )[1] == Fraction(4, 3)
+    assert polygon_from_clusters(
         top_clusters(parse("x2^2 - x1^3"))
-    ) == Fraction(6, 5)
+    )[1] == Fraction(6, 5)
 
 
 def test_edge_principal_part_examples():
@@ -167,6 +167,9 @@ def test_input_validation():
         top_clusters(parse("1 + x2^2"))
     with pytest.raises(DegenerateInX2):
         top_clusters(parse("x1^2 + x1^3"))
+    # operator.index refuses a float depth rather than refining with it
+    with pytest.raises(TypeError):
+        top_clusters(parse("(x2 - x1^2)^2 + x1^5"), depth=2.0)
 
 
 def test_depth_at_the_bound_and_past_it():
@@ -186,19 +189,20 @@ def test_depth_at_the_bound_and_past_it():
 
 def test_reconstruction_rejects_inconsistent_data():
     with pytest.raises(NonIntegerVertex):
-        vertices_from_clusters(
+        polygon_from_clusters(
             ClusterLevel(0, 0, (Cluster(Fraction(1, 2), 1),))
         )
     with pytest.raises(ValueError):
-        vertices_from_clusters(
+        polygon_from_clusters(
             ClusterLevel(0, 0, (Cluster(Fraction(2), 1), Cluster(Fraction(1), 1)))
         )
     with pytest.raises(ValueError):
-        vertices_from_clusters(ClusterLevel(-1, 0, ()))
+        polygon_from_clusters(ClusterLevel(-1, 0, ()))
 
 
 def _fraction_vertices(cl: ClusterLevel):
-    """vertices_from_clusters on Fractions; None for a non-integer A_l."""
+    """The vertices of polygon_from_clusters on Fractions; None for a
+    non-integer A_l."""
     a = Fraction(cl.nu1)
     b = cl.total_roots
     out = [(cl.nu1, b)]
@@ -245,12 +249,10 @@ def test_reconstruction_matches_a_fraction_reference(cl):
     expected = _fraction_vertices(cl)
     if expected is None:
         with pytest.raises(NonIntegerVertex):
-            vertices_from_clusters(cl)
-        with pytest.raises(NonIntegerVertex):
-            distance_from_clusters(cl)
+            polygon_from_clusters(cl)
         return
-    assert vertices_from_clusters(cl) == expected
-    got = distance_from_clusters(cl)
+    verts, got = polygon_from_clusters(cl)
+    assert verts == expected
     assert type(got) is Fraction
     assert got == _fraction_distance(cl)
 
@@ -261,7 +263,7 @@ def test_non_integer_vertex_names_the_first_bad_abscissa():
     )
     assert _fraction_vertices(cl) is None
     with pytest.raises(NonIntegerVertex, match="vertex abscissa 7/2 is not"):
-        vertices_from_clusters(cl)
+        polygon_from_clusters(cl)
 
 
 @given(analyzable_bipolys())
@@ -269,8 +271,16 @@ def test_non_integer_vertex_names_the_first_bad_abscissa():
 def test_cluster_data_reproduces_hull_geometry(f):
     hull = newton_polyhedron(f)
     cl = top_clusters(f)
-    assert tuple(vertices_from_clusters(cl)) == hull.vertices
-    assert distance_from_clusters(cl) == distance(hull)
+    verts, d = polygon_from_clusters(cl)
+    assert tuple(verts) == hull.vertices
+    assert d == distance(hull)
+    # the report's cross-check, read off the verdict's polygon, agrees with
+    # the public path
+    rep = build_report(f, run_adapt=False)
+    assert (rep.cluster_vertices_match, rep.cluster_distance_match) == (
+        tuple(verts) == hull.vertices,
+        d == distance(hull),
+    )
     for idx, ((a, b), c) in enumerate(zip(hull.edges, cl.clusters), start=1):
         w = edge_weight(a, b)
         assert c.exponent == w.k2 / w.k1  # inverse slope identity

@@ -199,13 +199,14 @@ def _count_calls(monkeypatch, module: str, name: str) -> list:
 
 
 @pytest.mark.parametrize(
-    "expr, max_steps, max_hulls",
-    [("(x2 - x1^2)^2 + x1^5", DEFAULT_MAX_STEPS, 4), ("(x2*(1 + x1) - x1^2)^2", 8, None)],
+    "expr, max_steps",
+    [("(x2 - x1^2)^2 + x1^5", DEFAULT_MAX_STEPS), ("(x2*(1 + x1) - x1^2)^2", 8)],
 )
-def test_report_analyses_each_polynomial_once(monkeypatch, expr, max_steps, max_hulls):
+def test_report_analyses_each_polynomial_once(monkeypatch, expr, max_steps):
     verdicts = _count_calls(monkeypatch, "adapt", "_verdict")
     order_checks = _count_calls(monkeypatch, "quasihomog", "_require_order_two")
     hulls = _count_calls(monkeypatch, "newton", "build_polyhedron")
+    cluster_calls = _count_calls(monkeypatch, "clusters", "top_clusters")
     rep = build_report(parse(expr), max_steps=max_steps)
     # one verdict on the input, one on each polynomial a shear produced;
     # a shear keeps the order at the origin, so it is checked on the input.
@@ -217,13 +218,16 @@ def test_report_analyses_each_polynomial_once(monkeypatch, expr, max_steps, max_
     else:
         assert len(verdicts) == STABILIZATION_WINDOW + 1
     assert len(order_checks) == 1
-    if max_hulls is not None:
-        assert len(hulls) <= max_hulls
+    # each verdict builds its polygon once, and the cluster cross-check
+    # reads the input verdict's polygon
+    assert len(hulls) == len(verdicts)
+    assert rep.cluster_vertices_match and rep.cluster_distance_match
+    assert cluster_calls == []
 
 
 @pytest.mark.parametrize(
     "expr, hull_builds, order_checks",
-    [("(x2 - x1^2)^2 + x1^5", 3, 1), ("(x2*(1 + x1) - x1^2)^2", 5, 1)],
+    [("(x2 - x1^2)^2 + x1^5", 2, 1), ("(x2*(1 + x1) - x1^2)^2", 4, 1)],
 )
 def test_analyze_svg_draws_the_run_it_reports(
     monkeypatch, capsys, tmp_path, expr, hull_builds, order_checks
@@ -231,13 +235,16 @@ def test_analyze_svg_draws_the_run_it_reports(
     hulls = _count_calls(monkeypatch, "newton", "build_polyhedron")
     parses = _count_calls(monkeypatch, "parsing", "parse")
     checks = _count_calls(monkeypatch, "quasihomog", "_require_order_two")
+    verdicts = _count_calls(monkeypatch, "adapt", "_verdict")
+    cluster_calls = _count_calls(monkeypatch, "clusters", "top_clusters")
     target = tmp_path / "diagram.svg"
     assert main(["analyze", expr, "--svg", str(target)]) == 0
     capsys.readouterr()
-    # one verdict per polynomial of the run that gets one, none for the
-    # steps read off a certificate, and one cluster oracle on the input;
-    # the diagram reads the run's hulls and its adapted polynomial
-    assert len(hulls) == hull_builds
+    # one verdict, with one hull, per polynomial of the run that gets one,
+    # none for the steps read off a certificate; the cluster oracle and
+    # the diagram read the run's hulls, the diagram its adapted polynomial
+    assert len(hulls) == len(verdicts) == hull_builds
+    assert cluster_calls == []
     assert len(parses) == 1
     assert len(checks) == order_checks
     assert "adapted: d = " in target.read_text()
