@@ -198,6 +198,38 @@ def test_decay_json_output(capsys):
     assert data["fitted_exponent"] == pytest.approx(1.0, abs=0.3)
 
 
+@pytest.mark.parametrize(
+    "lambda_max, points, text",
+    [
+        (
+            "1e4",
+            "7",
+            "lambda range:    10 .. 10000 (7 points)\n"
+            "fitted exponent: 0.4987\n"
+            "log power:       0\n"
+            "residual (rms):  0.0085\n"
+            "exact 1/h:       1/2 = 0.5000\n",
+        ),
+        (
+            "1e3",
+            "5",
+            "lambda range:    10 .. 1000 (5 points)\n"
+            "fitted exponent: 0.4972\n"
+            "log power:       0\n"
+            "residual (rms):  0.0096\n"
+            "exact 1/h:       1/2 = 0.5000\n",
+        ),
+    ],
+)
+def test_decay_text_is_pinned(capsys, lambda_max, points, text):
+    # the order of summation in the quadrature moves the fit by about
+    # 1e-15; every printed figure is at least 2.6e-5 from a rounding
+    # boundary, so the text does not move with it
+    argv = ["decay", "(x2 - x1^2)^2", "--lambda-min", "10", "--lambda-max", lambda_max]
+    code, out, err = run(capsys, *argv, "--points", points)
+    assert (code, out, err) == (0, text, "")
+
+
 def test_decay_radius_defaults_to_the_module_constant(monkeypatch):
     from adaptcoord.oscillatory import DEFAULT_RADIUS
 

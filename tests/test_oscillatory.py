@@ -107,7 +107,7 @@ def test_estimate_validation():
 
 
 def test_grid_is_bounded_above():
-    # refused before the grid_n x 128 blocks are allocated
+    # refused before the grid_n x 32 blocks are allocated
     f = parse("x1^2 + x2^2")
     with pytest.raises(ValueError, match=f"64..{MAX_GRID}"):
         estimate_integral(f, 10.0, grid_n=MAX_GRID + 1)
@@ -198,6 +198,26 @@ def test_partial_last_block_matches_direct_meshgrid(src, lam, n):
     assert mine == pytest.approx(ref, rel=1e-10, abs=1e-13)
 
 
+@pytest.mark.parametrize("n", [64, 65, 96, 97])
+@pytest.mark.parametrize(
+    "src",
+    [
+        # the x1 rows fold, the x2 columns do not
+        "(x2 - x1^2)^2",
+        # no parity: no fold
+        "(x2 - x1^2)^2 + x1^5",
+    ],
+)
+def test_block_edges_match_direct_meshgrid(src, n):
+    # neither phase folds its x2 columns, so 64 and 96 end on a full block
+    # of 32, 65 and 97 on a block of one column, and on the odd grids the
+    # folded x1 axis keeps its middle node once
+    f = parse(src)
+    mine = estimate_integral(f, 40.0, grid_n=n)
+    ref = direct_estimate(f, 40.0, DEFAULT_RADIUS, n)
+    assert mine == pytest.approx(ref, rel=1e-10, abs=1e-13)
+
+
 def test_high_degrees_cost_one_power_per_term():
     # a millionth power underflows to 0 on every node; the x1 rows and
     # the Horner steps in x2 come from the two nonzero terms, not from a
@@ -209,10 +229,28 @@ def test_high_degrees_cost_one_power_per_term():
 
 
 def test_largest_grid_stays_within_its_memory_bound():
-    # limit fixed before the first run: a block holds two grid_n x 128
-    # float64 arrays (8 MiB at MAX_GRID) next to a few grid_n-long rows
+    # limit fixed before the first run, when a block held two grid_n x 128
+    # float64 arrays (8 MiB at MAX_GRID) next to a few grid_n-long rows;
+    # the blocks are now grid_n x 32 and this phase folds its x1 rows, so
+    # the two arrays hold 1 MiB
     limit_mb = 24.0
     f = parse("(x2 - x1^2)^2")
+    tracemalloc.start()
+    try:
+        estimate_integral(f, 1e4, grid_n=MAX_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < limit_mb
+
+
+def test_unfolded_largest_grid_stays_within_its_memory_bound():
+    # limit fixed before the first run: with no parity every x1 row is
+    # summed, and the two grid_n x 32 float64 block arrays hold 2 MiB at
+    # MAX_GRID next to a few grid_n-long rows; blocks of 128 columns, at
+    # 8 MiB, would not fit
+    limit_mb = 4.0
+    f = parse("(x2 - x1^2)^2 + x1^5")
     tracemalloc.start()
     try:
         estimate_integral(f, 1e4, grid_n=MAX_GRID)
@@ -247,7 +285,8 @@ def test_constant_shifts_the_estimate_by_its_phase(turns):
     # lam * c = turns * pi as a float; at the origin node, which an odd
     # grid has, the half phase is the float nearest an odd multiple of
     # pi / 2, where tan has a pole, and from there the phase runs across
-    # the next poles; 257 = 2 * 128 + 1 leaves a last block of one column.
+    # the next poles; both axes fold to 129 = 4 * 32 + 1 nodes, which
+    # leaves a last block of one column.
     # A third of a turn rotates by a factor that is not real, which a sine
     # of the wrong sign would not match
     lam = 32.0
