@@ -132,9 +132,13 @@ class BiPoly:
         return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
+        if not isinstance(other, BiPoly):
+            return NotImplemented
         return _sum((self, other))
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
+        if not isinstance(other, BiPoly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "BiPoly":
@@ -145,6 +149,8 @@ class BiPoly:
             c = _frac(other)
             num = {t: v * c.numerator for t, v in self.num.items()} if c else {}
             return BiPoly._of(num, self.den * c.denominator)
+        if not isinstance(other, BiPoly):
+            return NotImplemented
         out: dict[Term, int] = {}
         for (j1, k1), c1 in self.num.items():
             for (j2, k2), c2 in other.num.items():
@@ -338,6 +344,8 @@ class ShearChange(_ShearChangeFields):
     With axis X2 the new polynomial is f(x1, x2 + b*x1^m): this is the
     inverse substitution of the coordinate change y2 = x2 - b*x1^m, so the
     chain of shears can be read back as the root jet y2 = x2 - sum b*x1^m.
+    The axis is read through ShearAxis: a member or its value, "x1" or
+    "x2"; anything else raises ValueError.
     """
 
     __slots__ = ()
@@ -345,6 +353,7 @@ class ShearChange(_ShearChangeFields):
     def __new__(
         cls, axis: ShearAxis, coefficient: Fraction | int, exponent: int
     ) -> ShearChange:
+        axis = ShearAxis(axis)
         coefficient = _frac(coefficient)
         if coefficient == 0:
             raise ValueError("shear coefficient must be nonzero")

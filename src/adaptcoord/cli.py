@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .adapt import DEFAULT_MAX_STEPS, adapt
-from .clusters import Cluster, ClusterLevel, top_clusters
+from .clusters import ClusterLevel, top_clusters
 from .errors import (
     AdaptcoordError,
     IterationCapExceeded,
@@ -39,7 +39,7 @@ from .errors import (
 from .oscillatory import DEFAULT_RADIUS, _check_fit_arguments, fit_decay
 from .parsing import parse
 from .quasihomog import _require_order_two, predict_shear_vertices
-from .report import AnalysisReport, _assemble, _diagram, _run
+from .report import AnalysisReport, _assemble, _diagram, _plain, _run
 
 
 class _UsageError(Exception):
@@ -141,21 +141,12 @@ def _cmd_decay(args: argparse.Namespace) -> int:
     )
     reference = 1 / h
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "lambdas": list(est.lambdas),
-                    "magnitudes": list(est.magnitudes),
-                    "fitted_exponent": est.fitted_exponent,
-                    "fitted_log_power": est.fitted_log_power,
-                    "residual": est.residual,
-                    "reference_exponent": str(reference),
-                    "reference_exponent_float": float(reference),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        fit = {
+            **_plain(est),
+            "reference_exponent": str(reference),
+            "reference_exponent_float": float(reference),
+        }
+        print(json.dumps(fit, indent=2, sort_keys=True))
     else:
         print(
             f"lambda range:    {args.lambda_min:g} .. {args.lambda_max:g} "
@@ -166,29 +157,6 @@ def _cmd_decay(args: argparse.Namespace) -> int:
         print(f"residual (rms):  {est.residual:.4f}")
         print(f"exact 1/h:       {reference} = {float(reference):.4f}")
     return 0
-
-
-def _cluster_dict(level: ClusterLevel) -> dict:
-    def cluster(c: Cluster) -> dict:
-        return {
-            "exponent": str(c.exponent),
-            "count": c.count,
-            "unresolved": c.unresolved,
-            "refinements": [
-                {
-                    "coefficient": str(r.coefficient),
-                    "count": r.count,
-                    "sub": _cluster_dict(r.sub),
-                }
-                for r in c.refinements
-            ],
-        }
-
-    return {
-        "nu1": level.nu1,
-        "nu2": level.nu2,
-        "clusters": [cluster(c) for c in level.clusters],
-    }
 
 
 def _print_clusters(level: ClusterLevel, indent: int = 0) -> None:
@@ -206,7 +174,7 @@ def _cmd_clusters(args: argparse.Namespace) -> int:
     f = parse(args.expr)
     level = top_clusters(f, depth=args.depth)
     if args.json:
-        print(json.dumps(_cluster_dict(level), indent=2, sort_keys=True))
+        print(json.dumps(_plain(level), indent=2, sort_keys=True))
     else:
         _print_clusters(level)
     return 0
@@ -220,13 +188,7 @@ def _cmd_predict_shear(args: argparse.Namespace) -> int:
         raise _UsageError(f"coefficient must be rational, got {args.coefficient!r}")
     first, last = predict_shear_vertices(f, b)
     if args.json:
-        print(
-            json.dumps(
-                {"first": list(first), "last": list(last)},
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(json.dumps({"first": first, "last": last}, indent=2, sort_keys=True))
     else:
         print(f"first vertex:    ({first[0]}, {first[1]})")
         print(f"last vertex:     ({last[0]}, {last[1]})")

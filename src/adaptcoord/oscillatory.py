@@ -64,6 +64,7 @@ none of these parities sums the whole grid.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -165,7 +166,8 @@ def estimate_integral(
     cannot resolve the phase (more than PHASE_PER_CELL_LIMIT radians per
     cell per axis, or a gradient bound beyond the float range), and when
     lambda times the phase leaves the float range, so that the sum is not
-    finite.
+    finite.  `grid_n` is read through operator.index, so a float raises
+    TypeError.
     """
     if f.is_zero:
         raise ValueError("integrand phase must be a nonzero polynomial")
@@ -174,8 +176,7 @@ def estimate_integral(
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     rate = lam * gradient_bound(f, radius)
-    if grid_n is None:
-        grid_n = _grid_size(rate, radius)
+    grid_n = _grid_size(rate, radius) if grid_n is None else index(grid_n)
     if not 64 <= grid_n <= MAX_GRID:
         raise ValueError(f"grid_n must be in 64..{MAX_GRID}, got {grid_n}")
     cell = 2.0 * radius / grid_n
@@ -257,7 +258,8 @@ def _check_fit_arguments(
     grid_n: int | None,
 ) -> None:
     """Raise ValueError for fit_decay arguments that no phase could make
-    good, so a caller can refuse them before any exact work on f."""
+    good, so a caller can refuse them before any exact work on f; a
+    grid_n that is not an integer raises TypeError."""
     if not 0 < lambda_min < lambda_max:
         raise ValueError("need 0 < lambda_min < lambda_max")
     if lambda_max == math.inf:
@@ -270,7 +272,7 @@ def _check_fit_arguments(
         raise ValueError("lambda_min must exceed 1 for the log-log model")
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    if grid_n is not None and not 64 <= grid_n <= MAX_GRID:
+    if grid_n is not None and not 64 <= index(grid_n) <= MAX_GRID:
         raise ValueError(f"grid_n must be in 64..{MAX_GRID}, got {grid_n}")
     # without a grid_n the phase picks the grid: refuse only a radius
     # whose cell area leaves the float range on every grid it could pick

@@ -59,14 +59,6 @@ class AnalysisReport(NamedTuple):
     cluster_distance_match: bool | None
 
     def to_dict(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            b, m, mult = self.witness
-            witness = {
-                "coefficient": str(b),
-                "exponent": m,
-                "multiplicity": mult,
-            }
         cluster_check = None
         if self.cluster_vertices_match is not None:
             cluster_check = {
@@ -75,32 +67,29 @@ class AnalysisReport(NamedTuple):
             }
         return {
             "input": self.source,
-            "support": [list(p) for p in self.support],
-            "vertices": [list(p) for p in self.vertices],
+            "support": _plain(self.support),
+            "vertices": _plain(self.vertices),
             "distance": str(self.distance),
             "principal_face": {
                 "kind": self.face_kind,
-                "points": [list(p) for p in self.face_points],
+                "points": _plain(self.face_points),
             },
-            "principal_weight": [str(w) for w in self.principal_weight],
-            "edge_weights": [[str(a), str(b)] for a, b in self.edge_weights],
+            "principal_weight": _plain(self.principal_weight),
+            "edge_weights": _plain(self.edge_weights),
             "adapted_input": self.adapted_input,
             "adaptedness": {
                 "condition_a": self.condition_a,
                 "condition_b": self.condition_b,
                 "condition_c": self.condition_c,
                 "axis_swapped": self.check_axis_swapped,
-                "witness": witness,
+                "witness": _plain(self.witness),
             },
             "status": self.status,
-            "height": None if self.height is None else str(self.height),
-            "jet": [[str(b), m] for b, m in self.jet],
+            "height": _plain(self.height),
+            "jet": _plain(self.jet),
             "jet_truncated": self.jet_truncated,
             "adapt_axis_swapped": self.adapt_axis_swapped,
-            "steps": [
-                {"multiplicity": n, "exponent": m, "distance": str(d)}
-                for n, m, d in self.steps
-            ],
+            "steps": _plain(self.steps),
             "adapted_poly": self.adapted_poly,
             "cluster_check": cluster_check,
         }
@@ -193,6 +182,19 @@ _REPORT = """{
   "support": %s,
   "vertices": %s
 }"""
+
+
+def _plain(value: object) -> object:
+    """value as JSON data: a record as a dict of its fields, any other
+    tuple as a list, a Fraction as its exact string, anything else as
+    it is."""
+    if isinstance(value, tuple):
+        if hasattr(value, "_fields"):
+            return {k: _plain(v) for k, v in zip(value._fields, value)}
+        return [_plain(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
 
 
 def _array(items: list[str], indent: str) -> str:

@@ -182,6 +182,32 @@ def test_shear_exponent_must_be_an_integer():
         shear._replace(exponent=1.5)
 
 
+def test_shear_axis_is_read_as_a_shear_axis():
+    # the member's value names it; anything else is refused, not taken
+    # for an x2-shear
+    f = parse("x2^2 + x1^3")
+    shear = ShearChange("x1", 1, 1)
+    assert shear.axis is ShearAxis.X1
+    assert apply_shear(f, shear) == parse("x2^2 + (x1 + x2)^3")
+    for axis in (None, "x3", 1):
+        with pytest.raises(ValueError):
+            ShearChange(axis, 1, 1)
+    with pytest.raises(ValueError):
+        ShearChange(ShearAxis.X2, 1, 1)._replace(axis=None)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [lambda f: f * 2.5, lambda f: 2.5 * f, lambda f: f + 1, lambda f: f - 1],
+    ids=["f * 2.5", "2.5 * f", "f + 1", "f - 1"],
+)
+def test_arithmetic_refuses_a_foreign_operand(expr):
+    # NotImplemented from both sides: Python raises TypeError, not the
+    # AttributeError of reading .num or .den off the operand
+    with pytest.raises(TypeError, match="unsupported operand"):
+        expr(parse("x2^2 + x1^3"))
+
+
 def test_power_must_be_an_integer():
     # n is checked before any arithmetic, for a one-term base as for a sum
     for f in (BiPoly.monomial(1, 0), parse("x1 + x2")):

@@ -3,13 +3,20 @@ emission."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from adaptcoord import cli, report_from_dict
+from adaptcoord import DecayEstimate, cli, fit_decay, parse, report_from_dict
 from adaptcoord.cli import main
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -198,6 +205,84 @@ def test_decay_json_output(capsys):
     assert data["fitted_exponent"] == pytest.approx(1.0, abs=0.3)
 
 
+CLUSTERS_DEPTH_3_JSON = """{
+  "clusters": [
+    {
+      "count": 2,
+      "exponent": "2",
+      "refinements": [
+        {
+          "coefficient": "1",
+          "count": 2,
+          "sub": {
+            "clusters": [
+              {
+                "count": 2,
+                "exponent": "5/2",
+                "refinements": [],
+                "unresolved": 2
+              }
+            ],
+            "nu1": 0,
+            "nu2": 0
+          }
+        }
+      ],
+      "unresolved": 0
+    }
+  ],
+  "nu1": 0,
+  "nu2": 0
+}
+"""
+PREDICT_SHEAR_JSON = """{
+  "first": [
+    0,
+    2
+  ],
+  "last": [
+    4,
+    0
+  ]
+}
+"""
+
+
+def test_clusters_and_predict_shear_json_are_pinned(capsys):
+    runs = [
+        (["clusters", "(x2 - x1^2)^2 + x1^5", "--depth", "3"], CLUSTERS_DEPTH_3_JSON),
+        (["predict-shear", "(x2 - x1^2)^2", "1/2"], PREDICT_SHEAR_JSON),
+    ]
+    for argv, text in runs:
+        assert run(capsys, *argv, "--json") == (0, text, ""), argv
+    # 80 lines: the chain of exponents 2, 3, 4, 5, 6 under coefficients
+    # 1, -1, 1, -1, two roots deep, ending in no refinement
+    argv = ["clusters", "(x2*(1 + x1) - x1^2)^2", "--depth", "5", "--json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err, out.count("\n")) == (0, "", 80)
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "a0b3d5e342c1251e68c00e8d49da4274104bdb441c7951175a00e9edfb341d40"
+
+
+def test_decay_json_keys_are_the_fit_fields(capsys):
+    argv = ["decay", "x2^2 - x1^3", "--lambda-min", "10", "--lambda-max", "1e3"]
+    code, out, err = run(capsys, *argv, "--points", "5", "--json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    reference = {"reference_exponent", "reference_exponent_float"}
+    assert set(data) == {*DecayEstimate._fields, *reference}
+    est = fit_decay(parse("x2^2 - x1^3"), 10.0, 1e3, points=5)
+    # floats are written by repr, so they read back exactly
+    assert {k: data[k] for k in DecayEstimate._fields} == {
+        "lambdas": list(est.lambdas),
+        "magnitudes": list(est.magnitudes),
+        "fitted_exponent": est.fitted_exponent,
+        "fitted_log_power": est.fitted_log_power,
+        "residual": est.residual,
+    }
+    assert (data["reference_exponent"], data["reference_exponent_float"]) == ("5/6", 5 / 6)
+
+
 @pytest.mark.parametrize(
     "lambda_max, points, text",
     [
@@ -363,3 +448,15 @@ def test_scripts_report_errors_without_a_traceback(capsys, script, argv, named):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert named in captured.err
+
+
+def test_documented_outputs_are_what_the_cli_prints(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sessions = re.findall(r"```text\n\$ adaptcoord ([^\n]*)\n(.*?)```", readme, re.S)
+    assert len(sessions) == 2
+    for command, text in sessions:
+        assert run(capsys, *shlex.split(command)) == (0, text, ""), command
+    schema = (ROOT / "docs" / "report_schema.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```json\n(.*?)```", schema, re.S)
+    argv = ["analyze", "(x2 - x1^2)^2 + x1^5", "--json"]
+    assert run(capsys, *argv) == (0, example, "")

@@ -113,6 +113,16 @@ def test_grid_is_bounded_above():
         estimate_integral(f, 10.0, grid_n=MAX_GRID + 1)
 
 
+def test_grid_n_is_read_as_an_index():
+    # a float grid_n of 100.5 would lay out 101 nodes that are not
+    # symmetric about 0, which the fold of the mirrored half assumes
+    f = parse("(x2 - x1^2)^2")
+    with pytest.raises(TypeError):
+        estimate_integral(f, 50.0, grid_n=100.5)
+    with pytest.raises(TypeError):
+        fit_decay(f, 10.0, 1e3, points=5, grid_n=300.7)
+
+
 def test_underflowing_cell_area_names_the_radius():
     f = parse("x2^2 - x1^3")
     with pytest.raises(ValueError, match="radius 1e-300"):
