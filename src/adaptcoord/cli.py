@@ -8,8 +8,9 @@ Subcommands:
                  polynomial, without expanding the shear
 
 Exit codes: 0 success; 2 expression or usage errors (among them an --svg
-path that cannot be written and parentheses nested deeper than
-parsing.MAX_NESTING); 3 precondition violations (among them a --max-steps
+path that cannot be written, parentheses nested deeper than
+parsing.MAX_NESTING and an integer literal past Python's digit limit
+for int()); 3 precondition violations (among them a --max-steps
 below 1, a clusters --depth outside 1 to clusters.MAX_DEPTH, an --svg
 diagram whose extent exceeds svgdiagram.MAX_EXTENT, which writes no file,
 a decay lambda or radius that is not finite, a decay radius so small
@@ -63,21 +64,22 @@ def _jet_text(jet) -> str:
 
 
 def _print_analysis(rep: AnalysisReport) -> None:
-    print(f"input:           {rep.source}")
+    ad, face = rep.adaptedness, rep.principal_face
+    print(f"input:           {rep.input}")
     print(f"support:         {_pairs(rep.support)}")
     print(f"vertices:        {_pairs(rep.vertices)}")
     print(f"distance:        {rep.distance}")
-    print(f"principal face:  {rep.face_kind} through {_pairs(rep.face_points)}")
+    print(f"principal face:  {face.kind.value} through {_pairs(face.points)}")
     print(f"weight:          ({rep.principal_weight[0]}, {rep.principal_weight[1]})")
     flags = (
-        f"[edge={'yes' if rep.condition_a else 'no'} "
-        f"integer-ratio={'yes' if rep.condition_b else 'no'} "
-        f"deep-root={'yes' if rep.condition_c else 'no'}]"
+        f"[edge={'yes' if ad.condition_a else 'no'} "
+        f"integer-ratio={'yes' if ad.condition_b else 'no'} "
+        f"deep-root={'yes' if ad.condition_c else 'no'}]"
     )
-    swap = " (axes swapped)" if rep.check_axis_swapped else ""
+    swap = " (axes swapped)" if ad.axis_swapped else ""
     print(f"adapted:         {'yes' if rep.adapted_input else 'no'} {flags}{swap}")
-    if rep.witness is not None:
-        b, m, mult = rep.witness
+    if ad.witness is not None:
+        b, m, mult = ad.witness
         print(f"witness root:    x2 = {b}*x1^{m} (multiplicity {mult})")
     if rep.status == "skipped":
         print("adaptation:      skipped")
@@ -93,13 +95,12 @@ def _print_analysis(rep: AnalysisReport) -> None:
                 f"step {i}:          exponent {m}, multiplicity {mult}, "
                 f"distance before {d}"
             )
-        if rep.adapted_poly is not None and rep.status != "skipped":
-            print(f"adapted form:    {rep.adapted_poly}")
-    if rep.cluster_vertices_match is None:
+        print(f"adapted form:    {rep.adapted_poly}")
+    if rep.cluster_check is None:
         print("cluster check:   not applicable")
     else:
-        v = "ok" if rep.cluster_vertices_match else "MISMATCH"
-        d = "ok" if rep.cluster_distance_match else "MISMATCH"
+        v = "ok" if rep.cluster_check.vertices_match else "MISMATCH"
+        d = "ok" if rep.cluster_check.distance_match else "MISMATCH"
         print(f"cluster check:   vertices {v}, distance {d}")
 
 
@@ -185,6 +186,14 @@ def _cmd_predict_shear(args: argparse.Namespace) -> int:
     try:
         b = Fraction(args.coefficient)
     except (ValueError, ZeroDivisionError):
+        # a string past Python's digit limit for int() is not echoed; a
+        # limit of 0 is none
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < len(args.coefficient):
+            raise _UsageError(
+                f"coefficient must be rational, its numerator and denominator of "
+                f"at most {limit} digits; got {len(args.coefficient)} characters"
+            )
         raise _UsageError(f"coefficient must be rational, got {args.coefficient!r}")
     first, last = predict_shear_vertices(f, b)
     if args.json:

@@ -13,11 +13,13 @@ Grammar, loosest binding first:
 Variables are x1 and x2, with x and y accepted as aliases.  There is no
 implicit multiplication and no division except inside rational literals;
 exponents must be non-negative integer literals.  Parentheses nest at
-most MAX_NESTING deep.  Errors carry 1-based line and column positions.
+most MAX_NESTING deep, and a literal longer than Python's digit limit for
+int() is a syntax error.  Errors carry 1-based line and column positions.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -151,14 +153,14 @@ class _Parser:
         return value
 
     def number(self) -> Fraction:
-        tok = self.expect("int")
-        value = Fraction(int(tok.text))
+        value = Fraction(_integer(self.expect("int")))
         if self.peek().kind == "/":
             self.advance()
-            den = self.expect("int")
-            if int(den.text) == 0:
-                raise PolySyntaxError("zero denominator", den.line, den.col)
-            value /= int(den.text)
+            tok = self.expect("int")
+            den = _integer(tok)
+            if den == 0:
+                raise PolySyntaxError("zero denominator", tok.line, tok.col)
+            value /= den
         return value
 
     def atom(self) -> BiPoly:
@@ -206,7 +208,21 @@ class _Parser:
             raise NonIntegerExponent(
                 "exponents must be non-negative", num.line, num.col
             )
-        return int(num.text)
+        return _integer(num)
+
+
+def _integer(tok: _Token) -> int:
+    """The value of a digit token; past Python's digit limit for int(),
+    a syntax error at the token."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise PolySyntaxError(
+            f"integer literal of {len(tok.text)} digits exceeds the limit "
+            f"of {sys.get_int_max_str_digits()} digits",
+            tok.line,
+            tok.col,
+        ) from None
 
 
 def parse(src: str) -> BiPoly:

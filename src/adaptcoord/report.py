@@ -11,9 +11,12 @@ is assembled from, so nothing the run produced is computed or parsed again.
 
 from __future__ import annotations
 
+from enum import Enum, EnumMeta
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple
+from types import UnionType
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from .adapt import (
     DEFAULT_MAX_STEPS,
@@ -26,28 +29,44 @@ from .adapt import (
 )
 from .bipoly import BiPoly
 from .clusters import _clusters, polygon_from_clusters
-from .newton import HullAnalysis
+from .newton import Face, HullAnalysis
 from .svgdiagram import _render
 
 IntPair = tuple[int, int]
 FracPair = tuple[Fraction, Fraction]
 
 
-class AnalysisReport(NamedTuple):
-    source: str
-    support: tuple[IntPair, ...]
-    vertices: tuple[IntPair, ...]
-    distance: Fraction
-    face_kind: str
-    face_points: tuple[IntPair, ...]
-    principal_weight: FracPair
-    edge_weights: tuple[FracPair, ...]
-    adapted_input: bool
+class Adaptedness(NamedTuple):
+    """The verdict's three conditions on the principal face, whether it
+    was read with the axes swapped, and the root witnessing (c)."""
+
     condition_a: bool
     condition_b: bool
     condition_c: bool
-    check_axis_swapped: bool
+    axis_swapped: bool
     witness: PrincipalRootWitness | None
+
+
+class ClusterCheck(NamedTuple):
+    """Whether the depth-1 clusters give the verdict's vertices and
+    distance."""
+
+    vertices_match: bool
+    distance_match: bool
+
+
+class AnalysisReport(NamedTuple):
+    """One run, shaped as its JSON: each key is a field name."""
+
+    input: str
+    support: tuple[IntPair, ...]
+    vertices: tuple[IntPair, ...]
+    distance: Fraction
+    principal_face: Face
+    principal_weight: FracPair
+    edge_weights: tuple[FracPair, ...]
+    adapted_input: bool
+    adaptedness: Adaptedness
     status: str
     height: Fraction | None
     jet: tuple[tuple[Fraction, int], ...]
@@ -55,76 +74,41 @@ class AnalysisReport(NamedTuple):
     adapt_axis_swapped: bool
     steps: tuple[AdaptStep, ...]
     adapted_poly: str | None
-    cluster_vertices_match: bool | None
-    cluster_distance_match: bool | None
+    cluster_check: ClusterCheck | None
 
     def to_dict(self) -> dict:
-        cluster_check = None
-        if self.cluster_vertices_match is not None:
-            cluster_check = {
-                "vertices_match": self.cluster_vertices_match,
-                "distance_match": self.cluster_distance_match,
-            }
-        return {
-            "input": self.source,
-            "support": _plain(self.support),
-            "vertices": _plain(self.vertices),
-            "distance": str(self.distance),
-            "principal_face": {
-                "kind": self.face_kind,
-                "points": _plain(self.face_points),
-            },
-            "principal_weight": _plain(self.principal_weight),
-            "edge_weights": _plain(self.edge_weights),
-            "adapted_input": self.adapted_input,
-            "adaptedness": {
-                "condition_a": self.condition_a,
-                "condition_b": self.condition_b,
-                "condition_c": self.condition_c,
-                "axis_swapped": self.check_axis_swapped,
-                "witness": _plain(self.witness),
-            },
-            "status": self.status,
-            "height": _plain(self.height),
-            "jet": _plain(self.jet),
-            "jet_truncated": self.jet_truncated,
-            "adapt_axis_swapped": self.adapt_axis_swapped,
-            "steps": _plain(self.steps),
-            "adapted_poly": self.adapted_poly,
-            "cluster_check": cluster_check,
-        }
+        return _plain(self)
 
     def to_json(self) -> str:
         """The bytes of json.dumps(self.to_dict(), indent=2,
         sort_keys=True), written straight from the fixed schema: keys in
         sorted order, each array item from one template at its indent."""
-        witness = "null"
-        if self.witness is not None:
-            witness = _WITNESS % self.witness
+        ad, check, face = self.adaptedness, self.cluster_check, self.principal_face
+        witness = "null" if ad.witness is None else _WITNESS % ad.witness
         cluster_check = "null"
-        if self.cluster_vertices_match is not None:
+        if check is not None:
             cluster_check = _CLUSTER_CHECK % (
-                _LITERAL[self.cluster_distance_match],
-                _LITERAL[self.cluster_vertices_match],
+                _LITERAL[check.distance_match],
+                _LITERAL[check.vertices_match],
             )
         return _REPORT % (
             _LITERAL[self.adapt_axis_swapped],
             _LITERAL[self.adapted_input],
             _string_or_null(self.adapted_poly),
-            _LITERAL[self.check_axis_swapped],
-            _LITERAL[self.condition_a],
-            _LITERAL[self.condition_b],
-            _LITERAL[self.condition_c],
+            _LITERAL[ad.axis_swapped],
+            _LITERAL[ad.condition_a],
+            _LITERAL[ad.condition_b],
+            _LITERAL[ad.condition_c],
             witness,
             cluster_check,
             self.distance,
             _array([_WEIGHT % w for w in self.edge_weights], "  "),
             _string_or_null(self.height),
-            _quote(self.source),
+            _quote(self.input),
             _array([_JET_TERM % t for t in self.jet], "  "),
             _LITERAL[self.jet_truncated],
-            _quote(self.face_kind),
-            _array([_FACE_POINT % p for p in self.face_points], "    "),
+            _quote(face.kind.value),
+            _array([_FACE_POINT % p for p in face.points], "    "),
             *self.principal_weight,
             _quote(self.status),
             _array([_STEP % (d, m, n) for n, m, d in self.steps], "  "),
@@ -186,14 +170,39 @@ _REPORT = """{
 
 def _plain(value: object) -> object:
     """value as JSON data: a record as a dict of its fields, any other
-    tuple as a list, a Fraction as its exact string, anything else as
-    it is."""
+    tuple as a list, a Fraction as its exact string, an Enum as its
+    value, anything else as it is."""
     if isinstance(value, tuple):
         if hasattr(value, "_fields"):
             return {k: _plain(v) for k, v in zip(value._fields, value)}
         return [_plain(v) for v in value]
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+_hints = cache(get_type_hints)
+
+
+def _typed(kind: object, value: object) -> object:
+    """The inverse of _plain: value read back as the annotation `kind`.
+    A record is built from its fields, a tuple item by item, X | None as
+    X; a Fraction and an Enum by their constructors."""
+    if value is None:
+        return None
+    if hasattr(kind, "_fields"):
+        hints = _hints(kind)
+        return kind(*(_typed(hints[k], value[k]) for k in kind._fields))
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is tuple:
+        kinds = (args[0],) * len(value) if args[-1] is Ellipsis else args
+        return tuple(map(_typed, kinds, value))
+    if origin is UnionType:
+        return _typed(args[0], value)
+    if kind is Fraction or isinstance(kind, EnumMeta):
+        return kind(value)
     return value
 
 
@@ -210,61 +219,17 @@ def _string_or_null(value: object) -> str:
 
 def report_from_dict(data: dict) -> AnalysisReport:
     """Inverse of AnalysisReport.to_dict, exact on all rational fields."""
-    ad = data["adaptedness"]
-    witness = None
-    if ad["witness"] is not None:
-        witness = PrincipalRootWitness(
-            Fraction(ad["witness"]["coefficient"]),
-            int(ad["witness"]["exponent"]),
-            int(ad["witness"]["multiplicity"]),
-        )
-    cluster = data["cluster_check"]
-    height = data["height"]
-    pw = data["principal_weight"]
-    return AnalysisReport(
-        source=data["input"],
-        support=tuple((int(j), int(k)) for j, k in data["support"]),
-        vertices=tuple((int(j), int(k)) for j, k in data["vertices"]),
-        distance=Fraction(data["distance"]),
-        face_kind=data["principal_face"]["kind"],
-        face_points=tuple(
-            (int(j), int(k)) for j, k in data["principal_face"]["points"]
-        ),
-        principal_weight=(Fraction(pw[0]), Fraction(pw[1])),
-        edge_weights=tuple(
-            (Fraction(a), Fraction(b)) for a, b in data["edge_weights"]
-        ),
-        adapted_input=data["adapted_input"],
-        condition_a=ad["condition_a"],
-        condition_b=ad["condition_b"],
-        condition_c=ad["condition_c"],
-        check_axis_swapped=ad["axis_swapped"],
-        witness=witness,
-        status=data["status"],
-        height=None if height is None else Fraction(height),
-        jet=tuple((Fraction(b), int(m)) for b, m in data["jet"]),
-        jet_truncated=data["jet_truncated"],
-        adapt_axis_swapped=data["adapt_axis_swapped"],
-        steps=tuple(
-            AdaptStep(
-                int(s["multiplicity"]), int(s["exponent"]), Fraction(s["distance"])
-            )
-            for s in data["steps"]
-        ),
-        adapted_poly=data["adapted_poly"],
-        cluster_vertices_match=None if cluster is None else cluster["vertices_match"],
-        cluster_distance_match=None if cluster is None else cluster["distance_match"],
-    )
+    return _typed(AnalysisReport, data)
 
 
-def _cluster_check(f: BiPoly, hull: HullAnalysis) -> tuple[bool | None, bool | None]:
-    """(vertices_match, distance_match) of the depth-1 clusters read off
-    the verdict's polygon; (None, None) when f does not involve x2."""
+def _cluster_check(f: BiPoly, hull: HullAnalysis) -> ClusterCheck | None:
+    """The depth-1 clusters read off the verdict's polygon, checked
+    against its vertices and distance; None when f does not involve x2."""
     if f.x2_degree < 1:
-        return None, None
+        return None
     polygon = hull.polyhedron
     verts, d = polygon_from_clusters(_clusters(f, polygon, 1, Fraction(0)))
-    return tuple(verts) == polygon.vertices, d == hull.distance
+    return ClusterCheck(tuple(verts) == polygon.vertices, d == hull.distance)
 
 
 def _run(
@@ -286,7 +251,6 @@ def _assemble(
 ) -> AnalysisReport:
     """The report of one run of _run on f."""
     hull = rep.hull
-    vmatch, dmatch = _cluster_check(f, hull)
     text = str(f) if source is None else source
     adapted_poly = None
     if result is not None:
@@ -294,20 +258,17 @@ def _assemble(
         reuse = source is None and result.final_poly is f
         adapted_poly = text if reuse else str(result.final_poly)
     return AnalysisReport(
-        source=text,
+        input=text,
         support=tuple(sorted(f.num)),
         vertices=hull.polyhedron.vertices,
         distance=hull.distance,
-        face_kind=hull.face.kind.value,
-        face_points=tuple(hull.face.points),
+        principal_face=hull.face,
         principal_weight=(rep.weight.k1, rep.weight.k2),
         edge_weights=tuple((w.k1, w.k2) for w in hull.edge_weights),
         adapted_input=rep.adapted,
-        condition_a=rep.condition_a,
-        condition_b=rep.condition_b,
-        condition_c=rep.condition_c,
-        check_axis_swapped=rep.axis_swapped,
-        witness=rep.witness,
+        adaptedness=Adaptedness(
+            rep.condition_a, rep.condition_b, rep.condition_c, rep.axis_swapped, rep.witness
+        ),
         status="skipped" if result is None else result.status.value,
         height=None if result is None else result.height,
         jet=() if result is None else result.jet.terms,
@@ -315,8 +276,7 @@ def _assemble(
         adapt_axis_swapped=False if result is None else result.axis_swapped,
         steps=() if result is None else result.steps,
         adapted_poly=adapted_poly,
-        cluster_vertices_match=vmatch,
-        cluster_distance_match=dmatch,
+        cluster_check=_cluster_check(f, hull),
     )
 
 

@@ -8,6 +8,7 @@ import importlib
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,7 +51,7 @@ def test_analyze_json_round_trips(capsys):
     assert data["jet"] == [["1", 2]]
     assert data["adapted_input"] is False
     rep = report_from_dict(data)
-    assert rep.source == "(x2 - x1^2)^2 + x1^5"
+    assert rep.input == "(x2 - x1^2)^2 + x1^5"
 
 
 def test_analyze_no_adapt(capsys):
@@ -156,6 +157,17 @@ def test_predict_shear_bad_coefficient(capsys):
     code, _, err = run(capsys, "predict-shear", "(x2 - x1^2)^2", "pi")
     assert code == 2
     assert "rational" in err
+
+
+def test_a_literal_past_the_digit_limit_is_a_usage_error(capsys):
+    digits = "1" * 5000
+    code, out, err = run(capsys, "analyze", f"x2^2 + {digits}*x1^2")
+    assert (code, out) == (2, "")
+    assert "5000 digits" in err and "set_int_max_str_digits" not in err
+    code, out, err = run(capsys, "predict-shear", "(x2 - x1^2)^2", digits)
+    assert (code, out) == (2, "")
+    assert f"at most {sys.get_int_max_str_digits()} digits" in err
+    assert digits not in err
 
 
 def test_predict_shear_refuses_inputs_without_an_integer_weight(capsys):

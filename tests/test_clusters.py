@@ -277,7 +277,7 @@ def test_cluster_data_reproduces_hull_geometry(f):
     # the report's cross-check, read off the verdict's polygon, agrees with
     # the public path
     rep = build_report(f, run_adapt=False)
-    assert (rep.cluster_vertices_match, rep.cluster_distance_match) == (
+    assert rep.cluster_check == (
         tuple(verts) == hull.vertices,
         d == distance(hull),
     )

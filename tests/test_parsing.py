@@ -3,6 +3,7 @@ error messages, and the printer round trip."""
 
 from __future__ import annotations
 
+import sys
 import time
 from fractions import Fraction
 from random import Random
@@ -116,6 +117,20 @@ def test_nesting_past_the_bound_is_a_syntax_error():
         assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
     # the bound is on depth, not on the number of parentheses
     assert parse(" + ".join([nested(MAX_NESTING)] * 3)) == parse("3*x1^2")
+
+
+@pytest.mark.parametrize(
+    "template, col",
+    [("x2^2 + {}*x1^2", 8), ("x2^2 + 1/{}*x1^2", 10), ("x2^2 + x1^{}", 11)],
+)
+def test_a_literal_past_the_digit_limit_is_a_syntax_error(template, col):
+    # int() refuses a digit string past the interpreter's limit (4,300 by
+    # default): a coefficient, a denominator and an exponent each name it
+    with pytest.raises(PolySyntaxError) as err:
+        parse(template.format("1" * 5000))
+    assert (err.value.line, err.value.col) == (1, col)
+    limit = sys.get_int_max_str_digits()
+    assert f"literal of 5000 digits exceeds the limit of {limit} digits" in str(err.value)
 
 
 def test_zero_denominator_rejected():

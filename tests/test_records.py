@@ -39,6 +39,7 @@ def _records() -> dict[str, tuple]:
     result = adapt(f)
     quasi = analyze(principal_part(parse("(x2 - x1^2)^2*(x2^2 - 2*x1^4)")))
     cluster = top_clusters(f, depth=2).clusters[0]
+    report = build_report(f)
     records = [
         Weight(1, 2, 3),
         ShearChange(ShearAxis.X2, 1, 2),
@@ -56,7 +57,9 @@ def _records() -> dict[str, tuple]:
         cluster.refinements[0],
         cluster,
         cluster.refinements[0].sub,
-        build_report(f),
+        report.adaptedness,
+        report.cluster_check,
+        report,
         fit_decay(parse("x1^2 + x2^2"), 10.0, 100.0, points=5, grid_n=64),
         _tokenize("x1")[0],
     ]
@@ -71,7 +74,8 @@ def test_every_record_type_has_an_instance():
         "Weight ShearChange UniPoly NewtonPolyhedron Face HullAnalysis "
         "RealRootDescriptor QuasiHomogData PrincipalRootWitness "
         "AdaptednessReport RootJet AdaptStep AdaptResult Refinement Cluster "
-        "ClusterLevel AnalysisReport DecayEstimate _Token".split()
+        "ClusterLevel Adaptedness ClusterCheck AnalysisReport DecayEstimate "
+        "_Token".split()
     )
 
 
@@ -103,7 +107,7 @@ def test_records_are_tuples():
     assert repr(w) == "Weight(q=1, p=2, m=3)"
     assert w._replace(m=5) == Weight(1, 2, 5)
     report = RECORDS["AnalysisReport"]
-    assert report._replace(source="x").source == "x"
+    assert report._replace(input="x").input == "x"
 
 
 @pytest.mark.parametrize(

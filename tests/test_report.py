@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from adaptcoord import (
     DEFAULT_MAX_STEPS,
+    FaceKind,
     build_report,
     parse,
     report_from_dict,
@@ -25,28 +26,26 @@ from conftest import analyzable_bipolys, random_corpus, sheared_inputs
 def test_report_fields_on_nonadapted_input():
     rep = build_report(parse("(x2 - x1^2)^2 + x1^5"))
     # without an explicit source string the canonical expansion is echoed
-    assert rep.source == "x2^2 - 2*x1^2*x2 + x1^4 + x1^5"
+    assert rep.input == "x2^2 - 2*x1^2*x2 + x1^4 + x1^5"
     assert (
-        build_report(parse("x2^2"), source="raw text", run_adapt=False).source
+        build_report(parse("x2^2"), source="raw text", run_adapt=False).input
         == "raw text"
     )
     assert rep.support == ((0, 2), (2, 1), (4, 0), (5, 0))
     assert rep.vertices == ((0, 2), (4, 0))
     assert rep.distance == Fraction(4, 3)
-    assert rep.face_kind == "compact-edge"
-    assert rep.face_points == ((0, 2), (4, 0))
+    assert rep.principal_face == (FaceKind.COMPACT_EDGE, ((0, 2), (4, 0)))
     assert rep.principal_weight == (Fraction(1, 4), Fraction(1, 2))
     assert rep.edge_weights == ((Fraction(1, 4), Fraction(1, 2)),)
     assert not rep.adapted_input
-    assert rep.witness == (Fraction(1), 2, 2)
+    assert rep.adaptedness.witness == (Fraction(1), 2, 2)
     assert rep.status == "terminated"
     assert rep.height == Fraction(10, 7)
     assert rep.jet == ((Fraction(1), 2),)
     assert not rep.jet_truncated
     assert rep.steps == ((2, 2, Fraction(4, 3)),)
     assert rep.adapted_poly == "x2^2 + x1^5"
-    assert rep.cluster_vertices_match is True
-    assert rep.cluster_distance_match is True
+    assert rep.cluster_check == (True, True)
 
 
 def test_report_adapted_input_has_empty_jet():
@@ -74,8 +73,7 @@ def test_report_propagates_iteration_cap():
 
 def test_report_cluster_check_none_when_degenerate():
     rep = build_report(parse("x1^2 + x1^5"), run_adapt=False)
-    assert rep.cluster_vertices_match is None
-    assert rep.cluster_distance_match is None
+    assert rep.cluster_check is None
     assert rep.to_dict()["cluster_check"] is None
 
 
@@ -120,17 +118,19 @@ def test_to_json_matches_the_stdlib_encoder_on_the_corpus():
     skipped = build_report(parse("(x2 - x1^2)^2 + x1^5"), run_adapt=False)
     no_clusters = build_report(parse("x1^3"))
     assert (skipped.status, skipped.height) == ("skipped", None)
-    assert no_clusters.cluster_vertices_match is None
+    assert no_clusters.cluster_check is None
     reports += [skipped, no_clusters]
     for rep in reports:
-        assert rep.to_json() == _stdlib_json(rep), rep.source
+        assert rep.to_json() == _stdlib_json(rep), rep.input
+        assert report_from_dict(json.loads(rep.to_json())) == rep, rep.input
 
 
 def test_to_json_matches_the_stdlib_encoder_on_sheared_inputs():
     shapes = set()
     for _, f in sheared_inputs(400):
         rep = build_report(f, max_steps=10)
-        assert rep.to_json() == _stdlib_json(rep), rep.source
+        assert rep.to_json() == _stdlib_json(rep), rep.input
+        assert report_from_dict(json.loads(rep.to_json())) == rep, rep.input
         shapes.add((rep.adapted_input, rep.status, len(rep.steps) > 1))
     # adapted and not, terminated after one and after several shears
     assert {(True, "terminated", False), (False, "terminated", False)} <= shapes
@@ -142,7 +142,7 @@ def test_to_json_matches_the_stdlib_encoder_on_sheared_inputs():
 @settings(max_examples=100, deadline=None)
 def test_to_json_quotes_source_text_like_the_stdlib_encoder(source):
     rep = build_report(parse("(x2 - x1^2)^2 + x1^5"))
-    rep = rep._replace(source=source)
+    rep = rep._replace(input=source)
     assert rep.to_json() == _stdlib_json(rep)
 
 
@@ -221,7 +221,7 @@ def test_report_analyses_each_polynomial_once(monkeypatch, expr, max_steps):
     # each verdict builds its polygon once, and the cluster cross-check
     # reads the input verdict's polygon
     assert len(hulls) == len(verdicts)
-    assert rep.cluster_vertices_match and rep.cluster_distance_match
+    assert rep.cluster_check == (True, True)
     assert cluster_calls == []
 
 
