@@ -84,7 +84,6 @@ from .quasihomog import (
     QuasiHomogData,
     RealRootDescriptor,
     analyze,
-    detect_weight,
     edge_root_polynomial,
     predict_shear_vertices,
     root_structure,
@@ -144,7 +143,6 @@ __all__ = [
     "build_polyhedron",
     "build_report",
     "check_adapted",
-    "detect_weight",
     "distance",
     "edge_root_polynomial",
     "edge_weight",

@@ -17,7 +17,8 @@ latter case the height equals N.
 
 Condition (c) is read off the last factor of the squarefree decomposition
 of the edge's root polynomial, with no root isolated; the argument is at
-quasihomog.deep_root.
+quasihomog.deep_root, which reads the edge's weight from the edge reading
+itself, mirrored by quasihomog.mirrored when the axes are swapped.
 
 Non-termination is certified exactly, not guessed: once the step
 multiplicities stabilize at N, the squarefree factor F of f with
@@ -71,7 +72,7 @@ from .errors import (
     IterationCapExceeded,
 )
 from .newton import HullAnalysis, hull_analysis, newton_polyhedron
-from .quasihomog import _require_order_two, deep_root, edge_root_polynomial
+from .quasihomog import _require_order_two, deep_root, edge_root_polynomial, mirrored
 from .unipoly import UniPoly, _z_pack, squarefree_decompose
 
 DEFAULT_MAX_STEPS = 64
@@ -152,8 +153,8 @@ def check_adapted(f: BiPoly) -> AdaptednessReport:
     Axes are normalized internally so k1 <= k2; when that requires a swap
     the report says so and the weight and witness refer to the swapped
     orientation.  A swap only relabels the axes, so it mirrors f's hull
-    data in place: the weight (q, p, m) becomes (p, q, m), and the edge's
-    lattice points run in the opposite order, so u is reversed.
+    data in place: the weight (q, p, m) becomes (p, q, m), and the edge
+    reading is quasihomog.mirrored's.
     """
     _require_order_two(f)
     return _verdict(f)
@@ -179,10 +180,7 @@ def _verdict(f: BiPoly) -> AdaptednessReport:
     witness = None
     if condition_a:
         edge = edge_root_polynomial(f, *face.points)
-        if swapped:
-            nu1, nu2, q, p, n, u = edge
-            edge = nu2, nu1, p, q, n, UniPoly(u.coeffs[::-1])
-        deep = deep_root(weight, edge)
+        deep = deep_root(mirrored(edge) if swapped else edge)
         condition_c = deep is not None
         if condition_c:
             b, mult = deep

@@ -187,8 +187,8 @@ def _cmd_predict_shear(args: argparse.Namespace) -> int:
         b = Fraction(args.coefficient)
     except (ValueError, ZeroDivisionError):
         # a string past Python's digit limit for int() is not echoed; a
-        # limit of 0 is none
-        limit = sys.get_int_max_str_digits()
+        # limit of 0 is none, as is a Python before 3.10.7, which has none
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if 0 < limit < len(args.coefficient):
             raise _UsageError(
                 f"coefficient must be rational, its numerator and denominator of "

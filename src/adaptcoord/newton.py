@@ -134,14 +134,9 @@ class HullAnalysis(NamedTuple):
 
 
 def hull_analysis(np_: NewtonPolyhedron) -> HullAnalysis:
-    """Distance and principal face of np_, from one diagonal crossing."""
-    num, den, face = _diagonal_crossing(np_)
-    return HullAnalysis(np_, Fraction(num, den), face)
-
-
-def _diagonal_crossing(np_: NewtonPolyhedron) -> tuple[int, int, Face]:
-    """(num, den, face): the diagonal crosses the boundary at (d, d) with
-    d = num / den, in the smallest face containing that point.
+    """Distance and principal face of np_, from one diagonal crossing: the
+    diagonal crosses the boundary at (d, d), in the smallest face
+    containing that point.
 
     Along the staircase j increases and k decreases, so j - k increases
     strictly and the diagonal passes between the last vertex with j < k and
@@ -155,28 +150,29 @@ def _diagonal_crossing(np_: NewtonPolyhedron) -> tuple[int, int, Face]:
             break
     else:
         # every vertex lies above the diagonal: it leaves horizontally
-        return verts[-1][1], 1, Face(FaceKind.HORIZONTAL_HALFLINE, (verts[-1],))
+        face = Face(FaceKind.HORIZONTAL_HALFLINE, (verts[-1],))
+        return HullAnalysis(np_, Fraction(verts[-1][1]), face)
     if j == k:
-        return j, 1, Face(FaceKind.VERTEX, (verts[i],))
+        return HullAnalysis(np_, Fraction(j), Face(FaceKind.VERTEX, (verts[i],)))
     if i == 0:
-        return j, 1, Face(FaceKind.VERTICAL_HALFLINE, (verts[0],))
+        face = Face(FaceKind.VERTICAL_HALFLINE, (verts[0],))
+        return HullAnalysis(np_, Fraction(j), face)
     j1, k1 = verts[i - 1]
-    return (
-        j * k1 - j1 * k,
-        (j - j1) + (k1 - k),
+    return HullAnalysis(
+        np_,
+        Fraction(j * k1 - j1 * k, (j - j1) + (k1 - k)),
         Face(FaceKind.COMPACT_EDGE, (verts[i - 1], verts[i])),
     )
 
 
 def distance(np_: NewtonPolyhedron) -> Fraction:
     """Coordinate of the boundary crossing with the diagonal t1 = t2."""
-    num, den, _ = _diagonal_crossing(np_)
-    return Fraction(num, den)
+    return hull_analysis(np_).distance
 
 
 def principal_face(np_: NewtonPolyhedron) -> Face:
     """Smallest boundary face containing the diagonal crossing point."""
-    return _diagonal_crossing(np_)[2]
+    return hull_analysis(np_).face
 
 
 def principal_face_weight(face: Face) -> Weight:

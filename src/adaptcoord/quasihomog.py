@@ -10,12 +10,16 @@ over the complex numbers.  The same holds for the terms of any f on a
 compact edge of its Newton polygon.  Everything this module reports is
 derived exactly from that factorization: the lambda_l are the roots of a
 single univariate polynomial u in Z[y], which edge_root_polynomial reads
-straight off the edge's lattice points (the one path from an edge to u,
-used by the adaptedness verdict, the cluster refinement and analyze
-alike).  Its squarefree decomposition (Yun) gives every multiplicity:
-Sturm counts say which factors have real roots, and a rational value
-has the multiplicity of the one factor it annihilates, tested exactly,
-without ever leaving the rationals.
+straight off the edge's lattice points, with the edge's weight from
+newton.edge_weight (the one path from an edge to u, used by the
+adaptedness verdict, the cluster refinement and analyze alike).
+root_structure is the one quasi-homogeneity test: P is quasi-homogeneous
+when u, read on the edge between P's extreme points, holds every term of
+P.  mirrored gives the edge reading after the axes are swapped.  The
+squarefree decomposition (Yun) of u gives every multiplicity: Sturm
+counts say which factors have real roots, and a rational value has the
+multiplicity of the one factor it annihilates, tested exactly, without
+ever leaving the rationals.
 
 Key quantities:
 
@@ -31,7 +35,6 @@ Key quantities:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .bipoly import BiPoly, Term, Weight
@@ -54,27 +57,6 @@ from .unipoly import (
 )
 
 
-def detect_weight(P: BiPoly) -> Weight:
-    """The unique degree-one weight of P's support.
-
-    Raises MonomialInput for single-term input and NotQuasiHomogeneous
-    when the support is not collinear or the supporting line does not
-    have negative slope (both weight components must be positive).
-    """
-    if P.is_zero:
-        raise ZeroPolynomial("zero polynomial has no weight")
-    pts = sorted(P.support)
-    if len(pts) == 1:
-        raise MonomialInput("root structure needs at least two terms")
-    # pts is sorted by j, so the line through its ends has negative slope
-    # exactly when j rises and k falls from a to b
-    a, b = pts[0], pts[-1]
-    w = None if a[0] == b[0] or a[1] <= b[1] else edge_weight(a, b)
-    if w is None or any(w.q * j + w.p * k != w.m for j, k in pts):
-        raise NotQuasiHomogeneous("support is not on one positively-weighted line")
-    return w
-
-
 class RealRootDescriptor(NamedTuple):
     """One real root of the root polynomial, with its multiplicity.
 
@@ -89,39 +71,51 @@ class RealRootDescriptor(NamedTuple):
     interval: tuple[Fraction, Fraction] | None = None
 
 
-Edge = tuple[int, int, int, int, int, UniPoly]
+Edge = tuple[Weight, int, int, int, UniPoly]
 
 
 def edge_root_polynomial(f: BiPoly, a: Term, b: Term) -> Edge:
-    """(nu1, nu2, q, p, n, u) for the compact edge of f from a to b.
+    """(weight, nu1, nu2, n, u) for the compact edge of f from a to b.
 
-    With a = (j0, k0) left of b = (j1, k1), the lattice points of the edge
-    are (j0 + p*(n - i), k1 + q*i) for i = 0..n, where n = gcd(j1 - j0,
-    k0 - k1) and the edge has slope -q/p; u collects f's integer
-    numerators at them, so the terms of f on the edge are
-    x1^j0 * x2^k1 * x1^(p*n) * u(x2^q / x1^p) over f.den, and
+    With a = (j0, k0) left of b = (j1, k1) and the edge's weight (q, p, m)
+    from edge_weight, the lattice points of the edge are
+    (j0 + p*(n - i), k1 + q*i) for i = 0..n, where n = (j1 - j0)/p; u
+    collects f's integer numerators at them, so the terms of f on the edge
+    are x1^j0 * x2^k1 * x1^(p*n) * u(x2^q / x1^p) over f.den, and
     u(y) = c * prod (y - lambda_l)^{n_l}.
     """
-    (j0, k0), (j1, k1) = a, b
-    n = gcd(j1 - j0, k0 - k1)
-    p, q = (j1 - j0) // n, (k0 - k1) // n
+    w = edge_weight(a, b)
+    (j0, _), (j1, k1) = a, b
+    n = (j1 - j0) // w.p
     u = UniPoly.from_coeffs(
-        f.num.get((j0 + p * (n - i), k1 + q * i), 0) for i in range(n + 1)
+        f.num.get((j0 + w.p * (n - i), k1 + w.q * i), 0) for i in range(n + 1)
     )
     if u.degree != n or not u.coeffs[0]:
         raise InternalInvariantViolation("root polynomial lost an extreme term")
-    return j0, k1, q, p, n, u
+    return w, j0, k1, n, u
 
 
-def root_structure(P: BiPoly) -> tuple[Weight, int, int, int, int, int, UniPoly]:
-    """(weight, nu1, nu2, q, p, n, u) with u the root polynomial.
+def root_structure(P: BiPoly) -> Edge:
+    """The edge reading (weight, nu1, nu2, n, u) of quasi-homogeneous P.
 
-    P's support is the edge between its two extreme points, read by
-    edge_root_polynomial.  detect_weight raises its typed errors for a
-    monomial and for a support that is not on one weighted line.
+    P is quasi-homogeneous exactly when its support is the edge between
+    its two extreme points: the line through them has negative slope, so
+    both weight components are positive, and u holds every term of P, as
+    every point of that line between the extremes is a lattice point of
+    the edge.  Raises MonomialInput for single-term input and
+    NotQuasiHomogeneous otherwise.
     """
-    w = detect_weight(P)
-    return (w, *edge_root_polynomial(P, min(P.support), max(P.support)))
+    if P.is_zero:
+        raise ZeroPolynomial("zero polynomial has no weight")
+    if len(P.num) == 1:
+        raise MonomialInput("root structure needs at least two terms")
+    a, b = min(P.num), max(P.num)
+    # a has the least j and b the greatest, so the line through them has
+    # negative slope exactly when j rises and k falls from a to b
+    edge = None if a[0] == b[0] or a[1] <= b[1] else edge_root_polynomial(P, a, b)
+    if edge is None or sum(map(bool, edge[-1].coeffs)) != len(P.num):
+        raise NotQuasiHomogeneous("support is not on one positively-weighted line")
+    return edge
 
 
 class QuasiHomogData(NamedTuple):
@@ -182,22 +176,29 @@ def _deep_factor(w: Weight, last: tuple[UniPoly, int]) -> tuple[Fraction, int] |
     return Fraction(-g.coeffs[0], g.coeffs[1]), mult
 
 
-def deep_root(w: Weight, edge: Edge) -> tuple[Fraction, int] | None:
-    """_deep_factor's answer for the edge (from edge_root_polynomial)
-    whose weight is w, with k1 <= k2, after two shortcuts that need no
-    decomposition.  With q <= p:
+def deep_root(edge: Edge) -> tuple[Fraction, int] | None:
+    """_deep_factor's answer for an edge (from edge_root_polynomial) with
+    k1 <= k2, after two shortcuts that need no decomposition.  With its
+    weight (q, p, m), q <= p:
 
     * q >= 2 gives p > q >= 2, so pq >= p + q and d_h >= pqn/(p+q) >= n:
       no multiplicity exceeds d_h;
     * for q = 1, d_h = (nu1 + p*nu2 + p*n)/(1+p), so n <= d_h exactly when
       n <= nu1 + p*nu2.
     """
-    nu1, nu2, q, p, n, u = edge
-    if (q, p) != (w.q, w.p) or q * nu1 + p * nu2 + p * q * n != w.m:
-        raise InternalInvariantViolation("edge reading disagrees with its weight")
-    if q != 1 or n <= nu1 + p * nu2:
+    w, nu1, nu2, n, u = edge
+    if w.q != 1 or n <= nu1 + w.p * nu2:
         return None
     return _deep_factor(w, squarefree_decompose(u)[-1])
+
+
+def mirrored(edge: Edge) -> Edge:
+    """The edge reading of swap_axes(f) for the mirror image of an edge of
+    f: the weight (q, p, m) becomes (p, q, m), nu1 and nu2 trade places,
+    and the edge's lattice points run in the opposite order, so u is
+    reversed."""
+    w, nu1, nu2, n, u = edge
+    return Weight(w.p, w.q, w.m), nu2, nu1, n, UniPoly(u.coeffs[::-1])
 
 
 def analyze(P: BiPoly) -> QuasiHomogData:
@@ -210,7 +211,7 @@ def analyze(P: BiPoly) -> QuasiHomogData:
     or InternalInvariantViolation is raised.
     """
     _require_order_two(P)
-    w, nu1, nu2, _, _, n, u = root_structure(P)
+    w, nu1, nu2, n, u = root_structure(P)
     if w.q > w.p:
         raise AxesNotNormalized("expected k1 <= k2; swap the axes first")
     d_h = Fraction(w.m, w.q + w.p)
@@ -241,7 +242,7 @@ def predict_shear_vertices(P: BiPoly, b: Fraction | int) -> tuple[Term, Term]:
         raise ValueError("shear coefficient must be nonzero")
     if len(P.support) == 1:
         raise WrongHomogeneity("a single monomial does not determine the weight")
-    w, nu1, nu2, _, _, n, u = root_structure(P)
+    w, nu1, nu2, n, u = root_structure(P)
     if w.q != 1:
         raise WrongHomogeneity(f"weight ratio {w.p}/{w.q} is not an integer")
     num, den, factors = b.numerator, b.denominator, squarefree_decompose(u)

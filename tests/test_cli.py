@@ -159,6 +159,14 @@ def test_predict_shear_bad_coefficient(capsys):
     assert "rational" in err
 
 
+def test_predict_shear_bad_coefficient_without_a_digit_limit(capsys, monkeypatch):
+    # Python before 3.10.7 has no sys.get_int_max_str_digits, and no limit
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    code, out, err = run(capsys, "predict-shear", "(x2 - x1^2)^2", "abc")
+    assert (code, out) == (2, "")
+    assert "coefficient must be rational" in err
+
+
 def test_a_literal_past_the_digit_limit_is_a_usage_error(capsys):
     digits = "1" * 5000
     code, out, err = run(capsys, "analyze", f"x2^2 + {digits}*x1^2")

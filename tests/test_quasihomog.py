@@ -25,13 +25,13 @@ from adaptcoord import (
     analyze,
     apply_shear,
     build_polyhedron,
-    detect_weight,
     edge_root_polynomial,
     edge_weight,
     newton_polyhedron,
     parse,
     predict_shear_vertices,
     root_structure,
+    swap_axes,
     weighted_part,
 )
 from adaptcoord.errors import (
@@ -43,7 +43,7 @@ from adaptcoord.errors import (
     ZeroPolynomial,
 )
 from adaptcoord import quasihomog, unipoly
-from adaptcoord.quasihomog import deep_root
+from adaptcoord.quasihomog import deep_root, mirrored
 from adaptcoord.unipoly import (
     _sturm_chain,
     _z_eval,
@@ -88,36 +88,88 @@ def factored_inputs(draw):
     return nu1, nu2, p, roots
 
 
-def test_detect_weight_examples():
-    w = detect_weight(parse("x2^2 - x1^3"))
+def test_root_structure_weight_examples():
+    w = root_structure(parse("x2^2 - x1^3"))[0]
     assert isinstance(w, Weight)
     assert (w.k1, w.k2) == (Fraction(1, 3), Fraction(1, 2))
     with pytest.raises(MonomialInput):
-        detect_weight(parse("x1^2*x2"))
+        root_structure(parse("x1^2*x2"))
     with pytest.raises(NotQuasiHomogeneous):
-        detect_weight(parse("x2^2 + x1^3 + x1*x2^2"))
+        root_structure(parse("x2^2 + x1^3 + x1*x2^2"))
     # horizontal support line: no positive weight exists
     with pytest.raises(NotQuasiHomogeneous):
-        detect_weight(parse("x2^2 + x1*x2^2"))
+        root_structure(parse("x2^2 + x1*x2^2"))
     # support line of positive slope: the weight (1/2, -1/2) is not positive
     with pytest.raises(NotQuasiHomogeneous):
-        detect_weight(parse("x1^2 + x1^3*x2"))
+        root_structure(parse("x1^2 + x1^3*x2"))
     with pytest.raises(ZeroPolynomial):
-        detect_weight(BiPoly.zero())
+        root_structure(BiPoly.zero())
+
+
+def line_rule_weight(P: BiPoly) -> Weight:
+    """The weight of P's support by a scan of the whole support: the
+    weight of the line through its extreme points, refused unless that
+    line has negative slope and holds every point."""
+    if P.is_zero:
+        raise ZeroPolynomial("zero polynomial has no weight")
+    pts = sorted(P.support)
+    if len(pts) == 1:
+        raise MonomialInput("root structure needs at least two terms")
+    a, b = pts[0], pts[-1]
+    w = None if a[0] == b[0] or a[1] <= b[1] else edge_weight(a, b)
+    if w is None or any(w.q * j + w.p * k != w.m for j, k in pts):
+        raise NotQuasiHomogeneous("support is not on one positively-weighted line")
+    return w
+
+
+@st.composite
+def line_supports(draw):
+    """Two to four terms on one drawn line, of any slope, mostly with
+    nothing else, sometimes with a term or two drawn anywhere."""
+    dj = draw(st.integers(min_value=0, max_value=3))
+    falling = st.integers(min_value=-3, max_value=-1)
+    dk = draw(st.one_of(falling, st.integers(min_value=-3, max_value=3)))
+    if not dj and not dk:
+        dk = 1
+    j0 = draw(st.integers(min_value=0, max_value=3))
+    k0 = draw(st.integers(min_value=9, max_value=12))
+    index = st.integers(min_value=0, max_value=3)
+    steps = draw(st.lists(index, min_size=2, max_size=4, unique=True))
+    pts = {(j0 + i * dj, k0 + i * dk) for i in steps}
+    coord = st.integers(min_value=0, max_value=12)
+    off_line = st.lists(st.tuples(coord, coord), max_size=2)
+    pts |= set(draw(st.one_of(st.just([]), st.just([]), off_line)))
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool)
+    return BiPoly({t: draw(coeff) for t in sorted(pts)})
+
+
+@given(line_supports())
+@example(BiPoly.zero())
+@example(BiPoly.monomial(2, 1))
+@settings(max_examples=300, deadline=None)
+def test_root_structure_refuses_what_the_line_rule_refuses(P):
+    try:
+        want = line_rule_weight(P)
+    except (ZeroPolynomial, MonomialInput, NotQuasiHomogeneous) as e:
+        with pytest.raises(type(e)) as got:
+            root_structure(P)
+        assert (type(got.value), str(got.value)) == (type(e), str(e))
+    else:
+        assert root_structure(P)[0] == want
 
 
 def test_root_structure_example():
-    w, nu1, nu2, q, p, n, u = root_structure(parse("x1*x2^2 - x1^3*x2"))
+    w, nu1, nu2, n, u = root_structure(parse("x1*x2^2 - x1^3*x2"))
     assert (nu1, nu2) == (1, 1)
-    assert (q, p) == (1, 2)
+    assert (w.q, w.p) == (1, 2)
     assert n == 1
     assert u == UniPoly.from_coeffs([-1, 1])  # y - 1 up to sign convention
     assert Fraction(w.q * 1 + w.p * 2, w.m) == 1
 
 
 def test_root_structure_fractional_ratio():
-    _, nu1, nu2, q, p, n, u = root_structure(parse("x2^2 - x1^3"))
-    assert (nu1, nu2, q, p, n) == (0, 0, 2, 3, 1)
+    w, nu1, nu2, n, u = root_structure(parse("x2^2 - x1^3"))
+    assert (nu1, nu2, w.q, w.p, n) == (0, 0, 2, 3, 1)
     assert u == UniPoly.from_coeffs([-1, 1])
 
 
@@ -125,13 +177,25 @@ def test_edge_reader_matches_weighted_part_on_corpus():
     edges = 0
     for f in random_corpus(500):
         for a, b in newton_polyhedron(f).edges:
-            nu1, nu2, q, p, n, u = edge_root_polynomial(f, a, b)
+            w, nu1, nu2, n, u = edge_root_polynomial(f, a, b)
             read = BiPoly(
-                {(nu1 + p * (n - i), nu2 + q * i): c for i, c in enumerate(u.coeffs)}
+                {(nu1 + w.p * (n - i), nu2 + w.q * i): c for i, c in enumerate(u.coeffs)}
             )
-            assert read == weighted_part(f, edge_weight(a, b), 1), (f, a, b)
+            assert w == edge_weight(a, b)
+            assert read == weighted_part(f, w, 1), (f, a, b)
             edges += 1
     assert edges > 500
+
+
+def test_mirrored_is_the_edge_reading_of_the_swapped_axes():
+    edges = 0
+    for f in random_corpus(500) + [g for _, g in sheared_inputs(200)]:
+        g = swap_axes(f)
+        for (j0, k0), (j1, k1) in newton_polyhedron(f).edges:
+            want = edge_root_polynomial(g, (k1, j1), (k0, j0))
+            assert mirrored(edge_root_polynomial(f, (j0, k0), (j1, k1))) == want, f
+            edges += 1
+    assert edges >= 700
 
 
 @given(factored_inputs())
@@ -238,10 +302,11 @@ COPRIME_WEIGHTS = [
 ]
 
 
-def yun_sturm_deep_root(w: Weight, edge) -> tuple[Fraction, int] | None:
+def yun_sturm_deep_root(edge) -> tuple[Fraction, int] | None:
     """The deep root read off every squarefree factor above d_h that has
     a real root (Sturm), without deep_root's two shortcuts or its
     reading of the last factor alone."""
+    w = edge[0]
     d_h = Fraction(w.m, w.q + w.p)
     deep = [
         (factor, mult)
@@ -318,9 +383,9 @@ def test_deep_root_matches_yun_and_sturm(nu1, nu2, qp, c, roots, j, a):
     u = UniPoly.from_coeffs(u)
     n = u.degree
     w = Weight(q, p, q * nu1 + p * nu2 + p * q * n)
-    edge = (nu1, nu2, q, p, n, u)
+    edge = (w, nu1, nu2, n, u)
     want = tallied_deep_root(roots, j, a, Fraction(w.m, q + p))
-    assert deep_root(w, edge) == yun_sturm_deep_root(w, edge) == want
+    assert deep_root(edge) == yun_sturm_deep_root(edge) == want
     # analyze reads the same root without deep_root's two shortcuts
     P = BiPoly(
         {(nu1 + p * (n - i), nu2 + q * i): ui for i, ui in enumerate(u.coeffs) if ui}
@@ -360,16 +425,16 @@ def test_deep_root_matches_the_chain_multiplicities():
     deep = 0
     for f in polys:
         for a, b in newton_polyhedron(f).edges:
-            edge, w = edge_root_polynomial(f, a, b), edge_weight(a, b)
-            if w.q > w.p:
-                nu1, nu2, q, p, n, u = edge
-                edge, w = (nu2, nu1, p, q, n, UniPoly(u.coeffs[::-1])), Weight(w.p, w.q, w.m)
+            edge = edge_root_polynomial(f, a, b)
+            if edge[0].q > edge[0].p:
+                edge = mirrored(edge)
+            w = edge[0]
             d_h = Fraction(w.m, w.q + w.p)
             mults = chain_rational_multiplicities(edge[-1])
             assert dict(rational_roots(edge[-1])) == mults
             want = [(r, mult) for r, mult in mults.items() if mult > d_h]
             assert len(want) <= 1
-            assert deep_root(w, edge) == (want[0] if want else None), (str(f), a, b)
+            assert deep_root(edge) == (want[0] if want else None), (str(f), a, b)
             deep += bool(want)
     assert deep >= 20
 
@@ -410,7 +475,7 @@ def test_predict_shear_vertices_validates_input():
 )
 def test_predict_shear_vertices_builds_no_sturm_chain(monkeypatch, src, bs):
     P = parse(src)
-    m = detect_weight(P).p
+    m = root_structure(P)[0].p
     want = []
     for b in bs:
         g = apply_shear(P, ShearChange(ShearAxis.X2, Fraction(b), m))
