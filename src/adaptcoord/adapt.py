@@ -17,8 +17,9 @@ latter case the height equals N.
 
 Condition (c) is read off the last factor of the squarefree decomposition
 of the edge's root polynomial, with no root isolated; the argument is at
-quasihomog.deep_root, which reads the edge's weight from the edge reading
-itself, mirrored by quasihomog.mirrored when the axes are swapped.
+quasihomog.deep_root.  On a compact principal edge the verdict's weight
+is the edge reading's own, and an axis swap mirrors that reading once,
+by quasihomog.mirrored.
 
 Non-termination is certified exactly, not guessed: once the step
 multiplicities stabilize at N, the squarefree factor F of f with
@@ -40,12 +41,14 @@ then keeps one vertex V = (j_V, N), an integer point fixed from the last
 verdict before the certificate held, and each principal edge runs from V
 to (j_V + m*N, 0), so each step's distance is (j_V + m*N)/(1 + m), with
 no polygon built.  Once the certificate holds it holds at every later
-step, so a run has two phases: a verdict on every sheared polynomial
-until the certificate holds, then readings off F to the cap, where a
-failing certificate is an InternalInvariantViolation.  After the loop the
-last polynomial alone is built, once, as the start composed with x2 ->
-x2 + phi (bipoly.apply_jet), and gets a full verdict, whose witness and
-distance must agree with that reading.
+step, so a run has two phases in one loop over the next step, a witness
+and the distance before it, whose source switches once: the verdict on
+every sheared polynomial until the certificate holds, then readings off
+F to the cap, where a failing certificate is an
+InternalInvariantViolation.  After the loop the last polynomial alone is
+built, once, as the start composed with x2 -> x2 + phi
+(bipoly.apply_jet), and gets a full verdict, whose witness and distance
+must agree with that reading.
 """
 
 from __future__ import annotations
@@ -165,28 +168,25 @@ def _verdict(f: BiPoly) -> AdaptednessReport:
     produced: a shear fixes the origin with an invertible linear part, so
     it keeps f nonzero and its order at the origin."""
     hull = hull_analysis(newton_polyhedron(f))
-    face, weight = hull.face, hull.weight
+    face = hull.face
+    condition_a = face.is_compact_edge
+    edge = edge_root_polynomial(f, *face.points) if condition_a else None
+    weight = edge[0] if edge else hull.weight
     # k1 <= k2 needs a swap for a vertical half-line, whose weight is
     # (1/j, 0), and for an edge steeper than -1
     swapped = weight.q > weight.p
-    if swapped:
+    if swapped and edge:
+        edge = mirrored(edge)
+        weight = edge[0]
+    elif swapped:
         weight = Weight(weight.p, weight.q, weight.m)
     # in this orientation a vertex has weight (1, 1, 2d) and a half-line
     # is horizontal with q = 0, so q == 1 reads condition (b) for every
     # face: vacuously true on a vertex, false on a half-line
-    condition_a = face.is_compact_edge
     condition_b = weight.q == 1
-    condition_c = False
-    witness = None
-    if condition_a:
-        edge = edge_root_polynomial(f, *face.points)
-        deep = deep_root(mirrored(edge) if swapped else edge)
-        condition_c = deep is not None
-        if condition_c:
-            b, mult = deep
-            witness = PrincipalRootWitness(
-                coefficient=b, exponent=weight.p, multiplicity=mult
-            )
+    deep = deep_root(edge) if edge else None
+    condition_c = deep is not None
+    witness = PrincipalRootWitness(deep[0], weight.p, deep[1]) if condition_c else None
     return AdaptednessReport(
         adapted=not (condition_a and condition_b and condition_c),
         condition_a=condition_a,
@@ -210,20 +210,18 @@ def shear_step(f: BiPoly) -> tuple[ShearChange, BiPoly]:
     report = check_adapted(f)
     if report.adapted:
         raise AlreadyAdapted("coordinates are already adapted")
-    shear, g, _ = _shear(swap_axes(f) if report.axis_swapped else f, report)
+    shear, g, rep = _shear(swap_axes(f) if report.axis_swapped else f, report)
+    _grown(rep.distance, report.distance)
     return shear, g
 
 
 def _shear(g: BiPoly, rep: AdaptednessReport) -> tuple[ShearChange, BiPoly, AdaptednessReport]:
     """The shear by the witness of rep, the verdict on g (axes normalized),
-    with g sheared by it and the result's verdict; raises
-    InternalInvariantViolation unless the distance grew."""
+    with g sheared by it and the result's verdict."""
     assert rep.witness is not None
     shear = ShearChange(ShearAxis.X2, rep.witness.coefficient, rep.witness.exponent)
     g = apply_shear(g, shear)
-    rep_next = _verdict(g)
-    _grown(rep_next.distance, rep.distance)
-    return shear, g, rep_next
+    return shear, g, _verdict(g)
 
 
 def _grown(d_next: Fraction, d: Fraction) -> Fraction:
@@ -302,8 +300,8 @@ class _Certificate:
     decomposed once and cheaply, where the start's own decomposition
     lifts and checks many-term factors.
 
-    Once it holds, the next verdict is read off G = F sheared by the jet:
-    witness (b, m, N) with (b, m) from _series_term, and the distance
+    Once it holds, read gives the next verdict off G = F sheared by the
+    jet: witness (b, m, N) with (b, m) from _series_term, and the distance
     (j_V + m*N)/(1 + m) (below).  This is what _verdict(g) returns.  The
     last step, _verdict's by induction, had witness b_last*x1^m_last of
     multiplicity N, so exactly N roots of g have order above m_last, and
@@ -356,11 +354,12 @@ class _Certificate:
         # j_V, once the certificate has held at this N
         self.vertex: int | None = None
 
-    def witness(
+    def read(
         self, jet: list[tuple[Fraction, int]], steps: list[AdaptStep]
-    ) -> PrincipalRootWitness | None:
-        """The witness of the polynomial sheared by `jet`, read off F, when
-        the certificate holds after `steps`; else None."""
+    ) -> tuple[PrincipalRootWitness, Fraction] | None:
+        """The witness and the distance of the start sheared by `jet`, read
+        off F and the fixed vertex, when the certificate holds after
+        `steps`; else None."""
         if len(steps) < STABILIZATION_WINDOW:
             return None
         # multiplicities never increase along the jet (adapt checks)
@@ -396,26 +395,9 @@ class _Certificate:
             if L.denominator != 1:
                 raise InternalInvariantViolation("the last principal edge is off the lattice")
             self.vertex = int(L) - m_last * N
-        return PrincipalRootWitness(*term, N)
-
-    def distance(self, m: int) -> Fraction:
-        """The distance of the start sheared by the jet F carries, whose
-        read witness has exponent m: the diagonal's crossing with the edge
-        from (j_V, N) to (j_V + m*N, 0)."""
-        assert self.vertex is not None
-        return Fraction(self.vertex + m * self.N, 1 + m)
-
-
-def _extend(
-    jet: list[tuple[Fraction, int]], steps: list[AdaptStep], w: PrincipalRootWitness, d: Fraction
-) -> None:
-    """Record the step by w from a polynomial at distance d."""
-    if jet and w.exponent <= jet[-1][1]:
-        raise InternalInvariantViolation("jet exponents failed to increase")
-    if steps and w.multiplicity > steps[-1].multiplicity:
-        raise InternalInvariantViolation("root multiplicity increased along the jet")
-    steps.append(AdaptStep(w.multiplicity, w.exponent, d))
-    jet.append((w.coefficient, w.exponent))
+        # the diagonal's crossing with the edge from (j_V, N) to (j_V + m*N, 0)
+        b, m = term
+        return PrincipalRootWitness(b, m, N), Fraction(self.vertex + m * N, 1 + m)
 
 
 def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
@@ -423,18 +405,21 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
 
     Runs principal-root shears until the coordinates are adapted, in which
     case the height is the final distance, or until `max_steps` shears have
-    been applied.  The non-termination certificate is tried after every
-    step once the multiplicities are stable, not only at the cap.  From the
+    been applied.  Each step is one witness and the distance before it.
+    The non-termination certificate is tried after every step once the
+    multiplicities are stable, not only at the cap.  Until it holds, the
+    next step comes from the verdict on the sheared polynomial.  From the
     step where it holds, it holds at every later step (see _Certificate),
-    and each of them is read off the certified factor F instead of a full
-    verdict; if it ever failed again, InternalInvariantViolation would be
-    raised.  The run goes on to the cap: the height is then the stabilized
-    multiplicity, the jet is marked truncated, and the last polynomial,
-    composed once from the start, gets a verdict, `final_check`, that must
-    agree with F's witness and the distance read off the fixed vertex, or
-    InternalInvariantViolation is raised.  Raises IterationCapExceeded when
-    the cap is hit and no certificate holds.  `max_steps` is read through
-    operator.index, so a float raises TypeError.
+    and _Certificate.read gives each of them off the certified factor F
+    instead of a full verdict; if it ever failed again,
+    InternalInvariantViolation would be raised.  The run goes on to the
+    cap: the height is then the stabilized multiplicity, the jet is marked
+    truncated, and the last polynomial, composed once from the start, gets
+    a verdict, `final_check`, that must agree with F's witness and the
+    distance read off the fixed vertex, or InternalInvariantViolation is
+    raised.  Raises IterationCapExceeded when the cap is hit and no
+    certificate holds.  `max_steps` is read through operator.index, so a
+    float raises TypeError.
     """
     max_steps = index(max_steps)
     if max_steps < 1:
@@ -446,41 +431,43 @@ def adapt(f: BiPoly, max_steps: int = DEFAULT_MAX_STEPS) -> AdaptResult:
     start = swap_axes(f) if swapped else f
     certificate = _Certificate(start)
     g, rep = start, report
-    # the next step's witness read off the certificate, once it holds
-    read: PrincipalRootWitness | None = None
     jet: list[tuple[Fraction, int]] = []
     steps: list[AdaptStep] = []
-    # verdict phase: g is start sheared by the jet, and rep its verdict
-    while not rep.adapted and len(steps) < max_steps:
-        if steps and rep.axis_swapped:
-            raise InternalInvariantViolation("axis orientation flipped after the first shear")
-        assert rep.witness is not None
-        _extend(jet, steps, rep.witness, rep.distance)
-        read = certificate.witness(jet, steps)
-        if read is not None:
-            break
-        _, g, rep = _shear(g, rep)
-    if read is None:
-        if not rep.adapted:
-            raise IterationCapExceeded(
-                f"no adapted system within {max_steps} shears and no "
-                "non-termination certificate; retry with a larger max_steps"
-            )
-        status, height = AdaptStatus.TERMINATED, rep.distance
-    else:
-        # read phase: each step is read off the certificate, g is not sheared
-        d = _grown(certificate.distance(read.exponent), rep.distance)
-        while len(steps) < max_steps:
-            _extend(jet, steps, read, d)
-            read = certificate.witness(jet, steps)
-            if read is None:
-                raise InternalInvariantViolation("the certificate failed after it held")
-            d = _grown(certificate.distance(read.exponent), d)
+    # the next step: its witness w and the distance d before it, from the
+    # verdict rep on g (start sheared by the jet) until the certificate
+    # holds, then read off the certificate, with g no longer sheared
+    w, d = rep.witness, rep.distance
+    held = False
+    while w is not None and len(steps) < max_steps:
+        if jet and w.exponent <= jet[-1][1]:
+            raise InternalInvariantViolation("jet exponents failed to increase")
+        if steps and w.multiplicity > steps[-1].multiplicity:
+            raise InternalInvariantViolation("root multiplicity increased along the jet")
+        steps.append(AdaptStep(w.multiplicity, w.exponent, d))
+        jet.append((w.coefficient, w.exponent))
+        step = certificate.read(jet, steps)
+        if held and step is None:
+            raise InternalInvariantViolation("the certificate failed after it held")
+        held = step is not None
+        if not held:
+            _, g, rep = _shear(g, rep)
+            if not rep.adapted and rep.axis_swapped:
+                raise InternalInvariantViolation("axis orientation flipped after the first shear")
+            step = rep.witness, rep.distance
+        w, d = step[0], _grown(step[1], d)
+    if held:
         g = apply_jet(start, jet)
         rep = _verdict(g)
-        if rep.adapted or rep.witness != read or rep.distance != d:
+        if rep.adapted or rep.witness != w or rep.distance != d:
             raise InternalInvariantViolation("the last verdict disagrees with the certificate")
-        status, height = AdaptStatus.NONTERMINATING_CERTIFIED, Fraction(read.multiplicity)
+        status, height = AdaptStatus.NONTERMINATING_CERTIFIED, Fraction(w.multiplicity)
+    elif w is not None:
+        raise IterationCapExceeded(
+            f"no adapted system within {max_steps} shears and no "
+            "non-termination certificate; retry with a larger max_steps"
+        )
+    else:
+        status, height = AdaptStatus.TERMINATED, d
     return AdaptResult(
         jet=RootJet(tuple(jet), truncated=not rep.adapted),
         axis_swapped=swapped,

@@ -420,20 +420,72 @@ def test_certificate_failing_after_it_held_is_an_invariant_violation(monkeypatch
     assert state["failed"]
 
 
+def _witness(rep, **changes):
+    return rep._replace(witness=rep.witness._replace(**changes))
+
+
+def _verdicts_from_the_second(change):
+    """Patch adapt's _verdict so that its n-th report, n >= 2, passes
+    through change(report, n)."""
+
+    def patch(monkeypatch):
+        original, calls = adapt_module._verdict, []
+
+        def changed(g):
+            calls.append(g)
+            rep = original(g)
+            return rep if len(calls) < 2 else change(rep, len(calls))
+
+        monkeypatch.setattr(adapt_module, "_verdict", changed)
+
+    return patch
+
+
+def _jet_without_its_last_term(monkeypatch):
+    original = adapt_module.apply_jet
+    monkeypatch.setattr(adapt_module, "apply_jet", lambda f, jet: original(f, jet[:-1]))
+
+
+@pytest.mark.parametrize(
+    "patch,message",
+    [
+        (_verdicts_from_the_second(lambda rep, n: rep._replace(axis_swapped=True)), "axis orientation flipped"),
+        (_verdicts_from_the_second(lambda rep, n: _witness(rep, exponent=1)), "jet exponents failed to increase"),
+        (
+            _verdicts_from_the_second(lambda rep, n: _witness(rep, multiplicity=rep.witness.multiplicity + n)),
+            "root multiplicity increased",
+        ),
+        (
+            _verdicts_from_the_second(lambda rep, n: rep._replace(distance=rep.distance - 10)),
+            "shear failed to increase the distance",
+        ),
+        (_jet_without_its_last_term, "the last verdict disagrees with the certificate"),
+    ],
+    ids=["axis-flip", "exponent", "multiplicity", "distance", "last-verdict"],
+)
+def test_each_loop_invariant_is_checked(monkeypatch, patch, message):
+    # a broken step of the shear loop is an InternalInvariantViolation,
+    # never a wrong result
+    patch(monkeypatch)
+    with pytest.raises(InternalInvariantViolation, match=message):
+        adapt(parse("(x2*(1 + x1) - x1^2)^2"))
+
+
 def test_tail_distances_read_off_the_factors(monkeypatch):
     # while the certificate holds, each step's distance is read off the
     # fixed vertex (j_V, N) and the exponent of F's next term; it must be
     # that of the product sheared by the jet so far, one apply_shear per
     # term, and so must the reading checked against the last verdict
     readings: list[tuple[int, Fraction]] = []
-    original = adapt_module._Certificate.distance
+    original = adapt_module._Certificate.read
 
-    def recorded(self, m):
-        d = original(self, m)
-        readings.append((self.applied, d))
-        return d
+    def recorded(self, jet, steps):
+        step = original(self, jet, steps)
+        if step is not None:
+            readings.append((self.applied, step[1]))
+        return step
 
-    monkeypatch.setattr(adapt_module._Certificate, "distance", recorded)
+    monkeypatch.setattr(adapt_module._Certificate, "read", recorded)
     pool = random_corpus(500) + [g for _, g in sheared_inputs(400)]
     runs = EQUIVALENCE_RUNS + [(f, cap) for cap in (10, 64) for f in pool]
     certified = read = 0
